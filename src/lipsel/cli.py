@@ -177,6 +177,10 @@ def _exactly_one(d: dict, keys: Tuple[str, str], what: str) -> str:
     return present[0]
 
 
+# JSON numbers as `json` decodes them; bool is a subclass of int, not listed
+_PLAIN_NUMBER_TYPES = {int, float}
+
+
 def _parse_matrix(
     raw: Any, n: int, what: str, want_exact: bool
 ) -> Tuple[List[List[float]], List[List[Any]]]:
@@ -187,7 +191,13 @@ def _parse_matrix(
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise CliError(2, f"{what} row {i} must have {n} entries")
-        frow: List[float] = []
+        if not want_exact and set(map(type, row)) <= _PLAIN_NUMBER_TYPES:
+            frow = list(map(float, row))
+            if not any(map(math.isnan, frow)):
+                floats.append(frow)
+                exacts.append([])
+                continue
+        frow = []
         erow: List[Any] = []
         for j, tok in enumerate(row):
             val, fr = _parse_number(tok, f"{what}[{i}][{j}]", True, want_exact)
@@ -431,12 +441,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     assert isinstance(outcome, Success)
     note("stages 1-5 complete, selection verified")
-    assert inst.space is not None
-    seminorm = lipschitz_seminorm(outcome.f, inst.space)
     doc: dict = {
         "outcome": "success",
         "f": [[p.x1, p.x2] for p in outcome.f],
-        "seminorm": seminorm,
+        "seminorm": outcome.seminorm,
         "bound": bound,
     }
     if trace:

@@ -350,8 +350,27 @@ def _feasible_point_unbounded(rows: list[Row], d: Point2):
     return ("point", Point2(s * ex + t * dx, s * ey + t * dy))
 
 
-def _solve_max(rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL):
-    """Maximize (cx, cy) over the rows.
+def _plan(rows: list[Row], cx: float, cy: float, seed: int):
+    """The part of maximizing (cx, cy) that depends only on the normals, the
+    objective and the seed, so any rows with the same normals can share it:
+    ("direction", d) from `_boundedness`, or ("bracket", pos_a, pos_b, order)
+    with the other row positions in insertion order.  The order is a seeded
+    shuffle independent of the offsets, which keeps the expected-time bound
+    of randomized incremental LP (Seidel, Discrete Comput. Geom. 1991)."""
+    verdict = _boundedness(rows, cx, cy)
+    if verdict[0] == "direction":
+        return verdict
+    pa, pb = verdict[1], verdict[2]
+    order = [p for p in range(len(rows)) if p != pa and p != pb]
+    random.Random(seed).shuffle(order)
+    return ("bracket", pa, pb, order)
+
+
+def _solve_max(
+    rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL, plan=None
+):
+    """Maximize (cx, cy) over the rows, following `plan` (from `_plan` for
+    rows with the same normals, objective and seed; built here when None).
 
     Returns one of
       ("optimal", value, point) | ("unbounded", direction, point) |
@@ -362,15 +381,16 @@ def _solve_max(rows: list[Row], cx: float, cy: float, seed: int, tol: float = DE
         if cx == 0.0 and cy == 0.0:
             return ("optimal", 0.0, Point2(0.0, 0.0))
         return ("unbounded", Point2(cx, cy), Point2(0.0, 0.0))
-    verdict = _boundedness(rows, cx, cy)
-    if verdict[0] == "direction":
-        d = verdict[1]
+    if plan is None:
+        plan = _plan(rows, cx, cy, seed)
+    if plan[0] == "direction":
+        d = plan[1]
         got = _feasible_point_unbounded(rows, d)
         if got[0] == "infeasible":
             return got
         return ("unbounded", d, got[1])
 
-    pa, pb = verdict[1], verdict[2]
+    _, pa, pb, order = plan
     ra, rb = rows[pa], rows[pb]
     a1, b1, al1, _ = ra
     a2, b2, al2, _ = rb
@@ -405,9 +425,8 @@ def _solve_max(rows: list[Row], cx: float, cy: float, seed: int, tol: float = DE
                 v = Point2(-al2 * a2 / nn2, -al2 * b2 / nn2)
         inserted = [ra, rb]
 
-    remaining = [rows[p] for p in range(len(rows)) if p != pa and p != pb]
-    random.Random(seed).shuffle(remaining)
-    for row in remaining:
+    for p in order:
+        row = rows[p]
         a, b, alpha, _ = row
         if a * v.x1 + b * v.x2 + alpha > tol:
             got = _solve_on_line(row, inserted, cx, cy, tol)

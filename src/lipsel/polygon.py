@@ -94,6 +94,8 @@ def solve_polygon(p: PolygonInstance, lam: float, *, seed: int = 0) -> Outcome:
         g=[outcome.g[a] for a in take],
         hulls=[outcome.hulls[a] for a in take],
         refined=[outcome.refined[a] for a in take],
+        # copies share one value, so the expanded seminorm is the original's
+        seminorm=outcome.seminorm,
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
     DEFAULT_TOL,
@@ -45,7 +45,7 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Infeasible, Row, _rows_from, _solve_max
+from lipsel.lp2d import Row, _plan, _solve_max
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
@@ -89,6 +89,7 @@ class Success:
     g: List[Point2]  # stage-4 centers
     hulls: List[ExtRect]  # stage-2 rectangles
     refined: List[ExtRect]  # stage-3 rectangles
+    seminorm: float  # Lipschitz seminorm of f, as verified
 
 
 Outcome = Union[NoGo, Success]
@@ -175,10 +176,16 @@ def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
     raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
 
 
-def _hull_from_rows(rows: List[Row], seed: int) -> MaybeRect:
+def _hull_from_rows(rows: List[Row], seed: int, plans: Optional[list] = None) -> MaybeRect:
+    """`plans` holds one `_plan` per direction for rows with these normals;
+    a slot is filled on first use, so an early EMPTY plans nothing more."""
+    if plans is None:
+        plans = [None] * 4
     ends = []
-    for cx, cy in ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)):
-        got = _solve_max(rows, cx, cy, seed)
+    for k, (cx, cy) in enumerate(((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))):
+        if plans[k] is None:
+            plans[k] = _plan(rows, cx, cy, seed)
+        got = _solve_max(rows, cx, cy, seed, plan=plans[k])
         if got[0] == "infeasible":
             return EMPTY
         if got[0] == "unbounded":
@@ -363,9 +370,24 @@ def run_projection_algorithm(
     """
     l1, l2 = _check_lambdas(lambdas)
     n = inst.n
+    d = inst.space.d
+    # A point's stage-1 rows, so all its results, depend only on its distance
+    # row: a point with an earlier `twin` reuses the twin's results.  The
+    # rows' normals depend only on which points are at finite distance, so
+    # plans are shared per such set, keyed by the infinitely distant points
+    # (not per component: `solve` does not check the triangle inequality).
+    twin: List[int] = []
+    plans: Dict[Tuple[int, ...], list] = {}
     hulls: List[ExtRect] = []
     for x in range(n):
-        hull = _hull_from_rows(_point_rows(inst, l1, x), seed)
+        twin.append(_earlier_twin(d, x))
+        if twin[x] >= 0:
+            hulls.append(hulls[twin[x]])
+            continue
+        rows = _point_rows(inst, l1, x)
+        drow = d[x]
+        key = () if len(rows) == n else tuple(y for y in range(n) if drow[y] == INF)
+        hull = _hull_from_rows(rows, seed, plans.setdefault(key, [None] * 4))
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
         hulls.append(hull)
@@ -373,11 +395,24 @@ def run_projection_algorithm(
     if isinstance(refined, NoGo):
         return refined
     g = step4_centers(refined, rule=rule, base_point=base_point)
-    f = [step5_project(inst, l1, x, g[x]) for x in range(n)]
+    f: List[Point2] = []
+    for x in range(n):
+        f.append(f[twin[x]] if twin[x] >= 0 else step5_project(inst, l1, x, g[x]))
     report = verify_selection(inst, f, l1 + 2.0 * l2)
     if not report.ok:
         raise RuntimeError(f"internal verification failed: {report}")
-    return Success(f, g, hulls, refined)
+    return Success(f, g, hulls, refined, report.seminorm)
+
+
+def _earlier_twin(d: Sequence[Sequence[float]], x: int) -> int:
+    """The first y < x at distance 0 from x when its distance row equals
+    x's, else -1.  Under the triangle inequality every y at distance 0 has
+    x's row, so the first one is the only candidate worth checking."""
+    try:
+        y = d[x].index(0.0, 0, x)
+    except ValueError:
+        return -1
+    return y if d[y] == d[x] else -1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import lipsel
-from lipsel.cli import main
+from lipsel.cli import load_instance, main
 
 SEP4 = {
     "n": 2,
@@ -282,6 +282,66 @@ def test_solve_accepts_rational_strings(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", write(tmp_path, doc), "--lambda", "8")
     assert code == 0
     assert json.loads(out)["f"] == [[0.0, 0.0], [4.0, 0.0]]
+
+
+FOUR_POINTS = {
+    "n": 4,
+    "metric": {
+        "matrix": [
+            [0, 1.5, 2, 0.25],
+            [1.5, 0, 0.5, 1.25],
+            [2, 0.5, 0, 1.75],
+            [0.25, 1.25, 1.75, 0],
+        ]
+    },
+    "sets": {
+        "halfplanes": [
+            {"h": [1, 0], "alpha": 0},
+            {"h": [-1, 2], "alpha": 1.5},
+            {"h": [0, -1], "alpha": -2},
+            {"h": [3, 1], "alpha": 0.75},
+        ]
+    },
+}
+
+
+def test_plain_number_rows_parse_like_their_string_forms(tmp_path, capsys):
+    as_strings = json.loads(json.dumps(FOUR_POINTS))
+    as_strings["metric"]["matrix"] = [[str(v) for v in row] for row in FOUR_POINTS["metric"]["matrix"]]
+    for argv in (["--lambda", "1"], ["--lambda", "1/4"], ["--lambda", "2", "--trace"]):
+        outs = []
+        for doc, name in ((FOUR_POINTS, "numbers.json"), (as_strings, "strings.json")):
+            code, out, _ = run(capsys, "solve", write(tmp_path, doc, name), *argv)
+            outs.append((code, out))
+        assert outs[0] == outs[1], argv
+        assert outs[0][1]
+
+
+def test_rows_mixing_numbers_and_strings_parse_exactly(tmp_path):
+    doc = json.loads(json.dumps(CHAIN_PRE))
+    doc["metric"] = {"matrix": [[0, "1/3", "inf"], ["1/3", 0.0, 1], ["inf", 1, 0]]}
+    inst = load_instance(write(tmp_path, doc), want_exact=False, full_triangle=False)
+    assert inst.space.d == [[0.0, 1 / 3, math.inf], [1 / 3, 0.0, 1.0], [math.inf, 1.0, 0.0]]
+    assert all(type(v) is float for row in inst.space.d for v in row)
+    exact = load_instance(write(tmp_path, doc), want_exact=True, full_triangle=False)
+    assert exact.exact_hp.space.d[0][1] == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "metric.matrix[0][1]: expected a number, got a boolean"),
+        (math.nan, "metric.matrix[0][1]: NaN is not allowed"),
+        ("nan", "metric.matrix[0][1]: cannot parse number 'nan'"),
+    ],
+)
+def test_matrix_entries_that_are_not_numbers_exit_2(tmp_path, capsys, bad, message):
+    doc = json.loads(json.dumps(SEP4))
+    doc["metric"]["matrix"] = [[0, bad], [bad, 0]]
+    path = write(tmp_path, doc)  # json writes math.nan as the literal NaN
+    for command in (["solve", path, "--lambda", "4"], ["validate", path]):
+        code, out, err = run(capsys, *command)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_planted_polygons_succeed_and_values_land_inside(seed):
             resid = hp.h.x1 * got.f[i].x1 + hp.h.x2 * got.f[i].x2 + hp.alpha
             assert resid <= 1e-7
     assert lipschitz_seminorm(got.f, p.space) <= 3.0 + 1e-7
+    # the expanded run's seminorm, carried over, is the original one exactly
+    assert got.seminorm == lipschitz_seminorm(got.f, p.space)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

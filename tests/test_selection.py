@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import linf_space, planted_instance, random_instance
+from generators import linf_space, planted_instance, random_halfplane, random_instance
 from lipsel.geometry import (
     EMPTY,
     EmptySet,
@@ -20,7 +20,8 @@ from lipsel.geometry import (
     rect,
     uniform_norm,
 )
-from lipsel.metric import validate_pseudometric
+from lipsel.lp2d import Infeasible, Unbounded, lp2d_feasible, lp2d_optimize
+from lipsel.metric import PreMetric, PseudometricSpace, validate_premetric, validate_pseudometric
 from lipsel.selection import (
     CenterRule,
     HalfPlaneInstance,
@@ -438,3 +439,87 @@ def test_check_wnew_true_implies_success_with_tighter_bound(seed):
     got = run_projection_algorithm(inst, (ltilde, lam))
     assert isinstance(got, Success)
     assert lipschitz_seminorm(got.f, inst.space) <= 2 * lam + ltilde + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# shared plans and reused hulls against the public LP
+
+
+def _nontransitive_space(rng, n):
+    """Sup-norm distances with random pairs cut to +inf: symmetric with a zero
+    diagonal, so `validate_premetric` accepts it, but "at finite distance" is
+    not transitive and points at distance 0 can have different rows."""
+    d = [row[:] for row in linf_space(rng, n, dup_chance=0.4).d]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                d[i][j] = d[j][i] = INF
+    assert isinstance(validate_premetric(d), PreMetric)
+    return PseudometricSpace(n, d)
+
+
+def _public_ends(inst, l1, x, seed):
+    """Hull ends at x from `lp2d_optimize`, or None when the set is empty."""
+    cons = refinement_constraints(inst, l1, x)
+    ends = []
+    for c in ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)):
+        got = lp2d_optimize(cons, c, "max", seed=seed)
+        if isinstance(got, Infeasible):
+            return None
+        ends.append(INF if isinstance(got, Unbounded) else got.value)
+    return (-ends[0], ends[1], -ends[2], ends[3])
+
+
+@pytest.mark.parametrize("kind", ["repeated", "blocks", "nontransitive"])
+def test_shared_plans_and_reused_hulls_match_public_lp(kind):
+    """Plans shared per set of finite neighbours and hulls reused between
+    equal distance rows give exactly the hulls of independent public LPs."""
+    rng = random.Random(f"plans/{kind}")
+    seen = {"success": 0, "stage1": 0, "equal_rows": 0, "zero_unequal_rows": 0}
+    for draw in range(60):
+        n = 2 + draw % 7
+        if kind == "repeated":
+            inst = random_instance(rng, n, dup_chance=0.5)
+        elif kind == "blocks":
+            inst = random_instance(rng, n, dup_chance=0.5, inf_blocks=True)
+        else:
+            inst = HalfPlaneInstance(
+                _nontransitive_space(rng, n), [random_halfplane(rng) for _ in range(n)]
+            )
+        d = inst.space.d
+        zero_pairs = [(x, y) for x in range(n) for y in range(x) if d[x][y] == 0.0]
+        seed = 977 if draw % 2 else 0
+        for lam in (0.25, 1.0, 4.0):
+            empty = [
+                x for x in range(n)
+                if isinstance(
+                    lp2d_feasible(refinement_constraints(inst, lam, x), seed=seed), Infeasible
+                )
+            ]
+            try:
+                got = run_projection_algorithm(inst, (lam, lam), seed=seed)
+            except RuntimeError as exc:
+                # without the triangle inequality the l1 + 2*l2 bound can
+                # fail; stages 1-3 passed, so no stage-1 set is empty
+                assert kind == "nontransitive" and "verification failed" in str(exc)
+                assert empty == []
+                continue
+            if isinstance(got, NoGo) and got.stage == 1:
+                assert got.witness == empty[0]
+                seen["stage1"] += 1
+                continue
+            assert empty == []
+            if isinstance(got, NoGo):
+                continue
+            for x in range(n):
+                hull = got.hulls[x]
+                assert (hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi) == _public_ends(
+                    inst, lam, x, seed
+                )
+            assert got.seminorm == lipschitz_seminorm(got.f, inst.space)
+            seen["success"] += 1
+            seen["equal_rows"] += sum(d[x] == d[y] for x, y in zero_pairs)
+            seen["zero_unequal_rows"] += sum(d[x] != d[y] for x, y in zero_pairs)
+    if kind != "nontransitive":
+        del seen["zero_unequal_rows"]  # a pseudometric has none
+    assert min(seen.values()) > 0, seen
