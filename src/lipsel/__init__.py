@@ -24,12 +24,13 @@ from lipsel.metric import PreMetric, PseudometricSpace, intrinsic_metric, valida
 from lipsel.selection import (
     HalfPlaneInstance,
     NoGo,
+    PolygonInstance,
     Success,
     lipschitz_seminorm,
     run_projection_algorithm,
     verify_selection,
 )
-from lipsel.polygon import PolygonInstance, reduce_to_halfplanes, solve_polygon
+from lipsel.polygon import reduce_to_halfplanes, solve_polygon
 from lipsel.oracle import build_sharp_lp, estimate_min_seminorm, fm_feasible
 
 __all__ = [

@@ -23,6 +23,11 @@ end in `estimate`.
 `validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
 and checks only shape, diagonal, and symmetry, keeping the solve path at the
 solver's own quadratic growth.
+
+Both kinds of "sets" load into one `PolygonInstance`, half-planes as
+one-sided polygons, so every command makes the same library call for both.
+The kind matters only to the CLI contract: polygon instances take a single
+`--lambda`, and `estimate` handles half-plane instances only.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Optional, Tuple
 
-from lipsel.geometry import ExtRect, HalfPlane, Point2, dist_to_halfplane, halfplane
+from lipsel.geometry import ExtRect, HalfPlane, Point2, halfplane
 from lipsel.metric import (
     MetricViolation,
     PreMetric,
@@ -44,21 +49,11 @@ from lipsel.metric import (
     validate_premetric,
     validate_pseudometric,
 )
-from lipsel.oracle import (
-    FmFeasible,
-    FmInfeasible,
-    build_sharp_lp,
-    build_sharp_lp_polygon,
-    estimate_min_seminorm,
-    fm_feasible,
-)
-from lipsel.polygon import PolygonInstance, solve_polygon
+from lipsel.oracle import FmFeasible, FmInfeasible, build_sharp_lp, estimate_min_seminorm, fm_feasible
 from lipsel.selection import (
-    VERIFY_TOL,
-    HalfPlaneInstance,
     NoGo,
+    PolygonInstance,
     Success,
-    lipschitz_seminorm,
     run_projection_algorithm,
     verify_selection,
 )
@@ -84,7 +79,10 @@ def _parse_number(
     if isinstance(tok, bool):
         raise CliError(2, f"{what}: expected a number, got a boolean")
     if isinstance(tok, (int, float)):
-        val = float(tok)
+        try:
+            val = float(tok)
+        except OverflowError:
+            raise CliError(2, f"{what}: number out of float range")
         if math.isnan(val):
             raise CliError(2, f"{what}: NaN is not allowed")
         if math.isinf(val):
@@ -106,7 +104,10 @@ def _parse_number(
             fr = Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise CliError(2, f"{what}: cannot parse number {tok!r}")
-        return float(fr), (fr if want_exact else None)
+        try:
+            return float(fr), (fr if want_exact else None)
+        except OverflowError:
+            raise CliError(2, f"{what}: number out of float range")
     raise CliError(2, f"{what}: expected a number, got {type(tok).__name__}")
 
 
@@ -157,10 +158,8 @@ class LoadedInstance:
     metric_kind: str  # "matrix" | "pre_metric"
     kind: str  # "halfplanes" | "polygons"
     space: Optional[PseudometricSpace]  # float; closed when pre_metric; None on violation
-    hp: Optional[HalfPlaneInstance]
-    poly: Optional[PolygonInstance]
-    exact_hp: Optional[HalfPlaneInstance]  # Fraction-valued twins for the oracle
-    exact_poly: Optional[PolygonInstance]
+    inst: Optional[PolygonInstance]  # None on violation
+    exact: Optional[PolygonInstance]  # Fraction-valued, for the oracle; None unless want_exact
     violation: Optional[MetricViolation]
 
 
@@ -192,7 +191,10 @@ def _parse_matrix(
         if not isinstance(row, list) or len(row) != n:
             raise CliError(2, f"{what} row {i} must have {n} entries")
         if not want_exact and set(map(type, row)) <= _PLAIN_NUMBER_TYPES:
-            frow = list(map(float, row))
+            try:
+                frow = list(map(float, row))
+            except OverflowError:  # reported by _parse_number below
+                frow = [math.nan]
             if not any(map(math.isnan, frow)):
                 floats.append(frow)
                 exacts.append([])
@@ -266,7 +268,7 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
             if isinstance(pre, MetricViolation):
                 violation = pre
             else:
-                space = intrinsic_metric(PreMetric(n, floats))
+                space = intrinsic_metric(pre)
                 if want_exact:
                     exact_space = intrinsic_metric(PreMetric(n, exacts))
     except ValueError as exc:
@@ -274,53 +276,36 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
 
     sets = _expect_dict(doc.get("sets"), "'sets'")
     kind = _exactly_one(sets, ("halfplanes", "polygons"), "'sets'")
-    hp_inst = poly_inst = exact_hp = exact_poly = None
-    if kind == "halfplanes":
-        arr = sets["halfplanes"]
-        if not isinstance(arr, list) or len(arr) != n:
-            raise CliError(2, f"sets.halfplanes must list {n} half-planes")
-        planes, eplanes = [], []
-        for i, item in enumerate(arr):
-            hp, ehp = _parse_halfplane(item, f"halfplanes[{i}]", want_exact)
-            planes.append(hp)
-            eplanes.append(ehp)
-        if violation is None:
-            assert space is not None
-            hp_inst = HalfPlaneInstance(space, planes)
-            if want_exact:
-                assert exact_space is not None
-                exact_hp = HalfPlaneInstance(exact_space, eplanes)
-    else:
-        arr = sets["polygons"]
-        if not isinstance(arr, list) or len(arr) != n:
-            raise CliError(2, f"sets.polygons must list {n} polygons")
-        polys, epolys = [], []
-        for i, poly in enumerate(arr):
-            if not isinstance(poly, list) or not poly:
-                raise CliError(2, f"polygons[{i}] must be a nonempty list")
-            ps, eps = [], []
-            for j, item in enumerate(poly):
-                hp, ehp = _parse_halfplane(item, f"polygons[{i}][{j}]", want_exact)
-                ps.append(hp)
-                eps.append(ehp)
-            polys.append(ps)
-            epolys.append(eps)
-        if violation is None:
-            assert space is not None
-            poly_inst = PolygonInstance(space, polys)
-            if want_exact:
-                assert exact_space is not None
-                exact_poly = PolygonInstance(exact_space, epolys)
+    arr = sets[kind]
+    if not isinstance(arr, list) or len(arr) != n:
+        noun = "half-planes" if kind == "halfplanes" else "polygons"
+        raise CliError(2, f"sets.{kind} must list {n} {noun}")
+    polys, epolys = [], []
+    for i, item in enumerate(arr):
+        # a half-plane is read as a one-sided polygon
+        if kind == "halfplanes":
+            sides = [_parse_halfplane(item, f"halfplanes[{i}]", want_exact)]
+        elif not isinstance(item, list) or not item:
+            raise CliError(2, f"polygons[{i}] must be a nonempty list")
+        else:
+            sides = [_parse_halfplane(raw, f"polygons[{i}][{j}]", want_exact) for j, raw in enumerate(item)]
+        polys.append([hp for hp, _ in sides])
+        epolys.append([ehp for _, ehp in sides])
+    inst = exact = None
+    if violation is None:
+        assert space is not None
+        inst = PolygonInstance(space, polys)
+        if want_exact:
+            assert exact_space is not None
+            exact = PolygonInstance(exact_space, epolys)
 
     return LoadedInstance(
         n=n,
         metric_kind=metric_kind,
         kind=kind,
         space=space,
-        hp=hp_inst,
-        poly=poly_inst,
-        exact_hp=exact_hp,
-        exact_poly=exact_poly,
+        inst=inst,
+        exact=exact,
         violation=violation,
     )
 
@@ -357,26 +342,12 @@ def _verify_result(inst: LoadedInstance, result_path: str) -> int:
         f.append(Point2(x, y))
     bound, _ = _parse_number(doc.get("bound"), "result field 'bound'", False, False)
 
-    assert inst.space is not None
-    if inst.kind == "halfplanes":
-        assert inst.hp is not None
-        report = verify_selection(inst.hp, f, bound)
-        if not report.ok:
-            print(emit({"verified": False, "reason": report.reason, "index": report.index}))
-            return 1
-        print(emit({"verified": True, "seminorm": report.seminorm, "bound": bound}))
-        return 0
-    assert inst.poly is not None
-    for i, poly in enumerate(inst.poly.polygons):
-        for hp in poly:
-            if dist_to_halfplane(f[i], hp) > VERIFY_TOL:
-                print(emit({"verified": False, "reason": "membership", "index": i}))
-                return 1
-    seminorm = lipschitz_seminorm(f, inst.space)
-    if seminorm > bound + VERIFY_TOL:
-        print(emit({"verified": False, "reason": "seminorm", "index": None}))
+    assert inst.inst is not None
+    report = verify_selection(inst.inst, f, bound)
+    if not report.ok:
+        print(emit({"verified": False, "reason": report.reason, "index": report.index}))
         return 1
-    print(emit({"verified": True, "seminorm": seminorm, "bound": bound}))
+    print(emit({"verified": True, "seminorm": report.seminorm, "bound": bound}))
     return 0
 
 
@@ -425,14 +396,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.lam is None:
             raise CliError(2, "polygon instances take a single --lambda")
         note(f"solving polygon instance, n={inst.n}, lambda={l1}")
-        assert inst.poly is not None
-        outcome = solve_polygon(inst.poly, l1, seed=args.seed)
-        bound = 3.0 * l1
     else:
         note(f"solving half-plane instance, n={inst.n}, lambda=({l1}, {l2})")
-        assert inst.hp is not None
-        outcome = run_projection_algorithm(inst.hp, (l1, l2), seed=args.seed)
-        bound = l1 + 2.0 * l2
+    assert inst.inst is not None
+    outcome = run_projection_algorithm(inst.inst, (l1, l2), seed=args.seed)
+    bound = l1 + 2.0 * l2
 
     if isinstance(outcome, NoGo):
         note(f"stopped at stage {outcome.stage}, witness point {outcome.witness}")
@@ -457,16 +425,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exact_for_sharp(args: argparse.Namespace):
+def _exact_for_sharp(args: argparse.Namespace) -> LoadedInstance:
     inst = load_instance(args.file, want_exact=True, full_triangle=True)
     _raise_on_violation(inst)
     if inst.n > SHARP_POINT_CAP:
         raise CliError(2, f"oracle commands are capped at {SHARP_POINT_CAP} points")
-    if inst.kind == "polygons":
-        assert inst.exact_poly is not None
-        return inst.exact_poly
-    assert inst.exact_hp is not None
-    return inst.exact_hp
+    assert inst.exact is not None
+    return inst
 
 
 def cmd_sharp(args: argparse.Namespace) -> int:
@@ -474,11 +439,7 @@ def cmd_sharp(args: argparse.Namespace) -> int:
     lam = lam_fr if lam_fr is not None else Fraction(lam_f)
     if lam < 0:
         raise CliError(2, "--lambda must be >= 0")
-    exact = _exact_for_sharp(args)
-    if isinstance(exact, PolygonInstance):
-        system = build_sharp_lp_polygon(exact, lam)
-    else:
-        system = build_sharp_lp(exact, lam)
+    system = build_sharp_lp(_exact_for_sharp(args).exact, lam)
     got = fm_feasible(system)
     if isinstance(got, FmInfeasible):
         print(emit({"verdict": "infeasible", "lambda": lam}))
@@ -498,11 +459,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError(2, "need --lo < --hi")
     if args.iters < 0:
         raise CliError(2, "--iters must be >= 0")
-    exact = _exact_for_sharp(args)
-    if isinstance(exact, PolygonInstance):
+    inst = _exact_for_sharp(args)
+    if inst.kind == "polygons":
         raise CliError(2, "estimate currently handles half-plane instances only")
     try:
-        a, b = estimate_min_seminorm(exact, lo, hi, args.iters)
+        a, b = estimate_min_seminorm(inst.exact, lo, hi, args.iters)
     except ValueError as exc:
         if "hi must be feasible" in str(exc):
             raise CliError(4, "--hi is infeasible; raise it")

@@ -87,7 +87,8 @@ def validate_pseudometric(
 
 
 def validate_premetric(w: List[List[float]]) -> Union[PreMetric, MetricViolation]:
-    """Symmetry and zero diagonal only."""
+    """Symmetry and zero diagonal only.  The PreMetric wraps `w` itself, not
+    a copy."""
     n = _check_matrix_shape(w)
     for i in range(n):
         if w[i][i] != 0:
@@ -96,7 +97,7 @@ def validate_premetric(w: List[List[float]]) -> Union[PreMetric, MetricViolation
         for j in range(i + 1, n):
             if w[i][j] != w[j][i]:
                 return MetricViolation("symmetry", i, j, j)
-    return PreMetric(n, [[float(v) for v in row] for row in w])
+    return PreMetric(n, w)
 
 
 def intrinsic_metric(w: PreMetric) -> PseudometricSpace:

@@ -1,9 +1,10 @@
 """Exact feasibility oracle for the optimal-seminorm question.
 
 A selection with Lipschitz seminorm <= lam exists iff a small linear system
-is satisfiable: two coordinates per point, one membership row per half-plane,
-and four coupling rows per finite-distance pair bounding the coordinate
-differences by lam times the distance.  The system is solved exactly over
+is satisfiable: two coordinates per point, one membership row per side of
+each point's polygon (one row per point for a half-plane instance), and four
+coupling rows per finite-distance pair bounding the coordinate differences by
+lam times the distance.  The system is solved exactly over
 rationals by Fourier-Motzkin elimination, so Feasible/Infeasible verdicts are
 certificates, not numerics.  Sizes are desk-scale by design (16 variables).
 
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from lipsel.selection import HalfPlaneInstance
-from lipsel.polygon import PolygonInstance
+from lipsel.selection import PolygonInstance
 
 FM_VAR_CAP = 16
 
@@ -86,19 +86,13 @@ def _coupling_rows(
     return rows
 
 
-def _membership_row(nvars: int, point: int, h1, h2, alpha) -> RatRow:
-    co = [Fraction(0)] * nvars
-    co[2 * point] = _rat(h1, "normal coordinate")
-    co[2 * point + 1] = _rat(h2, "normal coordinate")
-    return (tuple(co), -_rat(alpha, "offset"))
+def build_sharp_lp(inst: PolygonInstance, lam) -> RationalLinearSystem:
+    """Membership plus coupling rows.
 
-
-def build_sharp_lp(inst: HalfPlaneInstance, lam) -> RationalLinearSystem:
-    """Membership plus coupling rows for a half-plane instance.
-
-    Row order: the N membership rows, then 4 coupling rows per finite pair
-    (i < j), u-axis before v-axis.  All data is converted to exact rationals;
-    non-finite coefficients are rejected.
+    Row order: one membership row per (point, side) on that point's pair of
+    coordinates, in point then side order; then 4 coupling rows per finite
+    pair (i < j), u-axis before v-axis.  All data is converted to exact
+    rationals; non-finite coefficients are rejected.
     """
     n = inst.n
     lam_r = _rat(lam, "lambda")
@@ -106,29 +100,19 @@ def build_sharp_lp(inst: HalfPlaneInstance, lam) -> RationalLinearSystem:
         raise ValueError("lambda must be >= 0")
     nvars = 2 * n
     names = [f"{ax}{i + 1}" for i in range(n) for ax in ("u", "v")]
-    rows = [
-        _membership_row(nvars, i, inst.planes[i].h.x1, inst.planes[i].h.x2, inst.planes[i].alpha)
-        for i in range(n)
-    ]
+    rows: List[RatRow] = []
+    for i, poly in enumerate(inst.polygons):
+        for hp in poly:
+            co = [Fraction(0)] * nvars
+            co[2 * i] = _rat(hp.h.x1, "normal coordinate")
+            co[2 * i + 1] = _rat(hp.h.x2, "normal coordinate")
+            rows.append((tuple(co), -_rat(hp.alpha, "offset")))
     rows.extend(_coupling_rows(nvars, inst.space.d, n, lam_r))
     return RationalLinearSystem(names, rows)
 
 
-def build_sharp_lp_polygon(p: PolygonInstance, lam) -> RationalLinearSystem:
-    """Polygon variant: every half-plane of a point's polygon becomes a
-    membership row on that point's pair of coordinates."""
-    n = p.n
-    lam_r = _rat(lam, "lambda")
-    if lam_r < 0:
-        raise ValueError("lambda must be >= 0")
-    nvars = 2 * n
-    names = [f"{ax}{i + 1}" for i in range(n) for ax in ("u", "v")]
-    rows: List[RatRow] = []
-    for i, poly in enumerate(p.polygons):
-        for hp in poly:
-            rows.append(_membership_row(nvars, i, hp.h.x1, hp.h.x2, hp.alpha))
-    rows.extend(_coupling_rows(nvars, p.space.d, n, lam_r))
-    return RationalLinearSystem(names, rows)
+# the polygon name of the one builder
+build_sharp_lp_polygon = build_sharp_lp
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +220,7 @@ def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
 
 
 def estimate_min_seminorm(
-    inst: HalfPlaneInstance, lo, hi, iterations: int
+    inst: PolygonInstance, lo, hi, iterations: int
 ) -> Tuple[Fraction, Fraction]:
     """Bisect the optimal seminorm into an exact bracket.
 

@@ -1,13 +1,14 @@
-"""The two-parameter projection algorithm for half-plane valued maps.
+"""The two-parameter projection algorithm for polygon valued maps.
 
-Given an instance (a finite pseudometric space whose points carry closed
-half-planes) and a parameter pair (l1, l2), the algorithm either returns a
-selection — one point inside each half-plane — whose Lipschitz seminorm is at
-most l1 + 2*l2, or stops with NoGo, which certifies that no selection has
-seminorm <= min(l1, l2).  The pipeline:
+Given an instance (a finite pseudometric space whose points carry convex
+polygons, each an intersection of closed half-planes; a half-plane instance is
+the one-sided case) and a parameter pair (l1, l2), the algorithm either
+returns a selection — one point inside each polygon — whose Lipschitz
+seminorm is at most l1 + 2*l2, or stops with NoGo, which certifies that no
+selection has seminorm <= min(l1, l2).  The pipeline:
 
-  1. intersect each point's half-plane with every neighbour's half-plane
-     inflated by l1 times the distance; empty => NoGo at stage 1;
+  1. intersect each point's sides with every neighbour's sides inflated by
+     l1 times the distance; empty => NoGo at stage 1;
   2. take the rectangular (axis-parallel bounding) hull of each intersection;
   3. shrink each hull against the neighbours' hulls inflated by l2 times the
      distance; an empty shrink => NoGo at stage 3;
@@ -21,9 +22,9 @@ comparison against +tol), so boundary parameter values succeed.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
@@ -35,8 +36,6 @@ from lipsel.geometry import (
     HalfPlane,
     MaybeRect,
     Point2,
-    WHOLE_PLANE,
-    WholePlane,
     ext_div,
     ext_sub,
     inflate_halfplane,
@@ -60,17 +59,45 @@ class LambdaPair(NamedTuple):
 
 
 @dataclass(frozen=True)
-class HalfPlaneInstance:
+class PolygonInstance:
+    """Points of a pseudometric space, each carrying a polygon: a nonempty
+    list of half-planes (its sides) whose intersection is the point's set."""
+
     space: PseudometricSpace
-    planes: List[HalfPlane]
+    polygons: List[List[HalfPlane]]
 
     def __post_init__(self) -> None:
-        if len(self.planes) != self.space.n:
-            raise ValueError("one half-plane per point is required")
+        if len(self.polygons) != self.space.n:
+            raise ValueError("one polygon per point is required")
+        for i, poly in enumerate(self.polygons):
+            if not poly:
+                raise ValueError(f"polygon {i} has no half-planes")
 
     @property
     def n(self) -> int:
         return self.space.n
+
+    @cached_property
+    def sides(self) -> List[Tuple[int, float, float, float, float]]:
+        """(point, h1, h2, alpha, |h1| + |h2|) for every side, in (point,
+        side) order: the flat form the stages iterate over."""
+        return [
+            (y, hp.h.x1, hp.h.x2, hp.alpha, abs(hp.h.x1) + abs(hp.h.x2))
+            for y, poly in enumerate(self.polygons)
+            for hp in poly
+        ]
+
+    @property
+    def planes(self) -> List[HalfPlane]:
+        """The half-plane of each point of a one-sided instance."""
+        if any(len(poly) != 1 for poly in self.polygons):
+            raise ValueError("planes is defined for one-sided instances only")
+        return [poly[0] for poly in self.polygons]
+
+
+def HalfPlaneInstance(space: PseudometricSpace, planes: Sequence[HalfPlane]) -> PolygonInstance:
+    """The one-sided instance with one half-plane per point."""
+    return PolygonInstance(space, [[hp] for hp in planes])
 
 
 @dataclass(frozen=True)
@@ -105,61 +132,20 @@ class SelectionReport:
     pair: Optional[Tuple[int, int]] = None
 
 
-class CenterRule(enum.Enum):
-    """Stage-4 variants; only ORIGIN_PROJECTION is exercised by the
-    acceptance suite, the others match the looser variants of the method."""
-
-    ORIGIN_PROJECTION = "origin-projection"
-    BASE_POINT_PROJECTION = "base-point-projection"
-    PLAIN_CENTER = "plain-center"
-
-
 # ---------------------------------------------------------------------------
 # stage 1: inflated intersections
 
 
-def refinement_constraints(
-    inst: HalfPlaneInstance, l1: float, x: int
-) -> List[HalfPlane]:
-    """Constraints whose intersection is the stage-1 set at point x.
-
-    The point's own half-plane appears with radius 0; infinitely distant
-    points contribute nothing and are omitted.
-    """
-    out: List[HalfPlane] = []
-    for y in range(inst.n):
-        r = inflation_radius(l1, inst.space.d[x][y])
-        inflated = inflate_halfplane(inst.planes[y], r)
-        if not isinstance(inflated, WholePlane):
-            out.append(inflated)
-    return out
-
-
-def _point_rows(inst: HalfPlaneInstance, l1: float, x: int) -> List[Row]:
-    """Same constraints as refinement_constraints, in solver row form; the
-    row index is the owning point y."""
-    rows: List[Row] = []
+def _point_rows(inst: PolygonInstance, l1: float, x: int) -> List[Row]:
+    """The rows whose intersection is the stage-1 set at x: every side of
+    every point y at finite distance, inflated by l1 times the distance (x's
+    own sides with radius 0), in (y, side) order.  The row index is y."""
     drow = inst.space.d[x]
-    for y in range(inst.n):
-        rho = drow[y]
-        if rho == INF:
-            continue
-        hp = inst.planes[y]
-        h1, h2 = hp.h.x1, hp.h.x2
-        rows.append((h1, h2, hp.alpha - l1 * rho * (abs(h1) + abs(h2)), y))
-    return rows
-
-
-def step1_feasibility(
-    inst: HalfPlaneInstance, l1: float, *, seed: int = 0
-) -> Optional[NoGo]:
-    """None when every stage-1 set is nonempty, else NoGo at the smallest
-    failing point."""
-    for x in range(inst.n):
-        got = _solve_max(_point_rows(inst, l1, x), 1.0, 0.0, seed)
-        if got[0] == "infeasible":
-            return NoGo(1, x)
-    return None
+    return [
+        (h1, h2, alpha - l1 * rho * norm1, y)
+        for y, h1, h2, alpha, norm1 in inst.sides
+        if (rho := drow[y]) != INF
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +181,6 @@ def _hull_from_rows(rows: List[Row], seed: int, plans: Optional[list] = None) ->
     lo1, hi1 = _snap_ends(-ends[0], ends[1], DEFAULT_TOL)
     lo2, hi2 = _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
     return ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2))
-
-
-def step2_rect_hull(
-    inst: HalfPlaneInstance, l1: float, x: int, *, seed: int = 0
-) -> ExtRect:
-    """Smallest axis-parallel rectangle containing the stage-1 set at x.
-
-    Each of the four ends is one linear program; an unbounded program makes
-    the corresponding end infinite.  Calling this on an empty stage-1 set is
-    a state error — run step1 first.
-    """
-    hull = _hull_from_rows(_point_rows(inst, l1, x), seed)
-    if isinstance(hull, EmptySet):
-        raise RuntimeError(f"stage-1 set at point {x} is empty; stage 2 is undefined")
-    return hull
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +247,9 @@ def step3_refine_rects(
 # stage 4: centers
 
 
-def step4_centers(
-    refined: Sequence[ExtRect],
-    *,
-    rule: CenterRule = CenterRule.ORIGIN_PROJECTION,
-    base_point: Point2 = Point2(0.0, 0.0),
-) -> List[Point2]:
-    """Candidate values: the center of the origin-nearest face of each
-    rectangle (default), the same from a custom base point, or the plain
-    rectangle center (bounded rectangles only)."""
-    out: List[Point2] = []
-    for t in refined:
-        if rule is CenterRule.ORIGIN_PROJECTION:
-            out.append(rect_project_origin_center(t))
-        elif rule is CenterRule.BASE_POINT_PROJECTION:
-            shifted = ExtRect(
-                ExtInterval(t.ix.lo - base_point.x1, t.ix.hi - base_point.x1),
-                ExtInterval(t.iy.lo - base_point.x2, t.iy.hi - base_point.x2),
-            )
-            out.append(rect_project_origin_center(shifted) + base_point)
-        elif rule is CenterRule.PLAIN_CENTER:
-            if not (t.ix.bounded and t.iy.bounded):
-                raise ValueError("plain-center rule needs bounded rectangles")
-            out.append(Point2((t.ix.lo + t.ix.hi) / 2.0, (t.iy.lo + t.iy.hi) / 2.0))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown center rule {rule!r}")
-    return out
+def step4_centers(refined: Sequence[ExtRect]) -> List[Point2]:
+    """The center of the origin-nearest face of each rectangle."""
+    return [rect_project_origin_center(t) for t in refined]
 
 
 # ---------------------------------------------------------------------------
@@ -309,35 +257,32 @@ def step4_centers(
 
 
 def step5_project(
-    inst: HalfPlaneInstance, l1: float, x: int, g: Point2, tol: float = DEFAULT_TOL
+    inst: PolygonInstance, l1: float, x: int, g: Point2, tol: float = DEFAULT_TOL
 ) -> Point2:
     """Nearest point of the stage-1 set at x from g.
 
     Because g lies in the rectangular hull of that set, its distance to the
     set is the largest of the distances to the individual inflated
-    half-planes, and the projection onto the farthest one (smallest index on
-    ties) already lands inside the set.
+    half-planes, and the projection onto the farthest one (first in
+    (point, side) order on ties) already lands inside the set.
     """
     drow = inst.space.d[x]
+    gx, gy = g
     best_d = 0.0
-    best_y = -1
-    for y in range(inst.n):
+    best = -1
+    for k, (y, h1, h2, alpha, norm1) in enumerate(inst.sides):
         rho = drow[y]
         if rho == INF:
             continue
-        hp = inst.planes[y]
-        h1, h2 = hp.h.x1, hp.h.x2
-        norm1 = abs(h1) + abs(h2)
-        resid = h1 * g.x1 + h2 * g.x2 + hp.alpha - l1 * rho * norm1
+        resid = h1 * gx + h2 * gy + alpha - l1 * rho * norm1
         if resid > 0.0:
             d = resid / norm1
             if d > best_d:
-                best_d, best_y = d, y
-    if best_d <= tol or best_y < 0:
+                best_d, best = d, k
+    if best_d <= tol or best < 0:
         return g
-    inflated = inflate_halfplane(
-        inst.planes[best_y], l1 * drow[best_y]
-    )
+    y, h1, h2, alpha, _ = inst.sides[best]
+    inflated = inflate_halfplane(HalfPlane(Point2(h1, h2), alpha), l1 * drow[y])
     assert isinstance(inflated, HalfPlane)
     return project_to_halfplane(g, inflated, tol)
 
@@ -355,12 +300,10 @@ def _check_lambdas(lambdas: Tuple[float, float]) -> LambdaPair:
 
 
 def run_projection_algorithm(
-    inst: HalfPlaneInstance,
+    inst: PolygonInstance,
     lambdas: Tuple[float, float],
     *,
     seed: int = 0,
-    rule: CenterRule = CenterRule.ORIGIN_PROJECTION,
-    base_point: Point2 = Point2(0.0, 0.0),
 ) -> Outcome:
     """Run stages 1-5; Success carries the selection plus stage diagnostics.
 
@@ -386,7 +329,7 @@ def run_projection_algorithm(
             continue
         rows = _point_rows(inst, l1, x)
         drow = d[x]
-        key = () if len(rows) == n else tuple(y for y in range(n) if drow[y] == INF)
+        key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
         hull = _hull_from_rows(rows, seed, plans.setdefault(key, [None] * 4))
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
@@ -394,7 +337,7 @@ def run_projection_algorithm(
     refined = step3_refine_rects(hulls, l2, inst.space)
     if isinstance(refined, NoGo):
         return refined
-    g = step4_centers(refined, rule=rule, base_point=base_point)
+    g = step4_centers(refined)
     f: List[Point2] = []
     for x in range(n):
         f.append(f[twin[x]] if twin[x] >= 0 else step5_project(inst, l1, x, g[x]))
@@ -440,7 +383,7 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
 
 
 def verify_selection(
-    inst: HalfPlaneInstance,
+    inst: PolygonInstance,
     f: Sequence[Point2],
     bound: float,
     tol: float = VERIFY_TOL,
@@ -454,9 +397,8 @@ def verify_selection(
     if len(f) != n:
         raise ValueError("one value per point is required")
     seminorm = lipschitz_seminorm(f, inst.space)
-    for i in range(n):
-        hp = inst.planes[i]
-        if hp.h.x1 * f[i].x1 + hp.h.x2 * f[i].x2 + hp.alpha > tol:
+    for i, h1, h2, alpha, _ in inst.sides:
+        if h1 * f[i].x1 + h2 * f[i].x2 + alpha > tol:
             return SelectionReport(
                 False, seminorm, bound, reason="membership", index=i
             )
@@ -478,7 +420,7 @@ def verify_selection(
 
 
 def wf_rect(
-    inst: HalfPlaneInstance,
+    inst: PolygonInstance,
     ltilde: float,
     x: int,
     xp: int,
@@ -486,22 +428,22 @@ def wf_rect(
     *,
     seed: int = 0,
 ) -> MaybeRect:
-    """Rectangular hull of the two-constraint intersection at x built from
-    the half-planes of xp and xpp inflated by ltilde times their distances
-    to x.  May be EMPTY; both distances infinite gives the whole plane."""
+    """Rectangular hull of the intersection at x built from the sides of xp
+    and xpp inflated by ltilde times their distances to x.  May be EMPTY;
+    both distances infinite gives the whole plane."""
     rows: List[Row] = []
     for y in (xp, xpp):
         rho = inst.space.d[y][x]
         if rho == INF:
             continue
-        hp = inst.planes[y]
-        h1, h2 = hp.h.x1, hp.h.x2
-        rows.append((h1, h2, hp.alpha - ltilde * rho * (abs(h1) + abs(h2)), y))
+        for hp in inst.polygons[y]:
+            h1, h2 = hp.h.x1, hp.h.x2
+            rows.append((h1, h2, hp.alpha - ltilde * rho * (abs(h1) + abs(h2)), y))
     return _hull_from_rows(rows, seed)
 
 
 def check_wnew(
-    inst: HalfPlaneInstance, ltilde: float, lam: float, *, seed: int = 0
+    inst: PolygonInstance, ltilde: float, lam: float, *, seed: int = 0
 ) -> Tuple[bool, Optional[Tuple[int, int, int, int, int, int]]]:
     """Whether every pair of triple-hulls meets within lam times the distance.
 

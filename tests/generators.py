@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from lipsel.geometry import HalfPlane, Point2, halfplane
 from lipsel.metric import PreMetric, PseudometricSpace, intrinsic_metric
-from lipsel.polygon import PolygonInstance
-from lipsel.selection import HalfPlaneInstance
+from lipsel.selection import HalfPlaneInstance, PolygonInstance
 
 INF = math.inf
 
@@ -67,12 +66,12 @@ def random_halfplane(rng: random.Random, span: int = 4) -> HalfPlane:
             return halfplane(float(a), float(b), dyadic(rng))
 
 
-def random_instance(rng: random.Random, n: int, **space_kw) -> HalfPlaneInstance:
+def random_instance(rng: random.Random, n: int, **space_kw) -> PolygonInstance:
     space = linf_space(rng, n, **space_kw)
     return HalfPlaneInstance(space, [random_halfplane(rng) for _ in range(n)])
 
 
-def planted_instance(rng: random.Random, n: int, span: int = 8) -> HalfPlaneInstance:
+def planted_instance(rng: random.Random, n: int, span: int = 8) -> PolygonInstance:
     """Instance guaranteed to admit a selection with seminorm <= 1.
 
     The metric is the sup-norm distance of dyadic anchor points and each
@@ -167,24 +166,14 @@ def number_doc(v):
 
 
 def instance_doc(inst) -> dict:
-    """JSON-ready document for a HalfPlaneInstance or PolygonInstance."""
-    if isinstance(inst, PolygonInstance):
-        sets = {
-            "polygons": [
-                [{"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in poly]
-                for poly in inst.polygons
-            ]
-        }
-        space = inst.space
-    else:
-        sets = {
-            "halfplanes": [
-                {"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in inst.planes
-            ]
-        }
-        space = inst.space
-    matrix = [[number_doc(v) for v in row] for row in space.d]
-    return {"n": space.n, "metric": {"matrix": matrix}, "sets": sets}
+    """JSON-ready document for a one-sided (half-plane) instance."""
+    sets = {
+        "halfplanes": [
+            {"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in inst.planes
+        ]
+    }
+    matrix = [[number_doc(v) for v in row] for row in inst.space.d]
+    return {"n": inst.space.n, "metric": {"matrix": matrix}, "sets": sets}
 
 
 def premetric_doc(inst_sets: dict, pre: PreMetric) -> dict:

@@ -1,16 +1,20 @@
 """Independent reference oracles for the test suite.
 
 Everything here is deliberately brute force and shares no code with the
-package: distances and projections by grid search, shortest paths by
+solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
-multiple of it.
+multiple of it.  The one exception, `refinement_constraints`, lists stage-1
+constraints with the public geometry primitives, which the grid searches
+check, so that the public LP can be run on them.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from lipsel.geometry import WholePlane, inflate_halfplane, inflation_radius
 
 INF = math.inf
 
@@ -142,6 +146,25 @@ def grid_rects_gap(rx, ry, window=256.0, steps=257):
         (z[-1] - z[0]) / (steps - 1) if steps > 1 else 0.0 for z in (ax, ay, bx, by)
     )
     return float(max(d1, d2)), pitch
+
+
+# ---------------------------------------------------------------------------
+# stage-1 constraints
+
+
+def refinement_constraints(inst, l1, x):
+    """Constraints whose intersection is the stage-1 set at point x: every
+    side of every point inflated by l1 times its distance to x, the sides of
+    x itself with radius 0.  Infinitely distant points contribute nothing
+    and are omitted."""
+    out = []
+    for y in range(inst.n):
+        r = inflation_radius(l1, inst.space.d[x][y])
+        for hp in inst.polygons[y]:
+            inflated = inflate_halfplane(hp, r)
+            if not isinstance(inflated, WholePlane):
+                out.append(inflated)
+    return out
 
 
 # ---------------------------------------------------------------------------

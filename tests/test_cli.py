@@ -324,7 +324,7 @@ def test_rows_mixing_numbers_and_strings_parse_exactly(tmp_path):
     assert inst.space.d == [[0.0, 1 / 3, math.inf], [1 / 3, 0.0, 1.0], [math.inf, 1.0, 0.0]]
     assert all(type(v) is float for row in inst.space.d for v in row)
     exact = load_instance(write(tmp_path, doc), want_exact=True, full_triangle=False)
-    assert exact.exact_hp.space.d[0][1] == Fraction(1, 3)
+    assert exact.exact.space.d[0][1] == Fraction(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +342,27 @@ def test_matrix_entries_that_are_not_numbers_exit_2(tmp_path, capsys, bad, messa
     for command in (["solve", path, "--lambda", "4"], ["validate", path]):
         code, out, err = run(capsys, *command)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "validate", "sharp"])
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("matrix", 10**400, "metric.matrix[0][1]: number out of float range"),
+        ("matrix", "1e400", "metric.matrix[0][1]: number out of float range"),
+        ("normal", 10**400, "halfplanes[0].h[0]: number out of float range"),
+    ],
+    ids=["int-in-matrix", "string-in-matrix", "int-as-coordinate"],
+)
+def test_numbers_beyond_float_range_exit_2(tmp_path, capsys, command, where, value, message):
+    doc = json.loads(json.dumps(SEP4))
+    if where == "matrix":
+        doc["metric"]["matrix"] = [[0, value], [value, 0]]
+    else:
+        doc["sets"]["halfplanes"][0]["h"][0] = value
+    flags = [] if command == "validate" else ["--lambda", "4"]
+    code, out, err = run(capsys, command, write(tmp_path, doc), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Polygon-valued instances and their reduction to the half-plane solver."""
+"""Polygon-valued instances, solved natively and checked against the
+reduction to half-planes."""
 
 import math
 import random
@@ -112,18 +113,34 @@ def test_planted_polygons_succeed_and_values_land_inside(seed):
             resid = hp.h.x1 * got.f[i].x1 + hp.h.x2 * got.f[i].x2 + hp.alpha
             assert resid <= 1e-7
     assert lipschitz_seminorm(got.f, p.space) <= 3.0 + 1e-7
-    # the expanded run's seminorm, carried over, is the original one exactly
+    # the verified seminorm is the selection's seminorm exactly
     assert got.seminorm == lipschitz_seminorm(got.f, p.space)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_copies_of_a_point_agree_exactly(seed):
+    """The expanded run gives all copies of a point one value, and the native
+    run on the polygons gives exactly the expanded run's first copies."""
     rng = random.Random(seed)
-    p = random_polygon_instance(rng, rng.randint(1, 3))
+    planted = rng.random() < 0.5
+    p = random_polygon_instance(rng, rng.randint(1, 3), planted=planted)
     expanded, owners = reduce_to_halfplanes(p)
-    got = run_projection_algorithm(expanded, (1.0, 1.0))
-    assert isinstance(got, Success)
-    for idxs in owners:
-        for a in idxs[1:]:
-            assert uniform_norm(got.f[a] - got.f[idxs[0]]) == 0.0
+    first = [idxs[0] for idxs in owners]
+    for lams in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.25)):
+        want = run_projection_algorithm(expanded, lams)
+        got = run_projection_algorithm(p, lams)
+        if isinstance(want, NoGo):
+            assert not (planted and lams == (1.0, 1.0))
+            owner = next(i for i, idxs in enumerate(owners) if want.witness in idxs)
+            assert got == NoGo(want.stage, owner)
+            continue
+        for idxs in owners:
+            for a in idxs[1:]:
+                assert uniform_norm(want.f[a] - want.f[idxs[0]]) == 0.0
+        assert isinstance(got, Success)
+        assert got.f == [want.f[a] for a in first]
+        assert got.g == [want.g[a] for a in first]
+        assert got.hulls == [want.hulls[a] for a in first]
+        assert got.refined == [want.refined[a] for a in first]
+        assert got.seminorm == want.seminorm

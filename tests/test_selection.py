@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import linf_space, planted_instance, random_halfplane, random_instance
+from oracles import refinement_constraints
 from lipsel.geometry import (
     EMPTY,
     EmptySet,
@@ -23,16 +24,12 @@ from lipsel.geometry import (
 from lipsel.lp2d import Infeasible, Unbounded, lp2d_feasible, lp2d_optimize
 from lipsel.metric import PreMetric, PseudometricSpace, validate_premetric, validate_pseudometric
 from lipsel.selection import (
-    CenterRule,
     HalfPlaneInstance,
     NoGo,
     Success,
     check_wnew,
     lipschitz_seminorm,
-    refinement_constraints,
     run_projection_algorithm,
-    step1_feasibility,
-    step2_rect_hull,
     step3_refine_rects,
     step4_centers,
     step5_project,
@@ -110,25 +107,25 @@ def test_instance_needs_one_plane_per_point():
 
 
 def test_stage1_feasibility_matches_pipeline():
-    assert step1_feasibility(_sep(3), 1.0) == NoGo(1, 0)
-    assert step1_feasibility(_sep(3), 3.0) is None
+    # the stage-1 verdict depends on l1 alone
+    assert run_projection_algorithm(_sep(3), (1.0, 4.0)) == NoGo(1, 0)
+    assert run_projection_algorithm(_sep(3), (3.0, 0.0)) == NoGo(3, 0)
 
 
 def test_stage1_constraint_list_drops_infinite_neighbours():
     sp = validate_pseudometric([[0.0, INF], [INF, 0.0]])
     inst = HalfPlaneInstance(sp, [halfplane(1.0, 0.0, 0.0), halfplane(0.0, 1.0, 0.0)])
-    cons = refinement_constraints(inst, 1.0, 0)
-    assert cons == [halfplane(1.0, 0.0, 0.0)]
+    assert refinement_constraints(inst, 1.0, 0) == [halfplane(1.0, 0.0, 0.0)]
+    got = run_projection_algorithm(inst, (1.0, 1.0))
+    assert got.hulls == [
+        ExtRect(ExtInterval(-INF, 0.0), ExtInterval(-INF, INF)),
+        ExtRect(ExtInterval(-INF, INF), ExtInterval(-INF, 0.0)),
+    ]
 
 
 def test_stage2_hull_of_pinched_set():
-    hull = step2_rect_hull(_sep(3), 3.0, 0)
+    hull = run_projection_algorithm(_sep(3), (3.0, 3.0)).hulls[0]
     assert hull == ExtRect(ExtInterval(0.0, 0.0), ExtInterval(-INF, INF))
-
-
-def test_stage2_on_empty_set_is_a_state_error():
-    with pytest.raises(RuntimeError):
-        step2_rect_hull(_sep(3), 1.0, 0)
 
 
 def test_stage3_gap_too_wide():
@@ -163,20 +160,6 @@ def test_stage4_center_rules():
     t = rect(interval(2.0, 4.0), interval(-3.0, -1.0))
     # nearest face to the origin is {2} x [-2,-1]; its center is (2, -1.5)
     assert step4_centers([t]) == [Point2(2.0, -1.5)]
-    assert step4_centers([t], rule=CenterRule.PLAIN_CENTER) == [Point2(3.0, -2.0)]
-    # a base point inside the rectangle projects to itself
-    got = step4_centers([t], rule=CenterRule.BASE_POINT_PROJECTION,
-                        base_point=Point2(3.0, -2.0))
-    assert got == [Point2(3.0, -2.0)]
-    got = step4_centers([t], rule=CenterRule.BASE_POINT_PROJECTION,
-                        base_point=Point2(0.0, -2.0))
-    assert got == [Point2(2.0, -2.0)]
-
-
-def test_stage4_plain_center_needs_bounded_rects():
-    t = rect(interval(0.0, INF), interval(0.0, 1.0))
-    with pytest.raises(ValueError):
-        step4_centers([t], rule=CenterRule.PLAIN_CENTER)
 
 
 def test_stage5_projects_onto_farthest_constraint():
@@ -402,10 +385,13 @@ def test_stage2_hull_equals_pairwise_hull_intersection(seed):
     n = rng.randint(1, 5)
     inst = random_instance(rng, n)
     l1 = rng.randint(0, 4) / 2.0
-    if step1_feasibility(inst, l1) is not None:
+    # an l2 this large lets every pair of hulls pass stage 3
+    outcome = run_projection_algorithm(inst, (l1, 2.0**40))
+    if isinstance(outcome, NoGo):
+        assert outcome.stage == 1
         return
     for x in range(n):
-        hull = step2_rect_hull(inst, l1, x)
+        hull = outcome.hulls[x]
         lo1, hi1, lo2, hi2 = -INF, INF, -INF, INF
         empty = False
         for y in range(n):
