@@ -18,7 +18,8 @@ Result documents are emitted with 17 significant digits and fixed key order,
 so a fixed seed reproduces byte-identical output.  Exit codes: 0 success /
 feasible / valid, 1 no-go / infeasible / failed verification, 2 parse or flag
 errors (including oracle caps), 3 metric axiom violations, 4 infeasible upper
-end in `estimate`.
+end in `estimate`, 5 internal error: the traceback goes to stderr and stdout
+carries {"outcome": "error", "reason": "<Type>: <message>"}.
 
 `validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
 and checks only shape, diagonal, and symmetry, keeping the solve path at the
@@ -36,6 +37,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Optional, Tuple
@@ -519,6 +521,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:  # a fault of the program must not read as exit 1, "no-go"
+        traceback.print_exc(file=sys.stderr)
+        print(emit({"outcome": "error", "reason": f"{type(exc).__name__}: {exc}"}))
+        return 5
 
 
 if __name__ == "__main__":

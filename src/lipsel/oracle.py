@@ -12,8 +12,13 @@ certificates, not numerics.  Sizes are desk-scale by design (16 variables).
 Every row of a sharp system has at most two nonzero coefficients, and
 eliminating a variable shared by two such rows gives another such row
 (Aspvall & Shiloach, SIAM J. Comput. 1980), so `fm_feasible` eliminates on
-sparse copies of the rows.  A feasible witness is still checked against the
-original dense rows before it is returned.
+sparse integer copies of the rows: each row is scaled by the lcm of its
+denominators, and each combined row is divided by the gcd of its entries,
+so no `Fraction` arithmetic runs until back-substitution.  A positive
+scaling changes neither which rows are redundant nor the bounds a row puts
+on its variable, so verdicts and witnesses are those of elimination over
+rationals.  A feasible witness is still checked against the original dense
+rows before it is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from lipsel.selection import PolygonInstance
 
@@ -118,82 +123,113 @@ build_sharp_lp_polygon = build_sharp_lp
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 
-Terms = Tuple[Tuple[int, Fraction], ...]  # nonzero (var, coeff), sorted by var
-SparseRow = Tuple[Terms, Fraction]  # terms . vars <= rhs
+Terms = Tuple[Tuple[int, int], ...]  # nonzero (var, coeff), sorted by var
+IntRow = Tuple[Terms, int]  # terms . vars <= rhs, all integers
+# primitive coefficient vector -> (terms, rhs, gcd of the coefficients)
+Tightest = Dict[Terms, Tuple[Terms, int, int]]
 
 
-def _prune(rows: Iterable[SparseRow]) -> Optional[List[SparseRow]]:
-    """Drop satisfied constant rows and keep only the tightest row per
-    coefficient vector normalized by its first nonzero |coefficient|; None
-    signals an unsatisfiable constant."""
-    best: Dict[Terms, Fraction] = {}
-    for terms, rhs in rows:
-        if not terms:
-            if rhs < 0:
-                return None
-            continue
-        scale = abs(terms[0][1])
-        key = tuple((m, c / scale) for m, c in terms)
-        r = rhs / scale
-        old = best.get(key)
-        if old is None or r < old:
-            best[key] = r
-    return list(best.items())
+def _int_row(coeffs, rhs) -> IntRow:
+    """A dense rational row as a sparse integer row: the nonzero terms, all
+    multiplied by the lcm of the row's denominators."""
+    nonzero = [(m, c) for m, c in enumerate(coeffs) if c]
+    scale = math.lcm(rhs.denominator, *(c.denominator for _, c in nonzero))
+    terms = tuple((m, c.numerator * (scale // c.denominator)) for m, c in nonzero)
+    return terms, rhs.numerator * (scale // rhs.denominator)
 
 
-def _add_terms(p: Terms, q: Terms) -> Terms:
-    acc = dict(p)
-    for m, c in q:
-        acc[m] = acc[m] + c if m in acc else c
-    return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+def _keep(best: Tightest, terms: Terms, rhs: int) -> bool:
+    """Record `terms . x <= rhs` if it is the tightest row so far for its
+    primitive coefficient vector (the first row wins ties), divided by the
+    gcd of its coefficients and rhs.  False signals an unsatisfiable
+    constant row; a satisfied one is dropped."""
+    if not terms:
+        return rhs >= 0
+    if len(terms) == 1:
+        (m, c), = terms
+        g = abs(c)
+        key: Terms = ((m, 1 if c > 0 else -1),)
+    else:
+        g = math.gcd(*[c for _, c in terms])  # > 0: math.gcd ignores signs
+        key = tuple([(m, c // g) for m, c in terms])
+    old = best.get(key)
+    # rhs / g < old_rhs / old_g, by cross-multiplication: both gcds are > 0
+    if old is None or rhs * old[2] < old[1] * g:
+        common = math.gcd(g, rhs)
+        if common > 1:
+            terms = tuple([(m, c // common) for m, c in terms])
+            rhs //= common
+            g //= common
+        best[key] = (terms, rhs, g)
+    return True
+
+
+def _combine(b: int, p: Terms, a: int, n: Terms) -> Terms:
+    """The terms of b*p + a*n, sorted by variable, zeros dropped."""
+    if len(p) <= 1 and len(n) <= 1:  # rows of at most two variables
+        if not p:
+            return tuple([(m, a * c) for m, c in n])
+        if not n:
+            return tuple([(m, b * c) for m, c in p])
+        (mp, cp), = p
+        (mn, cn), = n
+        if mp < mn:
+            return ((mp, b * cp), (mn, a * cn))
+        if mp > mn:
+            return ((mn, a * cn), (mp, b * cp))
+        c = b * cp + a * cn
+        return ((mp, c),) if c else ()
+    acc = {m: b * c for m, c in p}
+    for m, c in n:
+        acc[m] = acc.get(m, 0) + a * c
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
 def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
     """Eliminate variables lowest index first; on success, back-substitute an
     exact witness (midpoints of the final bounds, 0 for free variables).
 
-    The input keeps its dense rows; elimination converts them to sparse rows
-    internally.  The witness is checked against the original dense rows
-    before it is returned."""
+    The input keeps its dense rational rows; elimination runs on sparse
+    integer copies of them.  The witness is checked against the original
+    dense rows before it is returned."""
     nvars = system.num_vars
     if nvars > FM_VAR_CAP:
         raise ValueError(f"Fourier-Motzkin oracle is capped at {FM_VAR_CAP} variables")
-    rows = _prune(
-        (tuple((m, c) for m, c in enumerate(coeffs) if c != 0), rhs)
-        for coeffs, rhs in system.rows
-    )
-    if rows is None:
-        return FmInfeasible()
-    stages: List[Tuple[int, List[SparseRow]]] = []
+    best: Tightest = {}
+    for coeffs, rhs in system.rows:
+        if not _keep(best, *_int_row(coeffs, rhs)):
+            return FmInfeasible()
+    stages: List[Tuple[int, List[IntRow]]] = []
     for k in range(nvars):
-        # Every variable below k is gone and _prune scaled each row's first
-        # coefficient to +-1, so a row mentions x_k iff its first term is
-        # (k, +-1), and a positive and a negative row cancel x_k by a plain sum.
-        pos: List[SparseRow] = []
-        neg: List[SparseRow] = []
-        rest: List[SparseRow] = []
-        for row in rows:
+        # Every variable below k is gone, so a row mentions x_k iff its first
+        # term does.  A positive row (a > 0) and a negative row (-b < 0)
+        # cancel x_k as b*p + a*n.
+        pos: List[IntRow] = []
+        neg: List[IntRow] = []
+        nxt: Tightest = {}
+        for key, row in best.items():
             var, c = row[0][0]
             if var != k:
-                rest.append(row)
+                nxt[key] = row
             elif c > 0:
-                pos.append(row)
+                pos.append(row[:2])
             else:
-                neg.append(row)
+                neg.append(row[:2])
         stages.append((k, pos + neg))
-        combined = rest
         for pterms, prhs in pos:
+            a, ptail = pterms[0][1], pterms[1:]
             for nterms, nrhs in neg:
-                combined.append((_add_terms(pterms[1:], nterms[1:]), prhs + nrhs))
-        rows = _prune(combined)
-        if rows is None:
-            return FmInfeasible()
+                b = -nterms[0][1]
+                if not _keep(nxt, _combine(b, ptail, a, nterms[1:]), b * prhs + a * nrhs):
+                    return FmInfeasible()
+        best = nxt
 
     witness = [Fraction(0)] * nvars
     for k, krows in reversed(stages):
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
         for terms, rhs in krows:
+            # the bound is unchanged by any positive scaling of its row
             a = terms[0][1]
             rest_sum = sum((c * witness[m] for m, c in terms[1:]), Fraction(0))
             bound = (rhs - rest_sum) / a
@@ -213,7 +249,7 @@ def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
             witness[k] = min(Fraction(0), hi)
 
     for coeffs, rhs in system.rows:
-        total = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+        total = sum((c * w for c, w in zip(coeffs, witness) if c), Fraction(0))
         if total > rhs:
             raise AssertionError("witness violates an original row")
     return FmFeasible(witness)

@@ -4,17 +4,22 @@ Everything here is deliberately brute force and shares no code with the
 solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
-multiple of it.  The one exception, `refinement_constraints`, lists stage-1
+multiple of it.  Two exceptions: `refinement_constraints` lists stage-1
 constraints with the public geometry primitives, which the grid searches
-check, so that the public LP can be run on them.
+check, so that the public LP can be run on them; and `fm_feasible_reference`
+is the `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before
+it moved to integer rows, kept as the reference its verdicts and witnesses
+must equal exactly.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from lipsel.geometry import WholePlane, inflate_halfplane, inflation_radius
+from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible
 
 INF = math.inf
 
@@ -239,3 +244,98 @@ def linprog_feasible(rows, nvars, margin=0.0):
     if res.status == 2:
         return False
     return None
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination in Fraction arithmetic
+
+
+def _prune_reference(rows):
+    """Drop satisfied constant rows and keep only the tightest row per
+    coefficient vector normalized by its first nonzero |coefficient|; None
+    signals an unsatisfiable constant."""
+    best = {}
+    for terms, rhs in rows:
+        if not terms:
+            if rhs < 0:
+                return None
+            continue
+        scale = abs(terms[0][1])
+        key = tuple((m, c / scale) for m, c in terms)
+        r = rhs / scale
+        old = best.get(key)
+        if old is None or r < old:
+            best[key] = r
+    return list(best.items())
+
+
+def _add_terms_reference(p, q):
+    acc = dict(p)
+    for m, c in q:
+        acc[m] = acc[m] + c if m in acc else c
+    return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+
+
+def fm_feasible_reference(system):
+    """`lipsel.oracle.fm_feasible` on sparse `Fraction` rows: eliminate
+    variables lowest index first; on success, back-substitute an exact
+    witness (midpoints of the final bounds, 0 for free variables) and check
+    it against the original dense rows."""
+    nvars = system.num_vars
+    if nvars > FM_VAR_CAP:
+        raise ValueError(f"Fourier-Motzkin oracle is capped at {FM_VAR_CAP} variables")
+    rows = _prune_reference(
+        (tuple((m, c) for m, c in enumerate(coeffs) if c != 0), rhs)
+        for coeffs, rhs in system.rows
+    )
+    if rows is None:
+        return FmInfeasible()
+    stages = []
+    for k in range(nvars):
+        # _prune_reference scaled each row's first coefficient to +-1, so a
+        # positive and a negative row cancel x_k by a plain sum.
+        pos, neg, rest = [], [], []
+        for row in rows:
+            var, c = row[0][0]
+            if var != k:
+                rest.append(row)
+            elif c > 0:
+                pos.append(row)
+            else:
+                neg.append(row)
+        stages.append((k, pos + neg))
+        combined = rest
+        for pterms, prhs in pos:
+            for nterms, nrhs in neg:
+                combined.append((_add_terms_reference(pterms[1:], nterms[1:]), prhs + nrhs))
+        rows = _prune_reference(combined)
+        if rows is None:
+            return FmInfeasible()
+
+    witness = [Fraction(0)] * nvars
+    for k, krows in reversed(stages):
+        lo = hi = None
+        for terms, rhs in krows:
+            a = terms[0][1]
+            rest_sum = sum((c * witness[m] for m, c in terms[1:]), Fraction(0))
+            bound = (rhs - rest_sum) / a
+            if a > 0:
+                if hi is None or bound < hi:
+                    hi = bound
+            else:
+                if lo is None or bound > lo:
+                    lo = bound
+        if lo is not None and hi is not None:
+            if lo > hi:
+                raise AssertionError("back-substitution hit an empty interval")
+            witness[k] = (lo + hi) / 2
+        elif lo is not None:
+            witness[k] = max(Fraction(0), lo)
+        elif hi is not None:
+            witness[k] = min(Fraction(0), hi)
+
+    for coeffs, rhs in system.rows:
+        total = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+        if total > rhs:
+            raise AssertionError("witness violates an original row")
+    return FmFeasible(witness)

@@ -2,7 +2,8 @@
 
 Most tests call `main` in-process.  `test_console_script_runs` runs the
 `[project.scripts]` entry point of `pyproject.toml` in a child process the way
-an installed wrapper does, so it needs no installation.
+an installed wrapper does, so it needs no installation; `test_module_runs`
+runs `python -m lipsel` the same way.
 `test_installed_console_script_runs` checks the installed `lipsel` script and
 runs only where it is on PATH."""
 
@@ -505,6 +506,43 @@ def test_validate_result_rejects_no_go_documents(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# internal errors
+
+
+def test_solve_on_non_metric_matrix_exits_5(tmp_path, capsys):
+    # d(0, 2) = 6 > d(0, 1) + d(1, 2) = 0: `solve` checks only symmetry and
+    # the diagonal, and the selection fails the solver's own verification
+    doc = {
+        "n": 3,
+        "metric": {"matrix": [[0, 0, 6], [0, 0, 0], [6, 0, 0]]},
+        "sets": {
+            "halfplanes": [
+                {"h": [1, -3], "alpha": 5},
+                {"h": [-1, 1], "alpha": -2.125},
+                {"h": [-3, 0], "alpha": -0.125},
+            ]
+        },
+    }
+    code, out, err = run(capsys, "solve", write(tmp_path, doc), "--lambda", "1")
+    assert code == 5
+    got = json.loads(out)
+    assert list(got) == ["outcome", "reason"] and got["outcome"] == "error"
+    assert got["reason"].startswith("RuntimeError: internal verification failed")
+    assert "Traceback" in err and got["reason"] in err
+
+
+def test_any_internal_error_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("planted fault")
+
+    monkeypatch.setattr("lipsel.cli.run_projection_algorithm", broken)
+    code, out, err = run(capsys, "solve", write(tmp_path, SEP4), "--lambda", "4")
+    assert code == 5
+    assert out == '{"outcome": "error", "reason": "ZeroDivisionError: planted fault"}\n'
+    assert "ZeroDivisionError: planted fault" in err
+
+
+# ---------------------------------------------------------------------------
 # console script
 
 
@@ -521,6 +559,15 @@ def _check_exit_codes(argv, tmp_path, env=None):
     assert got.returncode == 2
 
 
+def _checkout_env():
+    """The environment with the imported `lipsel` package's parent directory
+    first on PYTHONPATH, so a child process imports the same copy."""
+    src = str(Path(lipsel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_runs(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -529,10 +576,11 @@ def test_console_script_runs(tmp_path):
     module, attr = entry.split(":")
     # what the wrapper that setuptools installs for the entry point runs
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    src = str(Path(lipsel.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    _check_exit_codes([sys.executable, "-c", code], tmp_path, env=env)
+    _check_exit_codes([sys.executable, "-c", code], tmp_path, env=_checkout_env())
+
+
+def test_module_runs(tmp_path):
+    _check_exit_codes([sys.executable, "-m", "lipsel"], tmp_path, env=_checkout_env())
 
 
 @pytest.mark.skipif(

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_instance, random_polygon_instance
-from lipsel.geometry import halfplane
-from lipsel.metric import validate_pseudometric
+from generators import planted_instance, random_instance, random_polygon_instance
+from lipsel.geometry import HalfPlane, Point2, halfplane
+from lipsel.metric import PseudometricSpace, validate_pseudometric
 from lipsel.oracle import (
     FM_VAR_CAP,
     FmFeasible,
@@ -23,7 +23,7 @@ from lipsel.oracle import (
 )
 from lipsel.polygon import PolygonInstance
 from lipsel.selection import HalfPlaneInstance
-from oracles import linprog_feasible
+from oracles import fm_feasible_reference, linprog_feasible
 
 INF = math.inf
 F = Fraction
@@ -134,6 +134,10 @@ def test_empty_system_is_feasible():
 def test_constant_row_contradiction():
     sys = RationalLinearSystem(["u1"], [((F(0),), F(-1))])
     assert isinstance(fm_feasible(sys), FmInfeasible)
+    rows = [((F(1), F(0)), F(2)), ((F(0), F(0)), F(-1, 3)), ((F(0), F(-1)), F(0))]
+    sys = RationalLinearSystem(["u1", "v1"], rows)
+    assert isinstance(fm_feasible(sys), FmInfeasible)
+    assert isinstance(fm_feasible_reference(sys), FmInfeasible)
 
 
 def test_variable_cap():
@@ -142,6 +146,72 @@ def test_variable_cap():
     inst = HalfPlaneInstance(sp, [halfplane(1.0, 0.0, 0.0)] * n)
     with pytest.raises(ValueError):
         fm_feasible(build_sharp_lp(inst, 1))
+
+
+# ---------------------------------------------------------------------------
+# integer elimination against the Fraction reference
+
+REFERENCE_LAMBDAS = (F(0), F(1, 4), F(1, 3), F(1), F(5, 2), F(16))
+
+
+def _assert_same_as_reference(system):
+    got, want = fm_feasible(system), fm_feasible_reference(system)
+    assert type(got) is type(want)
+    if isinstance(got, FmFeasible):
+        assert got.witness == want.witness
+        assert all(isinstance(w, Fraction) for w in got.witness)
+
+
+def _rational_instance(rng, n, q):
+    """Triangles around centers with coordinates over the denominator q, at
+    the sup-norm distances of their centers, so lambda = 1 is feasible."""
+    def num(lo, hi):
+        return F(rng.randint(lo * q, hi * q), q)
+
+    centers = [(num(-4, 4), num(-4, 4)) for _ in range(n)]
+    d = [[max(abs(x1 - x2), abs(y1 - y2)) for x2, y2 in centers] for x1, y1 in centers]
+    polygons = []
+    for x, y in centers:
+        sides = []
+        for _ in range(3):
+            a, b = num(-2, 2), num(-2, 2)
+            if not (a or b):
+                a = F(1)
+            sides.append(HalfPlane(Point2(a, b), -(a * x + b * y) - num(0, 1)))
+        polygons.append(sides)
+    return PolygonInstance(PseudometricSpace(n, d), polygons)
+
+
+def test_integer_elimination_matches_fraction_reference():
+    rng = random.Random(5150)
+    kinds = (random_instance, lambda r, n: random_instance(r, n, inf_blocks=True), planted_instance)
+    insts = [kind(rng, n) for n in range(1, 6) for kind in kinds for _ in range(2)]
+    insts += [random_polygon_instance(rng, n, 3, planted=rng.random() < 0.5) for n in range(1, 5) for _ in range(3)]
+    insts += [_rational_instance(rng, n, q) for q in (3, 7, 10) for n in range(1, 4) for _ in range(3)]
+    for inst in insts:
+        for lam in REFERENCE_LAMBDAS:
+            _assert_same_as_reference(build_sharp_lp(inst, lam))
+
+
+def test_integer_elimination_matches_reference_on_wide_rows():
+    # x0 + x1 + x2 <= 3 keeps three variables, so elimination merges rows
+    # of more than two variables
+    names = ["x0", "x1", "x2"]
+    rows = [
+        ((F(1), F(1), F(1)), F(3)),
+        ((F(-1), F(0), F(0)), F(0)),
+        ((F(-2), F(1, 3), F(0)), F(1, 2)),
+        ((F(0), F(-1), F(2)), F(1, 7)),
+        ((F(0), F(0), F(-3, 10)), F(1)),
+        ((F(0), F(2), F(-1)), F(5)),
+    ]
+    system = RationalLinearSystem(names, rows)
+    assert isinstance(fm_feasible(system), FmFeasible)
+    _assert_same_as_reference(system)
+    # the same rows with a cap that contradicts x0 + x1 + x2 <= 3 from below
+    tight = RationalLinearSystem(names, rows + [((F(-1), F(-1), F(-1)), F(-4))])
+    assert isinstance(fm_feasible(tight), FmInfeasible)
+    _assert_same_as_reference(tight)
 
 
 # ---------------------------------------------------------------------------
