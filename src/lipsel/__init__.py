@@ -19,7 +19,7 @@ from lipsel.geometry import (
     WholePlane,
     halfplane,
 )
-from lipsel.lp2d import Infeasible, Optimal, Unbounded, lp2d_brute_force, lp2d_feasible, lp2d_optimize
+from lipsel.lp2d import Infeasible, Optimal, Unbounded, lp2d_brute_force, lp2d_optimize
 from lipsel.metric import PreMetric, PseudometricSpace, intrinsic_metric, validate_pseudometric
 from lipsel.selection import (
     HalfPlaneInstance,
@@ -47,7 +47,6 @@ __all__ = [
     "Optimal",
     "Unbounded",
     "lp2d_brute_force",
-    "lp2d_feasible",
     "lp2d_optimize",
     "PreMetric",
     "PseudometricSpace",

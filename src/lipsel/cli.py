@@ -23,7 +23,9 @@ carries {"outcome": "error", "reason": "<Type>: <message>"}.
 
 `validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
 and checks only shape, diagonal, and symmetry, keeping the solve path at the
-solver's own quadratic growth.
+solver's own quadratic growth.  Only when the solver's own verification of a
+selection fails does `solve` check the triangle inequality of a "matrix", and
+a violation then exits 3 with the document `validate` prints.
 
 Both kinds of "sets" load into one `PolygonInstance`, half-planes as
 one-sided polygons, so every command makes the same library call for both.
@@ -353,12 +355,15 @@ def _verify_result(inst: LoadedInstance, result_path: str) -> int:
     return 0
 
 
+def _print_violation(v: MetricViolation) -> int:
+    print(emit({"valid": False, "axiom": v.axiom, "i": v.i, "j": v.j, "k": v.k}))
+    return 3
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = load_instance(args.file, want_exact=False, full_triangle=True)
     if inst.violation is not None:
-        v = inst.violation
-        print(emit({"valid": False, "axiom": v.axiom, "i": v.i, "j": v.j, "k": v.k}))
-        return 3
+        return _print_violation(inst.violation)
     if args.result is not None:
         return _verify_result(inst, args.result)
     print(emit({"valid": True, "n": inst.n, "metric": inst.metric_kind, "sets": inst.kind}))
@@ -401,7 +406,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         note(f"solving half-plane instance, n={inst.n}, lambda=({l1}, {l2})")
     assert inst.inst is not None
-    outcome = run_projection_algorithm(inst.inst, (l1, l2), seed=args.seed)
+    try:
+        outcome = run_projection_algorithm(inst.inst, (l1, l2), seed=args.seed)
+    except RuntimeError:
+        # a failed verification is an input fault when the triangle
+        # inequality does not hold; otherwise it is the program's
+        if inst.metric_kind == "matrix":
+            got = validate_pseudometric(inst.space.d)
+            if isinstance(got, MetricViolation):
+                return _print_violation(got)
+        raise
     bound = l1 + 2.0 * l2
 
     if isinstance(outcome, NoGo):

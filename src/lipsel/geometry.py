@@ -188,11 +188,6 @@ def halfplane(h1: float, h2: float, alpha: float) -> HalfPlane:
     return HalfPlane(Point2(h1, h2), alpha)
 
 
-def contains(hp: HalfPlane, g: Point2, tol: float = DEFAULT_TOL) -> bool:
-    """Membership up to an absolute residual slack."""
-    return hp.h.x1 * g.x1 + hp.h.x2 * g.x2 + hp.alpha <= tol
-
-
 # ---------------------------------------------------------------------------
 # half-plane operations
 
@@ -292,21 +287,3 @@ def interval_hausdorff(a: MaybeInterval, b: MaybeInterval) -> float:
         raise ValueError("Hausdorff distance needs nonempty intervals")
     return max(abs(ext_sub(a.lo, b.lo)), abs(ext_sub(a.hi, b.hi)))
 
-
-def rects_intersect_within(tx: MaybeRect, ty: MaybeRect, r: float) -> bool:
-    """Whether tx meets ty inflated by the square of radius r >= 0.
-
-    Per axis this is interval overlap with slack r; the combined criterion is
-    that the largest of the four end gaps stays below r.
-    """
-    if isinstance(tx, EmptySet) or isinstance(ty, EmptySet):
-        raise ValueError("intersection test needs nonempty rectangles")
-    if math.isnan(r) or r < 0.0:
-        raise ValueError("inflation radius must be >= 0")
-    gap = max(
-        ext_sub(tx.ix.lo, ty.ix.hi),
-        ext_sub(ty.ix.lo, tx.ix.hi),
-        ext_sub(tx.iy.lo, ty.iy.hi),
-        ext_sub(ty.iy.lo, tx.iy.hi),
-    )
-    return gap <= r

@@ -7,6 +7,13 @@ normals alone: the objective is bounded above iff it lies in the conic hull of
 the outward normals.  That keeps unbounded outcomes exact (they become real
 +/-inf interval ends downstream) instead of sentinel-large numbers.
 
+An optimal value is the correctly rounded exact optimum of the float rows as
+given, so it does not depend on the insertion order, on the seed, or on rows
+that cannot cut the feasible set: the float run only finds the rows active at
+the optimum, and the value is evaluated exactly on them (adaptive exactness,
+Shewchuk, Discrete Comput. Geom. 1997).  The witness point is the float
+vertex the run stopped at.
+
 A quadratic brute-force twin (`lp2d_brute_force`) serves as an oracle for
 small systems; it shares no solver code with the incremental path.
 """
@@ -278,7 +285,8 @@ def _solve_on_line(
         else:
             if bound > t_lo:
                 t_lo, lo_row = bound, row
-    if abs(t_lo - t_hi) <= tol * max(1.0, abs(t_lo), abs(t_hi)):
+    # a bracket with an infinite end is not pinched, however tol * inf reads
+    if -INF < t_lo and t_hi < INF and abs(t_lo - t_hi) <= tol * max(1.0, abs(t_lo), abs(t_hi)):
         return _solve_on_line_exact(k_row, inserted, cx, cy)
     if t_lo > t_hi:
         assert lo_row is not None and hi_row is not None
@@ -350,27 +358,35 @@ def _feasible_point_unbounded(rows: list[Row], d: Point2):
     return ("point", Point2(s * ex + t * dx, s * ey + t * dy))
 
 
-def _plan(rows: list[Row], cx: float, cy: float, seed: int):
+def _shuffled(m: int, seed: int) -> list[int]:
+    """range(m) in a seeded random order."""
+    order = list(range(m))
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def _plan(rows: list[Row], cx: float, cy: float, order: list[int]):
     """The part of maximizing (cx, cy) that depends only on the normals, the
-    objective and the seed, so any rows with the same normals can share it:
-    ("direction", d) from `_boundedness`, or ("bracket", pos_a, pos_b, order)
-    with the other row positions in insertion order.  The order is a seeded
-    shuffle independent of the offsets, which keeps the expected-time bound
-    of randomized incremental LP (Seidel, Discrete Comput. Geom. 1991)."""
+    objective and the insertion order, so any rows with the same normals can
+    share it: ("direction", d) from `_boundedness`, or ("bracket", pos_a,
+    pos_b, order) with the other row positions in insertion order.  `order`
+    is a seeded shuffle of all positions (`_shuffled`), independent of the
+    offsets, which keeps the expected-time bound of randomized incremental
+    LP (Seidel, Discrete Comput. Geom. 1991); the directions of one hull
+    share it."""
     verdict = _boundedness(rows, cx, cy)
     if verdict[0] == "direction":
         return verdict
     pa, pb = verdict[1], verdict[2]
-    order = [p for p in range(len(rows)) if p != pa and p != pb]
-    random.Random(seed).shuffle(order)
-    return ("bracket", pa, pb, order)
+    return ("bracket", pa, pb, [p for p in order if p != pa and p != pb])
 
 
 def _solve_max(
     rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL, plan=None
 ):
     """Maximize (cx, cy) over the rows, following `plan` (from `_plan` for
-    rows with the same normals, objective and seed; built here when None).
+    rows with the same normals and objective; built here from `seed` when
+    None).
 
     Returns one of
       ("optimal", value, point) | ("unbounded", direction, point) |
@@ -382,7 +398,7 @@ def _solve_max(
             return ("optimal", 0.0, Point2(0.0, 0.0))
         return ("unbounded", Point2(cx, cy), Point2(0.0, 0.0))
     if plan is None:
-        plan = _plan(rows, cx, cy, seed)
+        plan = _plan(rows, cx, cy, _shuffled(len(rows), seed))
     if plan[0] == "direction":
         d = plan[1]
         got = _feasible_point_unbounded(rows, d)
@@ -434,7 +450,52 @@ def _solve_max(
                 return got
             v = got[1]
         inserted.append(row)
-    return ("optimal", cx * v.x1 + cy * v.x2, v)
+    return ("optimal", _exact_value(rows, v, cx, cy, tol), v)
+
+
+def _ints(*xs: float) -> tuple[list[int], int]:
+    """Integers in the ratio of the floats, and the power of two that takes
+    the floats to them."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    q = max(d for _, d in ratios)
+    return [p * (q // d) for p, d in ratios], q
+
+
+def _exact_value(rows: list[Row], v: Point2, cx: float, cy: float, tol: float) -> float:
+    """The correctly rounded maximum of (cx, cy) over the rows, given a
+    float optimum `v`.
+
+    When c is in cone{h_i, h_j}, weak duality bounds the maximum by the
+    exact value at the vertex of rows i and j (or, for one row whose normal
+    is parallel to c, at its boundary), and an optimal basis attains the
+    bound.  The basis is among the rows active at `v`, up to a window
+    relative to the row and to the size of `v` that holds the rounding of
+    `v`, so the least of those bounds over the active rows is the exact
+    optimum.  It is evaluated in integers, and `int / int` rounds
+    correctly.  Should no active row bound c, the float value at `v` stands.
+    """
+    x1, x2 = v
+    size = max(abs(x1), abs(x2))
+    active = {
+        (a, b, al)
+        for a, b, al, _ in rows
+        if abs(a * x1 + b * x2 + al) <= tol * ((abs(a) + abs(b)) * size + abs(al))
+    }
+    (Cx, Cy), q = _ints(cx, cy)
+    ints = [_ints(*r)[0] for r in active]
+    best = INF
+    for i, (A1, B1, L1) in enumerate(ints):
+        dot = Cx * A1 + Cy * B1
+        if Cx * B1 == Cy * A1 and dot > 0:
+            best = min(best, -L1 * dot / (q * (A1 * A1 + B1 * B1)))
+        for A2, B2, L2 in ints[i + 1:]:
+            det = A1 * B2 - B1 * A2
+            mu, nu = Cx * B2 - Cy * A2, A1 * Cy - B1 * Cx  # c = (mu h1 + nu h2) / det
+            if det > 0 and mu >= 0 and nu >= 0 or det < 0 and mu <= 0 and nu <= 0:
+                best = min(best, (Cx * (B1 * L2 - L1 * B2) + Cy * (L1 * A2 - L2 * A1)) / (q * det))
+    if best == INF:
+        best = cx * x1 + cy * x2
+    return best + 0.0  # a zero optimum is +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +535,6 @@ def lp2d_optimize(
     if got[0] == "unbounded":
         return Unbounded(got[1])
     return Optimal(flip * got[1], got[2])
-
-
-def lp2d_feasible(
-    constraints: Sequence[HalfPlane | WholePlane], *, seed: int = 0
-) -> Point2 | Infeasible:
-    """A point in the intersection, or an Infeasible certificate."""
-    rows = _rows_from(constraints)
-    got = _solve_max(rows, 1.0, 0.0, seed)
-    if got[0] == "infeasible":
-        return Infeasible(got[1])
-    return got[2]
 
 
 # ---------------------------------------------------------------------------

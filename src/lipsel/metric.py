@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import List, Union
 
 INF = math.inf
@@ -77,12 +78,16 @@ def validate_pseudometric(
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
                 return MetricViolation("symmetry", i, j, j)
+    # d is symmetric by now, so (i, j) and (j, i) fail together and the first
+    # failure lies above the diagonal; rounding is monotone, so d[i][j] beats
+    # some d[i][k] + d[k][j] + tol exactly when it beats the smallest sum
     for i in range(n):
-        for j in range(n):
-            dij = d[i][j]
-            for k in range(n):
-                if dij > d[i][k] + d[k][j] + tol:
-                    return MetricViolation("triangle", i, j, k)
+        di = d[i]
+        for j in range(i + 1, n):
+            dij = di[j]
+            if dij > min(map(add, di, d[j])) + tol:
+                k = next(k for k in range(n) if dij > di[k] + d[k][j] + tol)
+                return MetricViolation("triangle", i, j, k)
     return PseudometricSpace(n, [[float(v) for v in row] for row in d])
 
 

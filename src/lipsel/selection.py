@@ -18,6 +18,15 @@ selection has seminorm <= min(l1, l2).  The pipeline:
 
 Stages 1 and 3 test emptiness with a small bias toward success (strict
 comparison against +tol), so boundary parameter values succeed.
+
+A hull end is the correctly rounded optimum of its LP, so it is the same on
+any subset of the rows that has the same intersection.  Past a few points,
+stage 2 therefore first takes B, the hull of a few of x's rows: its own
+sides and the sides of its nearest points, plus, for a direction those leave
+unbounded, the rows that bound it for every point with the same finite
+neighbours.  B contains the stage-1 set, and a row whose half-plane holds B
+strictly cannot cut that set, so the four hull LPs run only on the rows that
+cut B.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import add, gt, mul, sub, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
@@ -44,13 +55,22 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Row, _plan, _solve_max
+from lipsel.lp2d import Row, _boundedness, _plan, _shuffled, _solve_max
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
 
 # slack used by the final membership/seminorm verification
 VERIFY_TOL = 1e-7
+
+# stage 2 builds x's outer box from the sides of x and its NEAREST nearest
+# points, and skips the box when those hold at least 1/BOX_SHARE of x's rows:
+# on fewer rows the box does not pay (on planted half-planes it breaks even
+# near 100 rows; polygons with 4 sides at n = 100 gain from it)
+NEAREST, BOX_SHARE = 8, 6
+
+# the objectives of the four hull LPs: -lo1, hi1, -lo2, hi2
+HULL_DIRECTIONS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
 
 class LambdaPair(NamedTuple):
@@ -136,15 +156,31 @@ class SelectionReport:
 # stage 1: inflated intersections
 
 
-def _point_rows(inst: PolygonInstance, l1: float, x: int) -> List[Row]:
+def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect] = None) -> List[Row]:
     """The rows whose intersection is the stage-1 set at x: every side of
     every point y at finite distance, inflated by l1 times the distance (x's
-    own sides with radius 0), in (y, side) order.  The row index is y."""
+    own sides with radius 0), in (y, side) order.  The row index is y.
+
+    Given a bounded `box` that contains the set, only the rows that can cut
+    it are kept: a row goes when its half-plane holds the square around the
+    box's center that holds the box, with a margin relative to the box's
+    coordinates that covers the rounding of the test and of the box's ends.
+    The test reads the row's own offset, so a side at infinite distance
+    (offset -inf, or nan when l1 = 0) fails it."""
     drow = inst.space.d[x]
+    if box is None:
+        return [
+            (h1, h2, alpha - l1 * rho * norm1, y)
+            for y, h1, h2, alpha, norm1 in inst.sides
+            if (rho := drow[y]) != INF
+        ]
+    (lo1, hi1), (lo2, hi2) = (box.ix.lo, box.ix.hi), (box.iy.lo, box.iy.hi)
+    c1, c2 = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0
+    r = max(hi1 - lo1, hi2 - lo2) / 2.0 + DEFAULT_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
     return [
-        (h1, h2, alpha - l1 * rho * norm1, y)
+        (h1, h2, a, y)
         for y, h1, h2, alpha, norm1 in inst.sides
-        if (rho := drow[y]) != INF
+        if (a := alpha - l1 * drow[y] * norm1) + h1 * c1 + h2 * c2 >= -r * norm1
     ]
 
 
@@ -168,9 +204,12 @@ def _hull_from_rows(rows: List[Row], seed: int, plans: Optional[list] = None) ->
     if plans is None:
         plans = [None] * 4
     ends = []
-    for k, (cx, cy) in enumerate(((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))):
+    order = None
+    for k, (cx, cy) in enumerate(HULL_DIRECTIONS):
         if plans[k] is None:
-            plans[k] = _plan(rows, cx, cy, seed)
+            if order is None:
+                order = _shuffled(len(rows), seed)
+            plans[k] = _plan(rows, cx, cy, order)
         got = _solve_max(rows, cx, cy, seed, plan=plans[k])
         if got[0] == "infeasible":
             return EMPTY
@@ -183,8 +222,73 @@ def _hull_from_rows(rows: List[Row], seed: int, plans: Optional[list] = None) ->
     return ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2))
 
 
+class _Neighbours:
+    """What the points with one set of finite neighbours share: the normals
+    of their rows (offsets 0, row index the side's position in
+    `inst.sides`), and per hull direction the `_boundedness` verdict and the
+    `_plan`, each made on first use."""
+
+    def __init__(self, inst: PolygonInstance, drow: Sequence[float]):
+        self.normals: List[Row] = [
+            (h1, h2, 0.0, k) for k, (y, h1, h2, _, _) in enumerate(inst.sides) if drow[y] != INF
+        ]
+        self.verdicts: list = [None] * 4
+        self.plans: list = [None] * 4
+
+    def bracket_rows(self, inst: PolygonInstance, l1: float, x: int, directions: List[int]) -> Optional[List[Row]]:
+        """x's rows that bound the given hull directions, or None when one
+        of them is unbounded."""
+        drow = inst.space.d[x]
+        out = []
+        for k in directions:
+            if self.verdicts[k] is None:
+                self.verdicts[k] = _boundedness(self.normals, *HULL_DIRECTIONS[k])
+            verdict = self.verdicts[k]
+            if verdict[0] == "direction":
+                return None
+            for pos in verdict[1:]:
+                y, h1, h2, alpha, norm1 = inst.sides[self.normals[pos][3]]
+                out.append((h1, h2, alpha - l1 * drow[y] * norm1, y))
+        return out
+
+
+def _stage12_hull(inst: PolygonInstance, l1: float, x: int, seed: int, group: _Neighbours) -> MaybeRect:
+    """The rectangular hull of the stage-1 set at x, or EMPTY: from the
+    rows that cut x's outer box B (module docstring), or from all of x's
+    rows with the shared plans when there are at most NEAREST + 1 points,
+    when B's rows would be 1/BOX_SHARE of x's rows, or when B is unbounded."""
+    drow = inst.space.d[x]
+    if inst.n > NEAREST + 1:
+        near = sorted(drow)[NEAREST]
+        box_rows = [
+            (h1, h2, alpha - l1 * rho * norm1, y)
+            for y, h1, h2, alpha, norm1 in inst.sides
+            if (rho := drow[y]) <= near and rho != INF
+        ]
+        if BOX_SHARE * len(box_rows) < len(group.normals):
+            box: Optional[MaybeRect] = _hull_from_rows(box_rows, seed)
+            if isinstance(box, ExtRect):
+                ends = (-box.ix.lo, box.ix.hi, -box.iy.lo, box.iy.hi)
+                open_ends = [k for k in range(4) if ends[k] == INF]
+                if open_ends:
+                    extra = group.bracket_rows(inst, l1, x, open_ends)
+                    box = None if extra is None else _hull_from_rows(box_rows + extra, seed)
+            if isinstance(box, EmptySet):
+                return EMPTY
+            if box is not None:
+                return _hull_from_rows(_point_rows(inst, l1, x, box), seed)
+    return _hull_from_rows(_point_rows(inst, l1, x), seed, group.plans)
+
+
 # ---------------------------------------------------------------------------
 # stage 3: shrink hulls against neighbours
+
+
+def _radii(l2: float, drow: Sequence[float]) -> List[float]:
+    """`inflation_radius(l2, rho)` for every rho in the row."""
+    if l2 == 0.0:
+        return [INF if rho == INF else 0.0 * rho for rho in drow]
+    return list(map(mul, repeat(l2), drow))
 
 
 def step3_refine_rects(
@@ -195,50 +299,33 @@ def step3_refine_rects(
 
     The pairwise criterion (largest end gap <= l2 * distance) is checked
     first; when it holds, per-axis max/min folds give the shrunk ends, which
-    are then guaranteed nonempty up to float noise.
+    are then guaranteed nonempty up to float noise.  Lower ends are finite or
+    -inf and upper ends finite or +inf, so plain float subtraction is
+    `ext_sub` on them.
     """
     n = space.n
     if len(hulls) != n:
         raise ValueError("one hull per point is required")
+    LO1 = [t.ix.lo for t in hulls]
+    HI1 = [t.ix.hi for t in hulls]
+    LO2 = [t.iy.lo for t in hulls]
+    HI2 = [t.iy.hi for t in hulls]
     for x in range(n):
-        tx = hulls[x]
-        drow = space.d[x]
-        for y in range(x + 1, n):
-            r = inflation_radius(l2, drow[y])
-            if r == INF:
-                continue
-            ty = hulls[y]
-            gap = max(
-                ext_sub(tx.ix.lo, ty.ix.hi),
-                ext_sub(ty.ix.lo, tx.ix.hi),
-                ext_sub(tx.iy.lo, ty.iy.hi),
-                ext_sub(ty.iy.lo, tx.iy.hi),
-            )
-            if gap > r + DEFAULT_TOL:
-                return NoGo(3, x)
+        R = _radii(l2, space.d[x][x + 1:])
+        gaps = map(
+            max,
+            map(sub, repeat(LO1[x]), HI1[x + 1:]),
+            map(sub, LO1[x + 1:], repeat(HI1[x])),
+            map(sub, repeat(LO2[x]), HI2[x + 1:]),
+            map(sub, LO2[x + 1:], repeat(HI2[x])),
+        )
+        if any(map(gt, gaps, map(add, R, repeat(DEFAULT_TOL)))):
+            return NoGo(3, x)
     refined: List[ExtRect] = []
     for x in range(n):
-        drow = space.d[x]
-        lo1 = lo2 = -INF
-        hi1 = hi2 = INF
-        for y in range(n):
-            r = inflation_radius(l2, drow[y])
-            ty = hulls[y]
-            v = ext_sub(ty.ix.lo, r)
-            if v > lo1:
-                lo1 = v
-            v = ext_sub(ty.iy.lo, r)
-            if v > lo2:
-                lo2 = v
-            # upper ends move up by r; +inf stays +inf
-            v = ty.ix.hi + r if ty.ix.hi != INF else INF
-            if v < hi1:
-                hi1 = v
-            v = ty.iy.hi + r if ty.iy.hi != INF else INF
-            if v < hi2:
-                hi2 = v
-        lo1, hi1 = _snap_ends(lo1, hi1, DEFAULT_TOL)
-        lo2, hi2 = _snap_ends(lo2, hi2, DEFAULT_TOL)
+        R = _radii(l2, space.d[x])
+        lo1, hi1 = _snap_ends(max(map(sub, LO1, R)), min(map(add, HI1, R)), DEFAULT_TOL)
+        lo2, hi2 = _snap_ends(max(map(sub, LO2, R)), min(map(add, HI2, R)), DEFAULT_TOL)
         refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
     return refined
 
@@ -317,20 +404,22 @@ def run_projection_algorithm(
     # A point's stage-1 rows, so all its results, depend only on its distance
     # row: a point with an earlier `twin` reuses the twin's results.  The
     # rows' normals depend only on which points are at finite distance, so
-    # plans are shared per such set, keyed by the infinitely distant points
-    # (not per component: `solve` does not check the triangle inequality).
+    # verdicts and plans are shared per such set, keyed by the infinitely
+    # distant points (not per component: `solve` does not check the triangle
+    # inequality).
     twin: List[int] = []
-    plans: Dict[Tuple[int, ...], list] = {}
+    groups: Dict[Tuple[int, ...], _Neighbours] = {}
     hulls: List[ExtRect] = []
     for x in range(n):
         twin.append(_earlier_twin(d, x))
         if twin[x] >= 0:
             hulls.append(hulls[twin[x]])
             continue
-        rows = _point_rows(inst, l1, x)
         drow = d[x]
         key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
-        hull = _hull_from_rows(rows, seed, plans.setdefault(key, [None] * 4))
+        if key not in groups:
+            groups[key] = _Neighbours(inst, drow)
+        hull = _stage12_hull(inst, l1, x, seed, groups[key])
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
         hulls.append(hull)
@@ -368,17 +457,19 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
     n = space.n
     if len(f) != n:
         raise ValueError("one value per point is required")
+    X = [p.x1 for p in f]
+    Y = [p.x2 for p in f]
     out = 0.0
-    for i in range(n):
-        fi = f[i]
-        drow = space.d[i]
-        for j in range(i + 1, n):
-            fj = f[j]
-            ratio = ext_div(
-                max(abs(fi.x1 - fj.x1), abs(fi.x2 - fj.x2)), drow[j]
-            )
-            if ratio > out:
-                out = ratio
+    for i in range(n - 1):
+        rest = space.d[i][i + 1:]
+        gaps = map(
+            max,
+            map(abs, map(sub, repeat(X[i]), X[i + 1:])),
+            map(abs, map(sub, repeat(Y[i]), Y[i + 1:])),
+        )
+        ratio = max(map(ext_div if 0.0 in rest else truediv, gaps, rest))
+        if ratio > out:
+            out = ratio
     return out
 
 

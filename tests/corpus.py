@@ -1,0 +1,139 @@
+"""Rebuild the CLI outcome corpus from fixed seeds and print one line per run.
+
+    PYTHONPATH=src python tests/corpus.py > corpus.txt
+    PYTHONPATH=src python tests/corpus.py --fields > fields.txt
+
+Each line is one `lipsel` run, made in-process through `lipsel.cli.main`: its
+argv (instance and result files by base name), its exit code, and the sha256
+of its stdout and of its stderr.  With `--fields` the hashes give way to the
+`outcome`, `stage` and `witness` fields of the stdout document, so that runs
+whose floats moved by ulps still compare equal.  Run it against two
+checkouts (`PYTHONPATH=<checkout>/src`) and `diff` the outputs.
+
+The corpus: 216 instances, namely 4 planted polygon instances (n = 100,
+4 sides), 150 polygon draws (n = 1..8, 1-4 sides, planted and not), 60
+half-plane draws (n = 1..8: plain, with infinite-distance blocks, planted),
+and planted half-plane instances with n = 400 and n = 800.  Every instance
+is solved at --lambda 1/2, 1, 2 and 4 and at --lambda1 1 --lambda2 1/4
+(1 and 1 on polygons, which exits 2), with --seed 0 and 977, plain and with
+--trace.  Every instance with n <= 100 is validated, and every success of a
+plain --seed 0 solve on such an instance is checked with `validate
+--result`.  The instances with n <= 4 get `sharp` at λ = 0, 1/2, 1, 2, 4.
+The standard library and the test generators are all it needs; pytest does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from generators import (  # noqa: E402
+    instance_doc,
+    number_doc,
+    planted_instance,
+    random_instance,
+    random_polygon_instance,
+)
+from lipsel.cli import main  # noqa: E402
+
+LAMBDAS = ("1/2", "1", "2", "4")
+SEEDS = ("0", "977")
+SHARP_LAMBDAS = ("0", "1/2", "1", "2", "4")
+
+
+def polygon_doc(inst) -> dict:
+    polygons = [[{"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in poly] for poly in inst.polygons]
+    matrix = [[number_doc(v) for v in row] for row in inst.space.d]
+    return {"n": inst.n, "metric": {"matrix": matrix}, "sets": {"polygons": polygons}}
+
+
+def instances():
+    """(name, kind, instance) for the 216 instances, in a fixed order."""
+    rng = random.Random("corpus/bench-polygons")
+    for k in range(4):
+        yield f"bench-polygon-{k}", "polygons", random_polygon_instance(rng, 100, 4)
+    rng = random.Random("corpus/polygons")
+    for k in range(150):
+        n, sides = 1 + k % 8, 1 + k // 8 % 4
+        inst = random_polygon_instance(rng, n, sides, planted=k % 3 != 2)
+        yield f"polygon-{k}", "polygons", inst
+    rng = random.Random("corpus/halfplanes")
+    for k in range(60):
+        n, kind = 1 + k % 8, ("plain", "blocks", "planted")[k // 8 % 3]
+        if kind == "planted":
+            inst = planted_instance(rng, n)
+        else:
+            inst = random_instance(rng, n, inf_blocks=kind == "blocks")
+        yield f"halfplane-{k}", "halfplanes", inst
+    for n in (400, 800):
+        yield f"planted-{n}", "halfplanes", planted_instance(random.Random(f"corpus/planted/{n}"), n)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def report(argv, code, out, err, fields, workdir):
+    shown = " ".join(os.path.relpath(a, workdir) if a.startswith(workdir) else a for a in argv)
+    if fields:
+        try:
+            doc = json.loads(out)
+        except ValueError:
+            doc = {}
+        if not isinstance(doc, dict):
+            doc = {}
+        tail = json.dumps([doc.get("outcome"), doc.get("stage"), doc.get("witness")], sort_keys=True)
+    else:
+        tail = " ".join(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
+    print(f"{shown} | {code} | {tail}", flush=True)
+
+
+def main_corpus(fields: bool, workdir: str) -> None:
+    for name, kind, inst in instances():
+        path = os.path.join(workdir, f"{name}.json")
+        doc = polygon_doc(inst) if kind == "polygons" else instance_doc(inst)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        split = ("1", "1") if kind == "polygons" else ("1", "1/4")
+        configs = [["--lambda", lam] for lam in LAMBDAS] + [["--lambda1", split[0], "--lambda2", split[1]]]
+        for config in configs:
+            for seed in SEEDS:
+                for trace in ([], ["--trace"]):
+                    argv = ["solve", path, *config, "--seed", seed, *trace]
+                    code, out, err = run(argv)
+                    report(argv, code, out, err, fields, workdir)
+                    if code == 0 and seed == "0" and not trace and inst.n <= 100:
+                        base = f"{name}-result{''.join(config)}.json".replace("/", "_")
+                        result = os.path.join(workdir, base)
+                        with open(result, "w", encoding="utf-8") as fh:
+                            fh.write(out)
+                        argv = ["validate", path, "--result", result]
+                        report(argv, *run(argv), fields, workdir)
+        if inst.n <= 100:
+            argv = ["validate", path]
+            report(argv, *run(argv), fields, workdir)
+        if inst.n <= 4:
+            for lam in SHARP_LAMBDAS:
+                argv = ["sharp", path, "--lambda", lam]
+                report(argv, *run(argv), fields, workdir)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--fields", action="store_true", help="print outcome, stage and witness instead of hashes")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="lipsel-corpus-") as tmp:
+        main_corpus(args.fields, tmp)

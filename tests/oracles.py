@@ -4,9 +4,11 @@ Everything here is deliberately brute force and shares no code with the
 solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
-multiple of it.  Two exceptions: `refinement_constraints` lists stage-1
-constraints with the public geometry primitives, which the grid searches
-check, so that the public LP can be run on them; and `fm_feasible_reference`
+multiple of it; `lp_exact_optimum` is the exact optimum of a two-variable LP
+by enumeration in `Fraction`s.  Two exceptions: `refinement_constraints`
+lists stage-1 constraints with the public geometry primitives, which the
+grid searches check, so that the public LP can be run on them; and
+`fm_feasible_reference`
 is the `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before
 it moved to integer rows, kept as the reference its verdicts and witnesses
 must equal exactly.
@@ -151,6 +153,30 @@ def grid_rects_gap(rx, ry, window=256.0, steps=257):
         (z[-1] - z[0]) / (steps - 1) if steps > 1 else 0.0 for z in (ax, ay, bx, by)
     )
     return float(max(d1, d2)), pitch
+
+
+# ---------------------------------------------------------------------------
+# two-variable LP optima in exact rationals
+
+
+def lp_exact_optimum(constraints, c):
+    """max <c, u> over the half-planes {<h, u> + alpha <= 0}, exactly, for a
+    feasible system on which it is bounded: the best feasible point among
+    all pairwise boundary crossings and every boundary's point nearest the
+    origin.  A system with a vertex attains the maximum at one; one without
+    (all boundaries parallel) attains it on a whole boundary line."""
+    rows = [(Fraction(h.h.x1), Fraction(h.h.x2), Fraction(h.alpha)) for h in constraints]
+    cands = [(-al * a / (a * a + b * b), -al * b / (a * a + b * b)) for a, b, al in rows]
+    for (a1, b1, l1), (a2, b2, l2) in itertools.combinations(rows, 2):
+        det = a1 * b2 - b1 * a2
+        if det:
+            cands.append(((-l1 * b2 + l2 * b1) / det, (-l2 * a1 + l1 * a2) / det))
+    cx, cy = Fraction(c[0]), Fraction(c[1])
+    return max(
+        cx * u1 + cy * u2
+        for u1, u2 in cands
+        if all(a * u1 + b * u2 + al <= 0 for a, b, al in rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -509,9 +509,11 @@ def test_validate_result_rejects_no_go_documents(tmp_path, capsys):
 # internal errors
 
 
-def test_solve_on_non_metric_matrix_exits_5(tmp_path, capsys):
+def test_solve_on_non_metric_matrix_exits_3(tmp_path, capsys):
     # d(0, 2) = 6 > d(0, 1) + d(1, 2) = 0: `solve` checks only symmetry and
-    # the diagonal, and the selection fails the solver's own verification
+    # the diagonal, the selection fails the solver's own verification, and
+    # the triangle check that follows reports the input's fault as `validate`
+    # does
     doc = {
         "n": 3,
         "metric": {"matrix": [[0, 0, 6], [0, 0, 0], [6, 0, 0]]},
@@ -523,12 +525,11 @@ def test_solve_on_non_metric_matrix_exits_5(tmp_path, capsys):
             ]
         },
     }
-    code, out, err = run(capsys, "solve", write(tmp_path, doc), "--lambda", "1")
-    assert code == 5
-    got = json.loads(out)
-    assert list(got) == ["outcome", "reason"] and got["outcome"] == "error"
-    assert got["reason"].startswith("RuntimeError: internal verification failed")
-    assert "Traceback" in err and got["reason"] in err
+    path = write(tmp_path, doc)
+    code, out, err = run(capsys, "solve", path, "--lambda", "1")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"valid": False, "axiom": "triangle", "i": 0, "j": 2, "k": 1}
+    assert run(capsys, "validate", path) == (code, out, err)
 
 
 def test_any_internal_error_exits_5(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from lipsel.geometry import (
     HalfPlane,
     Point2,
     WholePlane,
-    contains,
     dist_to_halfplane,
     ext_div,
     ext_sub,
@@ -31,7 +30,6 @@ from lipsel.geometry import (
     rect,
     rect_dist_origin,
     rect_project_origin_center,
-    rects_intersect_within,
     sign_vector,
     uniform_norm,
 )
@@ -151,21 +149,6 @@ def test_hausdorff_mixed_boundedness_is_infinite():
     assert interval_hausdorff(ExtInterval(-INF, 0.0), ExtInterval(0.0, 1.0)) == INF
 
 
-def test_rects_intersect_within_pinned():
-    a = rect(ExtInterval(0.0, 1.0), ExtInterval(0.0, 1.0))
-    b = rect(ExtInterval(3.0, 4.0), ExtInterval(0.0, 1.0))
-    assert not rects_intersect_within(a, b, 1.0)
-    assert rects_intersect_within(a, b, 2.0)
-
-
-def test_rects_intersect_rejects_empty_and_negative():
-    a = rect(ExtInterval(0.0, 1.0), ExtInterval(0.0, 1.0))
-    with pytest.raises(ValueError):
-        rects_intersect_within(a, EMPTY, 1.0)
-    with pytest.raises(ValueError):
-        rects_intersect_within(a, a, -0.5)
-
-
 # ---------------------------------------------------------------------------
 # half-planes
 
@@ -278,7 +261,7 @@ def test_dist_zero_iff_member(a, b, alpha, gx, gy):
     hp = halfplane(float(a), float(b), alpha)
     g = Point2(gx, gy)
     d = dist_to_halfplane(g, hp)
-    if contains(hp, g, tol=0.0):
+    if hp.h.x1 * g.x1 + hp.h.x2 * g.x2 + hp.alpha <= 0.0:
         assert d == 0.0
     else:
         assert d > 0.0
@@ -293,7 +276,7 @@ def test_projection_lands_on_boundary_at_distance(a, b, alpha, gx, gy):
     g = Point2(gx, gy)
     d = dist_to_halfplane(g, hp)
     f = project_to_halfplane(g, hp)
-    assert contains(hp, f, tol=1e-7 * max(1.0, abs(alpha)))
+    assert hp.h.x1 * f.x1 + hp.h.x2 * f.x2 + hp.alpha <= 1e-7 * max(1.0, abs(alpha))
     assert uniform_norm(f - g) <= d + 1e-7 * max(1.0, d)
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lp_exact_optimum
 from lipsel.geometry import WHOLE_PLANE, Point2, halfplane
 from lipsel.lp2d import (
     Infeasible,
     Optimal,
     Unbounded,
     lp2d_brute_force,
-    lp2d_feasible,
     lp2d_optimize,
 )
 
@@ -62,7 +62,7 @@ def test_infeasible_triple_witness():
     # cross-check: every pair alone is feasible
     for drop in range(3):
         sub = [c for k, c in enumerate(cons) if k != drop]
-        assert not isinstance(lp2d_feasible(sub), Infeasible)
+        assert not isinstance(lp2d_optimize(sub, Point2(0.0, 0.0)), Infeasible)
 
 
 def test_infeasible_witness_indices_refer_to_input_positions():
@@ -97,9 +97,9 @@ def test_zero_objective_reports_feasible_point():
 
 
 def test_feasible_point_on_unbounded_set():
-    p = lp2d_feasible([hp(-1, 0, 5)])  # u1 >= 5
-    assert isinstance(p, Point2)
-    assert p.x1 >= 5.0
+    got = lp2d_optimize([hp(-1, 0, 5)], Point2(0.0, 0.0))  # u1 >= 5
+    assert isinstance(got, Optimal)
+    assert got.witness.x1 >= 5.0
 
 
 def test_antiparallel_strip():
@@ -205,3 +205,88 @@ def test_value_invariant_under_constraint_scaling(seed):
     assert type(a) is type(b)
     if isinstance(a, Optimal):
         assert abs(a.value - b.value) <= 1e-9 * max(1.0, abs(a.value))
+
+
+# ---------------------------------------------------------------------------
+# optimal values are the correctly rounded exact optima
+
+# numbers of three kinds: integers, dyadic rationals, and floats that are
+# not dyadic (1/3, 0.1, ... rounded), whose vertices round
+_NUMBERS = {
+    "integer": lambda rng: float(rng.randint(-9, 9)),
+    "dyadic": lambda rng: rng.randint(-72, 72) / 8,
+    "non-dyadic": lambda rng: rng.randint(-9, 9) * rng.choice((1 / 3, 0.1, 0.7, 2 / 7, 1e-3, 5.0)),
+}
+
+
+def _planted_system(rng, m, number):
+    """m half-planes that all hold one point, with objective c: feasible,
+    and bounded whenever the normals surround c."""
+    p = (number(rng), number(rng))
+    cons = []
+    while len(cons) < m:
+        a, b = number(rng), number(rng)
+        if a or b:
+            cons.append(halfplane(a, b, -(a * p[0] + b * p[1]) - abs(number(rng))))
+    c = rng.choice([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (number(rng) or 1.0, number(rng))])
+    return cons, Point2(*c)
+
+
+def _degenerate_systems():
+    """Hand-built systems: concurrent boundaries, strips, normals parallel
+    to c."""
+    third, tenth = 1 / 3, 0.1
+    return [
+        # three boundaries through (1, 1), c along the middle one's normal
+        ([hp(1, 0, -1), hp(0, 1, -1), hp(1, 1, -2)], Point2(1.0, 1.0)),
+        ([hp(1, 0, -1), hp(0, 1, -1), hp(1, 1, -2)], Point2(1.0, 0.0)),
+        # the same through (1/3, 0.1), which rounds
+        ([halfplane(1.0, 0.0, -third), halfplane(0.0, 1.0, -tenth),
+          halfplane(1.0, 1.0, -(third + tenth))], Point2(1.0, 1.0)),
+        ([halfplane(3.0, 0.0, -1.0), halfplane(0.0, 10.0, -1.0),
+          halfplane(tenth, third, -(tenth * third + third * tenth))], Point2(0.0, 1.0)),
+        # antiparallel strips, one of width zero, c along and across them
+        ([hp(1, 1, -4), hp(-1, -1, 2)], Point2(1.0, 1.0)),
+        ([hp(1, 1, -4), hp(-1, -1, 2), hp(-1, 0, -3), hp(1, 0, -7)], Point2(0.0, 1.0)),
+        ([halfplane(tenth, third, -tenth), halfplane(-tenth, -third, tenth)], Point2(tenth, third)),
+        ([halfplane(1.0, 3.0, -tenth), halfplane(-1.0, -3.0, tenth), hp(0, 1, 0), hp(0, -1, -1)],
+         Point2(-1.0, 0.0)),
+        # a normal parallel to c, alone and with a vertex tying it
+        ([halfplane(3.0, 0.0, -1.0), hp(1, 1, -5), hp(1, -1, -5)], Point2(1.0, 0.0)),
+        ([halfplane(3.0, 0.0, -1.0), halfplane(1.0, 1.0, -(1 / 3 + 1)), hp(1, -1, -5)],
+         Point2(2.0, 0.0)),
+        ([halfplane(tenth, 0.0, -third)], Point2(1.0, 0.0)),
+    ]
+
+
+def test_value_is_the_correctly_rounded_exact_optimum():
+    rng = random.Random("exact-optimum")
+    systems = _degenerate_systems()
+    for kind in _NUMBERS:
+        systems += [_planted_system(rng, rng.randint(1, 12), _NUMBERS[kind]) for _ in range(100)]
+    optimal = 0
+    for k, (cons, c) in enumerate(systems):
+        for sense, sign in (("max", 1), ("min", -1)):
+            got = lp2d_optimize(cons, c, sense, seed=k)
+            if isinstance(got, Optimal):
+                optimal += 1
+                exact = sign * lp_exact_optimum(cons, (sign * c.x1, sign * c.x2))
+                assert got.value == float(exact), (cons, c, sense, got, exact)
+    assert optimal >= 300, optimal
+
+
+def test_value_exactly_invariant_under_permutation_scaling_and_seed():
+    rng = random.Random("exact-invariance")
+    checked = 0
+    for k in range(300):
+        cons, c = _planted_system(rng, rng.randint(2, 12), _NUMBERS[("dyadic", "non-dyadic")[k % 2]])
+        base = lp2d_optimize(cons, c, seed=0)
+        if not isinstance(base, Optimal):
+            continue
+        checked += 1
+        permuted = rng.sample(cons, len(cons))
+        doubled = [halfplane(2.0 * h.h.x1, 2.0 * h.h.x2, 2.0 * h.alpha) for h in permuted]
+        for other in (permuted, doubled):
+            got = lp2d_optimize(other, c, seed=k + 1)
+            assert isinstance(got, Optimal) and got.value == base.value, (cons, c, base, got)
+    assert checked >= 150, checked

@@ -38,6 +38,38 @@ def test_triangle_violation_reported():
     assert got == MetricViolation("triangle", 0, 1, 2)
 
 
+def _first_triangle_violation(d, tol=1e-9):
+    """The scan `validate_pseudometric` makes, written as the plain triple
+    loop over (i, j, k)."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j] + tol:
+                    return MetricViolation("triangle", i, j, k)
+    return None
+
+
+def test_triangle_scan_reports_the_first_violation_of_the_triple_loop():
+    """Random symmetric matrices with ties, infinities and sums that miss by
+    about the tolerance: the reported violation, or its absence, is the one
+    the triple loop finds first."""
+    rng = random.Random("triangle-scan")
+    values = [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, 1.5, 2.0, 3.0, INF]
+    seen = {"violation": 0, "none": 0}
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = rng.choice(values)
+        want = _first_triangle_violation(d)
+        got = validate_pseudometric(d)
+        assert got == want if want is not None else isinstance(got, PseudometricSpace), d
+        seen["violation" if want is not None else "none"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_diagonal_violation_reported():
     got = validate_pseudometric([[0.0, 1.0], [1.0, 0.5]])
     assert isinstance(got, MetricViolation)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import linf_space, planted_instance, random_halfplane, random_instance
+from generators import (
+    linf_space,
+    planted_instance,
+    random_halfplane,
+    random_instance,
+    random_polygon_instance,
+)
 from oracles import refinement_constraints
 from lipsel.geometry import (
     EMPTY,
@@ -21,8 +27,9 @@ from lipsel.geometry import (
     rect,
     uniform_norm,
 )
-from lipsel.lp2d import Infeasible, Unbounded, lp2d_feasible, lp2d_optimize
+from lipsel.lp2d import Infeasible, Unbounded, lp2d_optimize
 from lipsel.metric import PreMetric, PseudometricSpace, validate_premetric, validate_pseudometric
+import lipsel.selection
 from lipsel.selection import (
     HalfPlaneInstance,
     NoGo,
@@ -431,11 +438,11 @@ def test_check_wnew_true_implies_success_with_tighter_bound(seed):
 # shared plans and reused hulls against the public LP
 
 
-def _nontransitive_space(rng, n):
+def _nontransitive_space(rng, n, dup_chance=0.4):
     """Sup-norm distances with random pairs cut to +inf: symmetric with a zero
     diagonal, so `validate_premetric` accepts it, but "at finite distance" is
     not transitive and points at distance 0 can have different rows."""
-    d = [row[:] for row in linf_space(rng, n, dup_chance=0.4).d]
+    d = [row[:] for row in linf_space(rng, n, dup_chance=dup_chance).d]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.3:
@@ -479,7 +486,8 @@ def test_shared_plans_and_reused_hulls_match_public_lp(kind):
             empty = [
                 x for x in range(n)
                 if isinstance(
-                    lp2d_feasible(refinement_constraints(inst, lam, x), seed=seed), Infeasible
+                    lp2d_optimize(refinement_constraints(inst, lam, x), (0.0, 0.0), seed=seed),
+                    Infeasible,
                 )
             ]
             try:
@@ -509,3 +517,47 @@ def test_shared_plans_and_reused_hulls_match_public_lp(kind):
     if kind != "nontransitive":
         del seen["zero_unequal_rows"]  # a pseudometric has none
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("case", ["repeated", "blocks", "nontransitive", "planted", "polygon"])
+def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch):
+    """With enough rows a hull comes from the rows that cut an outer box;
+    its ends equal those of independent public LPs on all of the point's
+    rows exactly, as the ends are correctly rounded optima."""
+    boxed = []
+    point_rows = lipsel.selection._point_rows
+
+    def spy(inst, l1, x, box=None):
+        boxed.append(box is not None)
+        return point_rows(inst, l1, x, box)
+
+    monkeypatch.setattr(lipsel.selection, "_point_rows", spy)
+    rng = random.Random(f"boxed/{case}")
+    if case == "planted":
+        runs = [(planted_instance(rng, 200), lam) for lam in (1.0, 2.0)]
+    elif case == "polygon":
+        runs = [(random_polygon_instance(rng, 100, 4), 1.0)]
+    else:
+        runs = []
+        for draw in range(4):
+            n = 80 + 10 * draw
+            if case == "nontransitive":
+                inst = HalfPlaneInstance(
+                    _nontransitive_space(rng, n, 0.05), [random_halfplane(rng) for _ in range(n)]
+                )
+            else:
+                inst = random_instance(rng, n, dup_chance=0.05, inf_blocks=case == "blocks")
+            runs += [(inst, lam) for lam in (4.0, 16.0)]
+    successes = 0
+    for inst, lam in runs:
+        ends = [_public_ends(inst, lam, x, 0) for x in range(inst.n)]
+        # with l2 this large stage 3 cannot stop the run
+        got = run_projection_algorithm(inst, (lam, 2.0**40), seed=5)
+        if isinstance(got, NoGo):
+            assert got == NoGo(1, ends.index(None))
+            continue
+        assert None not in ends
+        assert [(h.ix.lo, h.ix.hi, h.iy.lo, h.iy.hi) for h in got.hulls] == ends
+        successes += 1
+    assert successes >= len(runs) // 2, successes
+    assert sum(boxed) >= len(boxed) // 2, (sum(boxed), len(boxed))
