@@ -19,7 +19,8 @@ so a fixed seed reproduces byte-identical output.  Exit codes: 0 success /
 feasible / valid, 1 no-go / infeasible / failed verification, 2 parse or flag
 errors (including oracle caps), 3 metric axiom violations, 4 infeasible upper
 end in `estimate`, 5 internal error: the traceback goes to stderr and stdout
-carries {"outcome": "error", "reason": "<Type>: <message>"}.
+carries {"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
+closes stdout early gets 141 (128 + SIGPIPE) and nothing more.
 
 `validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
 and checks only shape, diagonal, and symmetry, keeping the solve path at the
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -532,6 +534,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: neither an answer nor a fault
+        # the document's unwritten rest would fail again at exit's flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

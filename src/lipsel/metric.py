@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
-from typing import List, Union
+from itertools import repeat
+from operator import add, eq, le
+from typing import List, Optional, Union
 
 INF = math.inf
 
@@ -48,18 +49,35 @@ class MetricViolation:
     k: int
 
 
-def _check_matrix_shape(d: List[List[float]]) -> int:
+def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
+    """Raise on a matrix that is not square or holds NaN or a negative;
+    else the first nonzero diagonal entry, else the first (i, j), j > i,
+    with d[i][j] != d[j][i], else None.  The loops that name the first
+    fault run only where a C-level pass finds one: `0 <= v` fails exactly
+    for NaN and negatives, so no NaN reaches the row-against-column tuple
+    comparison, whose identity shortcut could hide one."""
     n = len(d)
     for row in d:
         if len(row) != n:
             raise ValueError("distance matrix must be square")
     for row in d:
+        if all(map(le, repeat(0.0), row)):
+            continue
         for v in row:
             if isinstance(v, float) and math.isnan(v):
                 raise ValueError("distance matrix entry is NaN")
             if v < 0:
                 raise ValueError("distance matrix entry is negative")
-    return n
+    for i in range(n):
+        if d[i][i] != 0:
+            return MetricViolation("diagonal", i, i, i)
+    if all(map(eq, map(tuple, d), zip(*d))):
+        return None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                return MetricViolation("symmetry", i, j, j)
+    return None
 
 
 def validate_pseudometric(
@@ -70,14 +88,10 @@ def validate_pseudometric(
     Returns the wrapped space on success, otherwise the first violation in
     scan order (diagonal, then symmetry, then triangle over (i,j,k)).
     """
-    n = _check_matrix_shape(d)
-    for i in range(n):
-        if d[i][i] != 0:
-            return MetricViolation("diagonal", i, i, i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
-                return MetricViolation("symmetry", i, j, j)
+    violation = _check_matrix(d)
+    if violation is not None:
+        return violation
+    n = len(d)
     # d is symmetric by now, so (i, j) and (j, i) fail together and the first
     # failure lies above the diagonal; rounding is monotone, so d[i][j] beats
     # some d[i][k] + d[k][j] + tol exactly when it beats the smallest sum
@@ -94,15 +108,7 @@ def validate_pseudometric(
 def validate_premetric(w: List[List[float]]) -> Union[PreMetric, MetricViolation]:
     """Symmetry and zero diagonal only.  The PreMetric wraps `w` itself, not
     a copy."""
-    n = _check_matrix_shape(w)
-    for i in range(n):
-        if w[i][i] != 0:
-            return MetricViolation("diagonal", i, i, i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i][j] != w[j][i]:
-                return MetricViolation("symmetry", i, j, j)
-    return PreMetric(n, w)
+    return _check_matrix(w) or PreMetric(len(w), w)
 
 
 def intrinsic_metric(w: PreMetric) -> PseudometricSpace:

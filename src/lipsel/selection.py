@@ -26,7 +26,11 @@ sides and the sides of its nearest points, plus, for a direction those leave
 unbounded, the rows that bound it for every point with the same finite
 neighbours.  B contains the stage-1 set, and a row whose half-plane holds B
 strictly cannot cut that set, so the four hull LPs run only on the rows that
-cut B.
+cut B, and stage 5 scans only the sides of the points that own those rows.
+
+Stage 3 folds each hull against its neighbours first and runs the pairwise
+test for NoGo only when some fold comes out empty or pinched: every pair the
+test flags leaves the fold of its smaller point so (`step3_refine_rects`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from heapq import nsmallest
+from itertools import accumulate, repeat
 from operator import add, gt, mul, sub, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -106,6 +111,11 @@ class PolygonInstance:
             for y, poly in enumerate(self.polygons)
             for hp in poly
         ]
+
+    @cached_property
+    def offsets(self) -> List[int]:
+        """Point y's sides are `sides[offsets[y]:offsets[y + 1]]`."""
+        return list(accumulate(map(len, self.polygons), initial=0))
 
     @property
     def planes(self) -> List[HalfPlane]:
@@ -252,14 +262,17 @@ class _Neighbours:
         return out
 
 
-def _stage12_hull(inst: PolygonInstance, l1: float, x: int, seed: int, group: _Neighbours) -> MaybeRect:
-    """The rectangular hull of the stage-1 set at x, or EMPTY: from the
-    rows that cut x's outer box B (module docstring), or from all of x's
-    rows with the shared plans when there are at most NEAREST + 1 points,
-    when B's rows would be 1/BOX_SHARE of x's rows, or when B is unbounded."""
+def _stage12_hull(
+    inst: PolygonInstance, l1: float, x: int, seed: int, group: _Neighbours
+) -> Tuple[MaybeRect, Optional[List[int]]]:
+    """The rectangular hull of the stage-1 set at x, or EMPTY, from the
+    rows that cut x's outer box B (module docstring), with the points that
+    own those rows; or from all of x's rows with the shared plans, and
+    None, when there are at most NEAREST + 1 points, when B's rows would be
+    1/BOX_SHARE of x's rows, or when B is unbounded."""
     drow = inst.space.d[x]
     if inst.n > NEAREST + 1:
-        near = sorted(drow)[NEAREST]
+        near = nsmallest(NEAREST + 1, drow)[-1]
         box_rows = [
             (h1, h2, alpha - l1 * rho * norm1, y)
             for y, h1, h2, alpha, norm1 in inst.sides
@@ -274,10 +287,11 @@ def _stage12_hull(inst: PolygonInstance, l1: float, x: int, seed: int, group: _N
                     extra = group.bracket_rows(inst, l1, x, open_ends)
                     box = None if extra is None else _hull_from_rows(box_rows + extra, seed)
             if isinstance(box, EmptySet):
-                return EMPTY
+                return EMPTY, None
             if box is not None:
-                return _hull_from_rows(_point_rows(inst, l1, x, box), seed)
-    return _hull_from_rows(_point_rows(inst, l1, x), seed, group.plans)
+                rows = _point_rows(inst, l1, x, box)
+                return _hull_from_rows(rows, seed), list(dict.fromkeys(row[3] for row in rows))
+    return _hull_from_rows(_point_rows(inst, l1, x), seed, group.plans), None
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +311,17 @@ def step3_refine_rects(
     """Shrink every hull so that neighbouring rectangles stay within l2 times
     the distance of each other, or NoGo when some pair is too far apart.
 
-    The pairwise criterion (largest end gap <= l2 * distance) is checked
-    first; when it holds, per-axis max/min folds give the shrunk ends, which
-    are then guaranteed nonempty up to float noise.  Lower ends are finite or
-    -inf and upper ends finite or +inf, so plain float subtraction is
-    `ext_sub` on them.
+    Per-axis max/min folds over x's distance row give x's shrunk ends.  The
+    pairwise test (`_first_far_pair`) runs once, only when some fold trips:
+    lo >= hi on an axis.  Lower ends are finite or -inf and upper ends
+    finite or +inf, so plain float subtraction is `ext_sub` on them.
+
+    No flagged pair escapes, at any scale: say the test flags (x, y) on
+    axis 1 through a - b > r + tol, with a = LO1[x], b = HI1[y] and r the
+    radius.  Rounding is monotone, so the exact inequality holds too, with
+    a, b, r finite.  x's fold holds its own term, of radius l2 * 0 = 0, so
+    lo >= a, and fl(b + r) <= a, so hi <= a: x's fold trips.  With
+    a = LO1[y] and b = HI1[x], fl(a - r) >= b trips it the same way.
     """
     n = space.n
     if len(hulls) != n:
@@ -310,7 +330,26 @@ def step3_refine_rects(
     HI1 = [t.ix.hi for t in hulls]
     LO2 = [t.iy.lo for t in hulls]
     HI2 = [t.iy.hi for t in hulls]
+    scanned = False
+    refined: List[ExtRect] = []
     for x in range(n):
+        R = _radii(l2, space.d[x])
+        lo1, hi1 = max(map(sub, LO1, R)), min(map(add, HI1, R))
+        lo2, hi2 = max(map(sub, LO2, R)), min(map(add, HI2, R))
+        if not scanned and (lo1 >= hi1 or lo2 >= hi2):
+            nogo = _first_far_pair(LO1, HI1, LO2, HI2, l2, space)
+            if nogo is not None:
+                return nogo
+            scanned = True
+        lo1, hi1 = _snap_ends(lo1, hi1, DEFAULT_TOL)
+        lo2, hi2 = _snap_ends(lo2, hi2, DEFAULT_TOL)
+        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
+    return refined
+
+
+def _first_far_pair(LO1, HI1, LO2, HI2, l2: float, space: PseudometricSpace) -> Optional[NoGo]:
+    """NoGo(3, x) for the first x with a y > x more than l2 * rho + tol away."""
+    for x in range(space.n):
         R = _radii(l2, space.d[x][x + 1:])
         gaps = map(
             max,
@@ -321,13 +360,7 @@ def step3_refine_rects(
         )
         if any(map(gt, gaps, map(add, R, repeat(DEFAULT_TOL)))):
             return NoGo(3, x)
-    refined: List[ExtRect] = []
-    for x in range(n):
-        R = _radii(l2, space.d[x])
-        lo1, hi1 = _snap_ends(max(map(sub, LO1, R)), min(map(add, HI1, R)), DEFAULT_TOL)
-        lo2, hi2 = _snap_ends(max(map(sub, LO2, R)), min(map(add, HI2, R)), DEFAULT_TOL)
-        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
-    return refined
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +377,8 @@ def step4_centers(refined: Sequence[ExtRect]) -> List[Point2]:
 
 
 def step5_project(
-    inst: PolygonInstance, l1: float, x: int, g: Point2, tol: float = DEFAULT_TOL
+    inst: PolygonInstance, l1: float, x: int, g: Point2, tol: float = DEFAULT_TOL,
+    points: Optional[Sequence[int]] = None,
 ) -> Point2:
     """Nearest point of the stage-1 set at x from g.
 
@@ -352,23 +386,34 @@ def step5_project(
     set is the largest of the distances to the individual inflated
     half-planes, and the projection onto the farthest one (first in
     (point, side) order on ties) already lands inside the set.
+
+    `points`, ascending, restricts the scan to their sides: stage 2 passes
+    the points whose rows cut x's box B.  Any other row holds the square
+    around B's center with a margin that covers the rounding of its
+    residual, taken on the row the LPs saw, and g is in B up to
+    `_snap_ends`' tol/2, so the row is within tol of g and cannot change
+    the result.
     """
     drow = inst.space.d[x]
     gx, gy = g
+    sides = inst.sides
+    if points is not None:
+        at = inst.offsets
+        sides = [side for y in points for side in sides[at[y]:at[y + 1]]]
     best_d = 0.0
-    best = -1
-    for k, (y, h1, h2, alpha, norm1) in enumerate(inst.sides):
+    best = None
+    for y, h1, h2, alpha, norm1 in sides:
         rho = drow[y]
         if rho == INF:
             continue
-        resid = h1 * gx + h2 * gy + alpha - l1 * rho * norm1
+        resid = h1 * gx + h2 * gy + (alpha - l1 * rho * norm1)
         if resid > 0.0:
             d = resid / norm1
             if d > best_d:
-                best_d, best = d, k
-    if best_d <= tol or best < 0:
+                best_d, best = d, (y, h1, h2, alpha)
+    if best_d <= tol or best is None:
         return g
-    y, h1, h2, alpha, _ = inst.sides[best]
+    y, h1, h2, alpha = best
     inflated = inflate_halfplane(HalfPlane(Point2(h1, h2), alpha), l1 * drow[y])
     assert isinstance(inflated, HalfPlane)
     return project_to_halfplane(g, inflated, tol)
@@ -410,6 +455,7 @@ def run_projection_algorithm(
     twin: List[int] = []
     groups: Dict[Tuple[int, ...], _Neighbours] = {}
     hulls: List[ExtRect] = []
+    kept: Dict[int, Optional[List[int]]] = {}
     for x in range(n):
         twin.append(_earlier_twin(d, x))
         if twin[x] >= 0:
@@ -419,7 +465,7 @@ def run_projection_algorithm(
         key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
         if key not in groups:
             groups[key] = _Neighbours(inst, drow)
-        hull = _stage12_hull(inst, l1, x, seed, groups[key])
+        hull, kept[x] = _stage12_hull(inst, l1, x, seed, groups[key])
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
         hulls.append(hull)
@@ -429,7 +475,7 @@ def run_projection_algorithm(
     g = step4_centers(refined)
     f: List[Point2] = []
     for x in range(n):
-        f.append(f[twin[x]] if twin[x] >= 0 else step5_project(inst, l1, x, g[x]))
+        f.append(f[twin[x]] if twin[x] >= 0 else step5_project(inst, l1, x, g[x], points=kept[x]))
     report = verify_selection(inst, f, l1 + 2.0 * l2)
     if not report.ok:
         raise RuntimeError(f"internal verification failed: {report}")
@@ -461,13 +507,14 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
     Y = [p.x2 for p in f]
     out = 0.0
     for i in range(n - 1):
+        # max(|dx|, |dy|) / rho is max(|dx| / rho, |dy| / rho): both
+        # divisions are correctly rounded, so monotone
         rest = space.d[i][i + 1:]
-        gaps = map(
-            max,
-            map(abs, map(sub, repeat(X[i]), X[i + 1:])),
-            map(abs, map(sub, repeat(Y[i]), Y[i + 1:])),
+        div = ext_div if 0.0 in rest else truediv
+        ratio = max(
+            max(map(div, map(abs, map(sub, repeat(X[i]), X[i + 1:])), rest)),
+            max(map(div, map(abs, map(sub, repeat(Y[i]), Y[i + 1:])), rest)),
         )
-        ratio = max(map(ext_div if 0.0 in rest else truediv, gaps, rest))
         if ratio > out:
             out = ratio
     return out
@@ -522,14 +569,13 @@ def wf_rect(
     """Rectangular hull of the intersection at x built from the sides of xp
     and xpp inflated by ltilde times their distances to x.  May be EMPTY;
     both distances infinite gives the whole plane."""
-    rows: List[Row] = []
-    for y in (xp, xpp):
-        rho = inst.space.d[y][x]
-        if rho == INF:
-            continue
-        for hp in inst.polygons[y]:
-            h1, h2 = hp.h.x1, hp.h.x2
-            rows.append((h1, h2, hp.alpha - ltilde * rho * (abs(h1) + abs(h2)), y))
+    at = inst.offsets
+    rows = [
+        (h1, h2, alpha - ltilde * rho * norm1, y)
+        for y in (xp, xpp)
+        if (rho := inst.space.d[y][x]) != INF
+        for _, h1, h2, alpha, norm1 in inst.sides[at[y]:at[y + 1]]
+    ]
     return _hull_from_rows(rows, seed)
 
 

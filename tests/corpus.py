@@ -14,7 +14,8 @@ The corpus: 216 instances, namely 4 planted polygon instances (n = 100,
 4 sides), 150 polygon draws (n = 1..8, 1-4 sides, planted and not), 60
 half-plane draws (n = 1..8: plain, with infinite-distance blocks, planted),
 and planted half-plane instances with n = 400 and n = 800.  Every instance
-is solved at --lambda 1/2, 1, 2 and 4 and at --lambda1 1 --lambda2 1/4
+is solved at --lambda 1/2, 1, 2, 4 and 1048576 (2^20, where the inflation
+l1·ρ·‖h‖₁ of a row dwarfs a point's box) and at --lambda1 1 --lambda2 1/4
 (1 and 1 on polygons, which exits 2), with --seed 0 and 977, plain and with
 --trace.  Every instance with n <= 100 is validated, and every success of a
 plain --seed 0 solve on such an instance is checked with `validate
@@ -46,7 +47,7 @@ from generators import (  # noqa: E402
 )
 from lipsel.cli import main  # noqa: E402
 
-LAMBDAS = ("1/2", "1", "2", "4")
+LAMBDAS = ("1/2", "1", "2", "4", "1048576")
 SEEDS = ("0", "977")
 SHARP_LAMBDAS = ("0", "1/2", "1", "2", "4")
 

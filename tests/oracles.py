@@ -5,23 +5,28 @@ solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
 multiple of it; `lp_exact_optimum` is the exact optimum of a two-variable LP
-by enumeration in `Fraction`s.  Two exceptions: `refinement_constraints`
+by enumeration in `Fraction`s.  Three exceptions: `refinement_constraints`
 lists stage-1 constraints with the public geometry primitives, which the
-grid searches check, so that the public LP can be run on them; and
+grid searches check, so that the public LP can be run on them;
 `fm_feasible_reference`
 is the `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before
 it moved to integer rows, kept as the reference its verdicts and witnesses
-must equal exactly.
+must equal exactly; and `step3_refine_rects_reference` is stage 3 as it
+was before it ran its folds first, with the pairwise scan always first,
+kept as the reference its NoGos and rectangles must equal exactly.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, gt, sub
 
 import numpy as np
 
-from lipsel.geometry import WholePlane, inflate_halfplane, inflation_radius
+from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, WholePlane, inflate_halfplane, inflation_radius
 from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible
+from lipsel.selection import NoGo, _radii, _snap_ends
 
 INF = math.inf
 
@@ -196,6 +201,38 @@ def refinement_constraints(inst, l1, x):
             if not isinstance(inflated, WholePlane):
                 out.append(inflated)
     return out
+
+
+# ---------------------------------------------------------------------------
+# stage 3 with the pairwise scan first
+
+
+def step3_refine_rects_reference(hulls, l2, space):
+    n = space.n
+    if len(hulls) != n:
+        raise ValueError("one hull per point is required")
+    LO1 = [t.ix.lo for t in hulls]
+    HI1 = [t.ix.hi for t in hulls]
+    LO2 = [t.iy.lo for t in hulls]
+    HI2 = [t.iy.hi for t in hulls]
+    for x in range(n):
+        R = _radii(l2, space.d[x][x + 1:])
+        gaps = map(
+            max,
+            map(sub, repeat(LO1[x]), HI1[x + 1:]),
+            map(sub, LO1[x + 1:], repeat(HI1[x])),
+            map(sub, repeat(LO2[x]), HI2[x + 1:]),
+            map(sub, LO2[x + 1:], repeat(HI2[x])),
+        )
+        if any(map(gt, gaps, map(add, R, repeat(DEFAULT_TOL)))):
+            return NoGo(3, x)
+    refined = []
+    for x in range(n):
+        R = _radii(l2, space.d[x])
+        lo1, hi1 = _snap_ends(max(map(sub, LO1, R)), min(map(add, HI1, R)), DEFAULT_TOL)
+        lo2, hi2 = _snap_ends(max(map(sub, LO2, R)), min(map(add, HI2, R)), DEFAULT_TOL)
+        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
+    return refined
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ runs only where it is on PATH."""
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import lipsel
+from generators import instance_doc, planted_instance
 from lipsel.cli import load_instance, main
 
 SEP4 = {
@@ -582,6 +584,22 @@ def test_console_script_runs(tmp_path):
 
 def test_module_runs(tmp_path):
     _check_exit_codes([sys.executable, "-m", "lipsel"], tmp_path, env=_checkout_env())
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    """A reader that closes the pipe after 60 bytes of a document larger
+    than the pipe's 64 KiB buffer is neither an answer nor a fault."""
+    inst = planted_instance(random.Random("closed-stdout"), 400)
+    path = write(tmp_path, instance_doc(inst))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lipsel", "solve", path, "--lambda", "2", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env(),
+    )
+    assert len(child.stdout.read(60)) == 60
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 141, err
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 @pytest.mark.skipif(

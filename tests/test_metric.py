@@ -113,6 +113,63 @@ def test_malformed_matrices_raise(bad):
         validate_premetric(bad)
 
 
+def _axioms_by_loops(d):
+    """The shape, diagonal and symmetry checks of both validators, written
+    as plain loops: the ValueError message, the first violation, or None."""
+    n = len(d)
+    for row in d:
+        if len(row) != n:
+            return "distance matrix must be square"
+    for row in d:
+        for v in row:
+            if isinstance(v, float) and math.isnan(v):
+                return "distance matrix entry is NaN"
+            if v < 0:
+                return "distance matrix entry is negative"
+    for i in range(n):
+        if d[i][i] != 0:
+            return MetricViolation("diagonal", i, i, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                return MetricViolation("symmetry", i, j, j)
+    return None
+
+
+def test_shape_diagonal_and_symmetry_checks_equal_the_plain_loops():
+    """Random matrices with asymmetries, NaN, negatives, infinities, ints
+    and signed zeros: both validators raise the error, or report the
+    violation, that the plain loops find first."""
+    rng = random.Random("axiom-loops")
+    values = [0.0, -0.0, 0, 1, 3, 0.5, 2.0, INF, -INF, -1.0, -2, math.nan]
+    weights = [20, 2, 6, 6, 4, 8, 8, 4, 1, 1, 1, 1]
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                d[i][j] = d[j][i] = 0.0 if i == j else rng.choices(values, weights)[0]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            d[rng.randrange(n)][rng.randrange(n)] = rng.choices(values, weights)[0]
+        if rng.random() < 0.02:
+            d[rng.randrange(n)].append(1.0)
+        want = _axioms_by_loops(d)
+        for validate in (validate_premetric, validate_pseudometric):
+            try:
+                got = validate(d)
+            except ValueError as exc:
+                got = str(exc)
+            if want is None:
+                assert isinstance(got, (PreMetric, PseudometricSpace, MetricViolation)), (d, got)
+                assert not isinstance(got, MetricViolation) or got.axiom == "triangle", (d, got)
+            else:
+                assert got == want, (d, got, want)
+        key = want if isinstance(want, (str, type(None))) else want.axiom
+        seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen
+
+
 def test_premetric_skips_triangle():
     w = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
     assert isinstance(validate_premetric(w), PreMetric)
