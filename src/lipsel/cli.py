@@ -189,32 +189,46 @@ _PLAIN_NUMBER_TYPES = {int, float}
 def _parse_matrix(
     raw: Any, n: int, what: str, want_exact: bool
 ) -> Tuple[List[List[float]], List[List[Any]]]:
+    """Float rows, and exact ones when `want_exact`.  A row of plain JSON
+    numbers skips the per-entry parse; `_raise_first_nan` names a NaN in it
+    before any later error, as that parse would, once the validators' or a
+    later row's check fails."""
     if not isinstance(raw, list) or len(raw) != n:
         raise CliError(2, f"{what} must be an {n}x{n} array")
     floats: List[List[float]] = []
     exacts: List[List[Any]] = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliError(2, f"{what} row {i} must have {n} entries")
-        if not want_exact and set(map(type, row)) <= _PLAIN_NUMBER_TYPES:
-            try:
-                frow = list(map(float, row))
-            except OverflowError:  # reported by _parse_number below
-                frow = [math.nan]
-            if not any(map(math.isnan, frow)):
-                floats.append(frow)
-                exacts.append([])
-                continue
-        frow = []
-        erow: List[Any] = []
-        for j, tok in enumerate(row):
-            val, fr = _parse_number(tok, f"{what}[{i}][{j}]", True, want_exact)
-            frow.append(val)
-            if want_exact:
-                erow.append(val if fr is None else fr)
-        floats.append(frow)
-        exacts.append(erow)
+    try:
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != n:
+                raise CliError(2, f"{what} row {i} must have {n} entries")
+            if not want_exact and (types := set(map(type, row))) <= _PLAIN_NUMBER_TYPES:
+                try:
+                    floats.append(row if types == {float} else list(map(float, row)))
+                    exacts.append([])
+                    continue
+                except OverflowError:  # reported by _parse_number below
+                    pass
+            frow = []
+            erow: List[Any] = []
+            for j, tok in enumerate(row):
+                val, fr = _parse_number(tok, f"{what}[{i}][{j}]", True, want_exact)
+                frow.append(val)
+                if want_exact:
+                    erow.append(val if fr is None else fr)
+            floats.append(frow)
+            exacts.append(erow)
+    except CliError:
+        _raise_first_nan(floats, what)
+        raise
     return floats, exacts
+
+
+def _raise_first_nan(rows: List[List[float]], what: str) -> None:
+    """The per-entry parse's error for the first NaN, if there is one."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if math.isnan(v):
+                raise CliError(2, f"{what}[{i}][{j}]: NaN is not allowed")
 
 
 def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> Tuple[HalfPlane, Optional[HalfPlane]]:
@@ -224,9 +238,17 @@ def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> Tuple[HalfPlane, 
     h = d["h"]
     if not isinstance(h, list) or len(h) != 2:
         raise CliError(2, f"{what}.h must be a pair")
-    h1, e1 = _parse_number(h[0], f"{what}.h[0]", False, want_exact)
-    h2, e2 = _parse_number(h[1], f"{what}.h[1]", False, want_exact)
-    al, ea = _parse_number(d["alpha"], f"{what}.alpha", False, want_exact)
+    nums = (h[0], h[1], d["alpha"])
+    try:  # plain finite JSON numbers need no per-entry parse
+        fast = not want_exact and set(map(type, nums)) <= _PLAIN_NUMBER_TYPES and list(map(float, nums))
+    except OverflowError:  # reported by _parse_number below
+        fast = False
+    if fast and all(map(math.isfinite, fast)):
+        (h1, h2, al), e1, e2, ea = fast, None, None, None
+    else:
+        h1, e1 = _parse_number(h[0], f"{what}.h[0]", False, want_exact)
+        h2, e2 = _parse_number(h[1], f"{what}.h[1]", False, want_exact)
+        al, ea = _parse_number(d["alpha"], f"{what}.alpha", False, want_exact)
     try:
         hp = halfplane(h1, h2, al)
     except ValueError as exc:
@@ -252,10 +274,8 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
 
     metric = _expect_dict(doc.get("metric"), "'metric'")
     metric_kind = _exactly_one(metric, ("matrix", "pre_metric"), "'metric'")
-    try:
-        floats, exacts = _parse_matrix(metric[metric_kind], n, f"metric.{metric_kind}", want_exact)
-    except ValueError as exc:  # NaN / negative guards inside validators
-        raise CliError(2, str(exc))
+    what = f"metric.{metric_kind}"
+    floats, exacts = _parse_matrix(metric[metric_kind], n, what, want_exact)
 
     violation: Optional[MetricViolation] = None
     space: Optional[PseudometricSpace] = None
@@ -277,7 +297,8 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
                 space = intrinsic_metric(pre)
                 if want_exact:
                     exact_space = intrinsic_metric(PreMetric(n, exacts))
-    except ValueError as exc:
+    except ValueError as exc:  # the validators' NaN / negative guards
+        _raise_first_nan(floats, what)
         raise CliError(2, str(exc))
 
     sets = _expect_dict(doc.get("sets"), "'sets'")

@@ -14,6 +14,10 @@ the optimum, and the value is evaluated exactly on them (adaptive exactness,
 Shewchuk, Discrete Comput. Geom. 1997).  The witness point is the float
 vertex the run stopped at.
 
+`_pair_bound` is that exact evaluation; stage 2 of `selection` also uses it
+on the polygon of one angular sweep, and runs these LPs only on the sets the
+sweep leaves to them.
+
 A quadratic brute-force twin (`lp2d_brute_force`) serves as an oracle for
 small systems; it shares no solver code with the incremental path.
 """
@@ -24,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 from lipsel.geometry import DEFAULT_TOL, HalfPlane, Point2, WholePlane
@@ -358,35 +363,20 @@ def _feasible_point_unbounded(rows: list[Row], d: Point2):
     return ("point", Point2(s * ex + t * dx, s * ey + t * dy))
 
 
-def _shuffled(m: int, seed: int) -> list[int]:
-    """range(m) in a seeded random order."""
+@lru_cache(maxsize=128)
+def _shuffled(m: int, seed: int) -> tuple[int, ...]:
+    """range(m) in a seeded random order; cached, as seeding a generator
+    costs more than a small LP."""
     order = list(range(m))
     random.Random(seed).shuffle(order)
-    return order
+    return tuple(order)
 
 
-def _plan(rows: list[Row], cx: float, cy: float, order: list[int]):
-    """The part of maximizing (cx, cy) that depends only on the normals, the
-    objective and the insertion order, so any rows with the same normals can
-    share it: ("direction", d) from `_boundedness`, or ("bracket", pos_a,
-    pos_b, order) with the other row positions in insertion order.  `order`
-    is a seeded shuffle of all positions (`_shuffled`), independent of the
-    offsets, which keeps the expected-time bound of randomized incremental
-    LP (Seidel, Discrete Comput. Geom. 1991); the directions of one hull
-    share it."""
-    verdict = _boundedness(rows, cx, cy)
-    if verdict[0] == "direction":
-        return verdict
-    pa, pb = verdict[1], verdict[2]
-    return ("bracket", pa, pb, [p for p in order if p != pa and p != pb])
-
-
-def _solve_max(
-    rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL, plan=None
-):
-    """Maximize (cx, cy) over the rows, following `plan` (from `_plan` for
-    rows with the same normals and objective; built here from `seed` when
-    None).
+def _solve_max(rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL):
+    """Maximize (cx, cy) over the rows: from the bracketing pair of
+    `_boundedness`, insert the other rows in a seeded random order, which
+    keeps the expected-time bound of randomized incremental LP (Seidel,
+    Discrete Comput. Geom. 1991).
 
     Returns one of
       ("optimal", value, point) | ("unbounded", direction, point) |
@@ -397,16 +387,15 @@ def _solve_max(
         if cx == 0.0 and cy == 0.0:
             return ("optimal", 0.0, Point2(0.0, 0.0))
         return ("unbounded", Point2(cx, cy), Point2(0.0, 0.0))
-    if plan is None:
-        plan = _plan(rows, cx, cy, _shuffled(len(rows), seed))
-    if plan[0] == "direction":
-        d = plan[1]
+    verdict = _boundedness(rows, cx, cy)
+    if verdict[0] == "direction":
+        d = verdict[1]
         got = _feasible_point_unbounded(rows, d)
         if got[0] == "infeasible":
             return got
         return ("unbounded", d, got[1])
 
-    _, pa, pb, order = plan
+    _, pa, pb = verdict
     ra, rb = rows[pa], rows[pb]
     a1, b1, al1, _ = ra
     a2, b2, al2, _ = rb
@@ -441,7 +430,9 @@ def _solve_max(
                 v = Point2(-al2 * a2 / nn2, -al2 * b2 / nn2)
         inserted = [ra, rb]
 
-    for p in order:
+    for p in _shuffled(len(rows), seed):
+        if p == pa or p == pb:
+            continue
         row = rows[p]
         a, b, alpha, _ = row
         if a * v.x1 + b * v.x2 + alpha > tol:
@@ -465,14 +456,10 @@ def _exact_value(rows: list[Row], v: Point2, cx: float, cy: float, tol: float) -
     """The correctly rounded maximum of (cx, cy) over the rows, given a
     float optimum `v`.
 
-    When c is in cone{h_i, h_j}, weak duality bounds the maximum by the
-    exact value at the vertex of rows i and j (or, for one row whose normal
-    is parallel to c, at its boundary), and an optimal basis attains the
-    bound.  The basis is among the rows active at `v`, up to a window
+    The optimal basis is among the rows active at `v`, up to a window
     relative to the row and to the size of `v` that holds the rounding of
-    `v`, so the least of those bounds over the active rows is the exact
-    optimum.  It is evaluated in integers, and `int / int` rounds
-    correctly.  Should no active row bound c, the float value at `v` stands.
+    `v`, so the least `_pair_bound` of those rows is the exact optimum.
+    Should no active row bound c, the float value at `v` stands.
     """
     x1, x2 = v
     size = max(abs(x1), abs(x2))
@@ -482,7 +469,22 @@ def _exact_value(rows: list[Row], v: Point2, cx: float, cy: float, tol: float) -
         if abs(a * x1 + b * x2 + al) <= tol * ((abs(a) + abs(b)) * size + abs(al))
     }
     (Cx, Cy), q = _ints(cx, cy)
-    ints = [_ints(*r)[0] for r in active]
+    best = _pair_bound([_ints(*r)[0] for r in active], Cx, Cy, q)
+    if best == INF:
+        best = cx * x1 + cy * x2
+    return best + 0.0  # a zero optimum is +0.0
+
+
+def _pair_bound(ints: list[list[int]], Cx: int, Cy: int, q: int) -> float:
+    """The least bound on the maximum of (Cx, Cy) / q that one of the rows
+    (A, B, L) or a pair of them gives, correctly rounded; INF when none
+    bounds it.
+
+    When c is in cone{h_i, h_j}, weak duality bounds the maximum by the
+    exact value at the vertex of rows i and j (or, for one row whose normal
+    is parallel to c, at its boundary), and an optimal basis attains the
+    bound.  Evaluated in integers, as `int / int` rounds correctly.
+    """
     best = INF
     for i, (A1, B1, L1) in enumerate(ints):
         dot = Cx * A1 + Cy * B1
@@ -493,9 +495,7 @@ def _exact_value(rows: list[Row], v: Point2, cx: float, cy: float, tol: float) -
             mu, nu = Cx * B2 - Cy * A2, A1 * Cy - B1 * Cx  # c = (mu h1 + nu h2) / det
             if det > 0 and mu >= 0 and nu >= 0 or det < 0 and mu <= 0 and nu <= 0:
                 best = min(best, (Cx * (B1 * L2 - L1 * B2) + Cy * (L1 * A2 - L2 * A1)) / (q * det))
-    if best == INF:
-        best = cx * x1 + cy * x2
-    return best + 0.0  # a zero optimum is +0.0
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ selection has seminorm <= min(l1, l2).  The pipeline:
 Stages 1 and 3 test emptiness with a small bias toward success (strict
 comparison against +tol), so boundary parameter values succeed.
 
-A hull end is the correctly rounded optimum of its LP, so it is the same on
+Stage 2 reads each hull off the polygon of one angular sweep, exactly
+(`_sweep_ends`); four LPs (`lp2d`) decide the sets it leaves to them.  A
+hull end is the correctly rounded optimum of its LP, so it is the same on
 any subset of the rows that has the same intersection.  Past a few points,
 stage 2 therefore first takes B, the hull of a few of x's rows: its own
 sides and the sides of its nearest points, plus, for a direction those leave
@@ -36,11 +38,13 @@ test flags leaves the fold of its smaller point so (`step3_refine_rects`).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import nsmallest
-from itertools import accumulate, repeat
-from operator import add, gt, mul, sub, truediv
+from itertools import accumulate, compress, repeat
+from math import atan2
+from operator import add, gt, itemgetter, le, mul, sub, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
@@ -60,7 +64,7 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Row, _boundedness, _plan, _shuffled, _solve_max
+from lipsel.lp2d import Row, _boundedness, _ints, _pair_bound, _solve_max
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
@@ -208,42 +212,127 @@ def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
     raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
 
 
-def _hull_from_rows(rows: List[Row], seed: int, plans: Optional[list] = None) -> MaybeRect:
-    """`plans` holds one `_plan` per direction for rows with these normals;
-    a slot is filled on first use, so an early EMPTY plans nothing more."""
-    if plans is None:
-        plans = [None] * 4
-    ends = []
-    order = None
-    for k, (cx, cy) in enumerate(HULL_DIRECTIONS):
-        if plans[k] is None:
-            if order is None:
-                order = _shuffled(len(rows), seed)
-            plans[k] = _plan(rows, cx, cy, order)
-        got = _solve_max(rows, cx, cy, seed, plan=plans[k])
-        if got[0] == "infeasible":
-            return EMPTY
-        if got[0] == "unbounded":
-            ends.append(INF)
-        else:
-            ends.append(got[1])
+def _hull_from_rows(rows: List[Row], seed: int) -> MaybeRect:
+    """The rectangular hull of the rows' intersection, or EMPTY: from one
+    angular sweep (`_sweep_ends`) where it decides, else from four LPs."""
+    ends = _sweep_ends(rows)
+    if ends is None:
+        ends = []
+        for cx, cy in HULL_DIRECTIONS:
+            got = _solve_max(rows, cx, cy, seed)
+            if got[0] == "infeasible":
+                return EMPTY
+            ends.append(INF if got[0] == "unbounded" else got[1])
     lo1, hi1 = _snap_ends(-ends[0], ends[1], DEFAULT_TOL)
     lo2, hi2 = _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
     return ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2))
 
 
+def _sweep_ends(rows: List[Row]) -> Optional[List[float]]:
+    """The hull LPs' values (-lo1, hi1, -lo2, hi2), or None where the LPs
+    must decide.  One sweep over the rows in the angular order of their
+    normals builds the polygon (half-plane intersection with a deque; no
+    random numbers), and each end is `_pair_bound` of the rows active at the
+    polygon's extreme vertex, the exact optimum, as in `lp2d._exact_value`.
+    A row cuts a vertex off when it is outside by more than both Seidel's
+    tol and the row's activity window, and any vertex within that band of a
+    row not through it exactly is a close call.  Without close calls the
+    polygon is exact up to rounding, so Seidel's float run calls the set
+    feasible too and its exact ends are the same.  The LPs decide the rest
+    as before (NoGo witnesses, infinite and pinched ends, sets at scales
+    where tol is not small): close calls, empty sets, consecutive normals
+    not clearly less than pi apart (so every open direction), and sets no
+    wider than tol * max(1, largest coordinate) in x or y."""
+    tol = DEFAULT_TOL
+    A, B = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+    if len(rows) < 3 or not (min(A) < 0.0 < max(A) and min(B) < 0.0 < max(B)):
+        return None  # too few rows, or an axis direction no normal bounds
+    lines = sorted(
+        (atan2(b, a), -al / n1, (a, b, al, n1, abs(al))) for a, b, al, _ in rows if (n1 := abs(a) + abs(b))
+    )
+    if len(lines) < len(rows):  # a zero normal
+        return None
+    qa: deque = deque()  # the polygon's rows (a, b, al, n1, |al|) so far
+    qv: deque = deque()  # qv[k]: the `_vertex` of qa[k] and qa[k + 1]
+    t0 = math.nan
+    for t, _, row in lines:
+        if t == t0:  # a parallel row no tighter than the one kept
+            continue
+        t0 = t
+        if not (_drop_cut(qa, qv, row, 1, tol, False) and _drop_cut(qa, qv, row, 1, tol, True)):
+            return None
+        if qa:
+            if (v := _vertex(qa[-1], row, tol)) is None:
+                return None
+            qv.append(v)
+        qa.append(row)
+    if not (_drop_cut(qa, qv, qa[0], 2, tol, False) and _drop_cut(qa, qv, qa[-1], 2, tol, True)):
+        return None
+    if len(qa) < 3 or (v := _vertex(qa[-1], qa[0], tol)) is None:
+        return None
+    verts = [*qv, v]
+    x_lo, x_hi = min(verts), max(verts)
+    y_lo, y_hi = min(verts, key=itemgetter(1)), max(verts, key=itemgetter(1))
+    w = tol * max(1.0, -x_lo[0], x_hi[0], -y_lo[1], y_hi[1])
+    if x_hi[0] - x_lo[0] <= w or y_hi[1] - y_lo[1] <= w:
+        return None
+    ends = []
+    ints: Dict[tuple, List[int]] = {}
+    for (x, y, size, _, _), (cx, cy) in zip((x_lo, x_hi, y_lo, y_hi), HULL_DIRECTIONS):
+        active = [
+            ints[r] if r in ints else ints.setdefault(r, _ints(*r[:3])[0])
+            for _, _, r in lines
+            if abs(r[0] * x + r[1] * y + r[2]) <= tol * (r[3] * size + r[4])
+        ]
+        ends.append(_pair_bound(active, int(cx), int(cy), 1) + 0.0)
+    return None if INF in ends else ends
+
+
+def _drop_cut(qa: deque, qv: deque, row: tuple, keep: int, tol: float, front: bool) -> bool:
+    """Drop rows from one end of the polygon while `row` cuts off the vertex
+    there, down to `keep` rows; False on a close call."""
+    a, b, al, n1, abs_al = row
+    while len(qa) > keep:
+        x, y, size, p, q = qv[0] if front else qv[-1]
+        res = a * x + b * y + al
+        w = tol * (n1 * size + abs_al)
+        if res < -w:
+            return True
+        if res <= w or res <= tol:  # no close call if the row meets the exact vertex
+            (A1, B1, L1), (A2, B2, L2), (A, B, L) = (_ints(*r[:3])[0] for r in (p, q, row))
+            return A * (B1 * L2 - B2 * L1) + B * (A2 * L1 - A1 * L2) + L * (A1 * B2 - B1 * A2) == 0
+        if front:
+            qa.popleft()
+            qv.popleft()
+        else:
+            qa.pop()
+            qv.pop()
+    return True
+
+
+def _vertex(p: tuple, q: tuple, tol: float) -> Optional[tuple]:
+    """(x, y, max(|x|, |y|), p, q) at rows p and q, or None unless q's normal
+    clearly follows p's counterclockwise by less than pi."""
+    a1, b1, al1, _, _ = p
+    a, b, al, _, _ = q
+    det = a1 * b - b1 * a
+    if not det > tol * (abs(a1 * b) + abs(b1 * a)):
+        return None
+    x, y = (b1 * al - b * al1) / det, (a * al1 - a1 * al) / det
+    return x, y, max(abs(x), abs(y)), p, q
+
+
 class _Neighbours:
     """What the points with one set of finite neighbours share: the normals
     of their rows (offsets 0, row index the side's position in
-    `inst.sides`), and per hull direction the `_boundedness` verdict and the
-    `_plan`, each made on first use."""
+    `inst.sides`), and per hull direction the `_boundedness` verdict, made
+    on first use."""
 
     def __init__(self, inst: PolygonInstance, drow: Sequence[float]):
         self.normals: List[Row] = [
             (h1, h2, 0.0, k) for k, (y, h1, h2, _, _) in enumerate(inst.sides) if drow[y] != INF
         ]
         self.verdicts: list = [None] * 4
-        self.plans: list = [None] * 4
 
     def bracket_rows(self, inst: PolygonInstance, l1: float, x: int, directions: List[int]) -> Optional[List[Row]]:
         """x's rows that bound the given hull directions, or None when one
@@ -267,16 +356,19 @@ def _stage12_hull(
 ) -> Tuple[MaybeRect, Optional[List[int]]]:
     """The rectangular hull of the stage-1 set at x, or EMPTY, from the
     rows that cut x's outer box B (module docstring), with the points that
-    own those rows; or from all of x's rows with the shared plans, and
-    None, when there are at most NEAREST + 1 points, when B's rows would be
-    1/BOX_SHARE of x's rows, or when B is unbounded."""
+    own those rows; or from all of x's rows, and None, when there are at
+    most NEAREST + 1 points, when B's rows would be 1/BOX_SHARE of x's rows,
+    or when B is unbounded.  B's rows are the sides of the points within
+    x's NEAREST-th smallest distance, picked through the side index."""
     drow = inst.space.d[x]
     if inst.n > NEAREST + 1:
         near = nsmallest(NEAREST + 1, drow)[-1]
+        at, sides = inst.offsets, inst.sides
         box_rows = [
             (h1, h2, alpha - l1 * rho * norm1, y)
-            for y, h1, h2, alpha, norm1 in inst.sides
-            if (rho := drow[y]) <= near and rho != INF
+            for y in compress(range(inst.n), map(le, drow, repeat(near)))
+            if (rho := drow[y]) != INF
+            for _, h1, h2, alpha, norm1 in sides[at[y]:at[y + 1]]
         ]
         if BOX_SHARE * len(box_rows) < len(group.normals):
             box: Optional[MaybeRect] = _hull_from_rows(box_rows, seed)
@@ -291,7 +383,7 @@ def _stage12_hull(
             if box is not None:
                 rows = _point_rows(inst, l1, x, box)
                 return _hull_from_rows(rows, seed), list(dict.fromkeys(row[3] for row in rows))
-    return _hull_from_rows(_point_rows(inst, l1, x), seed, group.plans), None
+    return _hull_from_rows(_point_rows(inst, l1, x), seed), None
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +541,7 @@ def run_projection_algorithm(
     # A point's stage-1 rows, so all its results, depend only on its distance
     # row: a point with an earlier `twin` reuses the twin's results.  The
     # rows' normals depend only on which points are at finite distance, so
-    # verdicts and plans are shared per such set, keyed by the infinitely
+    # boundedness verdicts are shared per such set, keyed by the infinitely
     # distant points (not per component: `solve` does not check the triangle
     # inequality).
     twin: List[int] = []

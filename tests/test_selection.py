@@ -38,6 +38,8 @@ from lipsel.selection import (
     PolygonInstance,
     SelectionReport,
     Success,
+    _hull_from_rows,
+    _snap_ends,
     check_wnew,
     lipschitz_seminorm,
     run_projection_algorithm,
@@ -439,7 +441,7 @@ def test_check_wnew_true_implies_success_with_tighter_bound(seed):
 
 
 # ---------------------------------------------------------------------------
-# shared plans and reused hulls against the public LP
+# shared verdicts and reused hulls against the public LP
 
 
 def _nontransitive_space(rng, n, dup_chance=0.4):
@@ -469,8 +471,9 @@ def _public_ends(inst, l1, x, seed):
 
 @pytest.mark.parametrize("kind", ["repeated", "blocks", "nontransitive"])
 def test_shared_plans_and_reused_hulls_match_public_lp(kind):
-    """Plans shared per set of finite neighbours and hulls reused between
-    equal distance rows give exactly the hulls of independent public LPs."""
+    """Boundedness verdicts shared per set of finite neighbours and hulls
+    reused between equal distance rows give exactly the hulls of
+    independent public LPs."""
     rng = random.Random(f"plans/{kind}")
     seen = {"success": 0, "stage1": 0, "equal_rows": 0, "zero_unequal_rows": 0}
     for draw in range(60):
@@ -671,3 +674,125 @@ def test_stage3_folds_first_equal_the_pairwise_scan_first(monkeypatch):
     # trips that the scan cleared, and runs that never tripped
     assert calls.count(None) >= 100, calls.count(None)
     assert seen["refined"] - calls.count(None) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# stage-2 hulls from one sweep against four public LPs
+
+
+def _sweep_rows(rng, kind, k):
+    """Rows (a, b, alpha, index) of one random set, offsets at scale 2^k.
+
+    Rows hold a point p with some slack: positive (p strictly inside), zero
+    (the row passes through p) or, in "mixed" sets, negative.  "open" sets
+    have normals in a half-plane; "strip" sets add antiparallel pairs of
+    width 0, one float step, small or negative; "parallel" sets repeat a
+    normal at other lengths; "concurrent" and "pinched" sets have three or
+    more rows through p, "pinched" sets only those.  Offsets and slacks are
+    dyadic or not (thirds, tenths, uniform draws); normals are small
+    integers or, in a quarter of the sets, uniform floats."""
+    def number():
+        return rng.choice([rng.randint(-64, 64) / 8, rng.randint(-30, 30) / 3, rng.randint(-80, 80) / 10,
+                           rng.uniform(-8, 8)])
+
+    floats = rng.random() < 0.25
+
+    def normal():
+        while True:
+            a, b = (rng.uniform(-4, 4), rng.uniform(-4, 4)) if floats else (rng.randint(-4, 4), rng.randint(-4, 4))
+            if kind == "open" and b <= 0:
+                continue
+            if a or b:
+                return float(a), float(b)
+
+    px, py = number(), number()
+    rows = []
+
+    def add(a, b, slack):
+        rows.append((a, b, -(a * px + b * py) - slack, len(rows)))
+
+    through = rng.randint(3, 5) if kind in ("concurrent", "pinched") else 0
+    for _ in range(through):
+        add(*normal(), 0.0)
+    if kind != "pinched":
+        for _ in range(rng.randint(3 - through if through < 3 else 0, 16)):
+            slack = abs(number()) if rng.random() < 0.8 else 0.0
+            if kind == "mixed" and rng.random() < 0.3:
+                slack = -slack
+            add(*normal(), slack)
+    if kind == "strip":
+        for _ in range(rng.randint(1, 2)):
+            a, b = normal()
+            width = rng.choice([0.0, 1e-300, abs(number()), -abs(number()) / 64])
+            t = rng.choice([0.0, abs(number())])
+            add(a, b, t)
+            add(-a, -b, width - t)
+    if kind == "parallel":
+        for row in list(rows[: rng.randint(1, 3)]):
+            f = rng.choice([2.0, 3.0, 0.5, 0.1])
+            add(f * row[0], f * row[1], rng.choice([0.0, abs(number())]))
+    rng.shuffle(rows)
+    s = math.ldexp(1.0, k)
+    return [(a, b, s * al, i) for i, (a, b, al, _) in enumerate(rows)]
+
+
+def _four_lp_hull(rows, seed):
+    """The hull from four public LPs with its ends snapped as stage 2 snaps
+    them: a tuple of ends, EMPTY, or the text of an AssertionError."""
+    cons = [HalfPlane(Point2(a, b), al) for a, b, al, _ in rows]
+    ends = []
+    try:
+        for c in lipsel.selection.HULL_DIRECTIONS:
+            got = lp2d_optimize(cons, c, "max", seed=seed)
+            if isinstance(got, Infeasible):
+                return EMPTY
+            ends.append(INF if isinstance(got, Unbounded) else got.value)
+        return _snap_ends(-ends[0], ends[1], DEFAULT_TOL) + _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_hulls_from_one_sweep_equal_four_public_lps(monkeypatch):
+    """`_hull_from_rows` equals four `lp2d_optimize` calls, bit for bit
+    (signed zeros too), or both are EMPTY or raise alike, on random row sets
+    with empty and open sets, parallel rows, strips of zero width,
+    concurrent rows and pinched sets, at scales 1 and 2^±40; and the sweep,
+    not the LPs, decides most bounded sets at scale 1 and 2^40."""
+    sweep = lipsel.selection._sweep_ends
+    decided = []
+
+    def spy(rows):
+        got = sweep(rows)
+        decided.append(got is not None)
+        return got
+
+    monkeypatch.setattr(lipsel.selection, "_sweep_ends", spy)
+    rng = random.Random("sweep-hulls")
+    kinds = ("around", "mixed", "open", "strip", "parallel", "concurrent", "pinched")
+    seen = {(kind, k): [0, 0, 0] for kind in kinds for k in (0, 40, -40)}  # empty, open, bounded
+    bounded = {key: [] for key in seen}  # whether the sweep decided each bounded set
+    for draw in range(4200):
+        kind, k = kinds[draw % len(kinds)], (0, 40, -40)[draw // len(kinds) % 3]
+        rows = _sweep_rows(rng, kind, k)
+        want = _four_lp_hull(rows, draw % 3)
+        decided.clear()
+        try:
+            got = _hull_from_rows(rows, draw % 3)
+            if isinstance(got, ExtRect):
+                got = (got.ix.lo, got.ix.hi, got.iy.lo, got.iy.hi)
+        except AssertionError as exc:
+            got = str(exc)
+        assert repr(got) == repr(want), (kind, k, rows)
+        if isinstance(want, tuple) and INF not in map(abs, want):
+            seen[kind, k][2] += 1
+            bounded[kind, k].append(decided[0])
+        elif not isinstance(want, str):
+            seen[kind, k][0 if want is EMPTY else 1] += 1
+    assert seen["mixed", 0][0] >= 20 and seen["strip", 0][0] >= 20, seen
+    assert all(seen[kind, k][1] >= 50 for kind in ("open", "pinched") for k in (0, 40, -40)), seen
+    assert all(seen[kind, k][2] >= 30 for kind in kinds if kind != "open" for k in (0, 40, -40)), seen
+    # at 2^-40 tol is not small against the data, and a pinched set has
+    # close calls, so the LPs decide those; the sweep most others
+    share = {key: sum(v) / len(v) for key, v in bounded.items() if v}
+    assert all(share[kind, k] >= 0.7 for kind in ("around", "mixed") for k in (0, 40)), share
+    assert all(share[kind, -40] == 0.0 for kind in kinds if kind != "open") and share["pinched", 0] == 0.0, share
