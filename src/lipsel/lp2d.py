@@ -2,10 +2,11 @@
 
 Solves max/min of a linear objective over {u : <h_i, u> + alpha_i <= 0} by
 randomized incremental insertion (expected linear time in the number of
-constraints).  Objective boundedness is decided up front, exactly, from the
-normals alone: the objective is bounded above iff it lies in the conic hull of
-the outward normals.  That keeps unbounded outcomes exact (they become real
-+/-inf interval ends downstream) instead of sentinel-large numbers.
+constraints).  Objective boundedness is decided up front from the normals
+alone: the objective is bounded above iff it lies in the conic hull of the
+outward normals, tested on float cross products, which can take a nearly
+antiparallel pair for parallel.  Unbounded outcomes become real +/-inf
+interval ends downstream instead of sentinel-large numbers.
 
 An optimal value is the correctly rounded exact optimum of the float rows as
 given, so it does not depend on the insertion order, on the seed, or on rows
@@ -118,7 +119,7 @@ def _closest_normals(rows: list[Row], cx: float, cy: float) -> tuple[int, int]:
 
 
 def _in_cone_pair(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
-    """Exact test for c in cone{a, b} (all vectors nonzero)."""
+    """c in cone{a, b} (nonzero vectors) by float cross products: inexact."""
     d = ax * by - ay * bx
     cb = cx * by - cy * bx
     ac = ax * cy - ay * cx

@@ -8,25 +8,28 @@ lam times the distance.  The system is solved exactly over
 rationals by Fourier-Motzkin elimination, so Feasible/Infeasible verdicts are
 certificates, not numerics.  Sizes are desk-scale by design (16 variables).
 
-`RationalLinearSystem` stores dense rows, one coefficient per variable.
-Every row of a sharp system has at most two nonzero coefficients, and
-eliminating a variable shared by two such rows gives another such row
-(Aspvall & Shiloach, SIAM J. Comput. 1980), so `fm_feasible` eliminates on
-sparse integer copies of the rows: each row is scaled by the lcm of its
-denominators, and each combined row is divided by the gcd of its entries,
-so no `Fraction` arithmetic runs until back-substitution.  A positive
-scaling changes neither which rows are redundant nor the bounds a row puts
-on its variable, so verdicts and witnesses are those of elimination over
-rationals.  A feasible witness is still checked against the original dense
-rows before it is returned.
+`RationalLinearSystem` stores dense rows; `fm_feasible` works on sparse
+integer copies, each row scaled by the lcm of its denominators and each
+combined row divided by the gcd of its entries.  A sharp row has at most two
+variables, and so has every combination of two (Aspvall & Shiloach, SIAM J.
+Comput. 1980).  Before x_k is eliminated, each pair (x_k, x_j) of more than
+two rows is cut down to its envelope, the rows its other rows do not imply,
+by one exact half-plane pass; an empty pair polygon means infeasible.  That
+keeps a pair's rows from multiplying from one elimination to the next
+(Hochbaum & Naor, SIAM J. Comput. 1994).  Neither step changes any stage's
+projected polyhedron, so verdicts and witnesses are those of elimination
+over rationals on all rows.  Back-substitution compares integer (numerator,
+denominator) bounds, builds one `Fraction` per coordinate, and checks the
+witness on the integer copies of the original rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from lipsel.selection import PolygonInstance
 
@@ -138,13 +141,19 @@ def _int_row(coeffs, rhs) -> IntRow:
     return terms, rhs.numerator * (scale // rhs.denominator)
 
 
-def _keep(best: Tightest, terms: Terms, rhs: int) -> bool:
-    """Record `terms . x <= rhs` if it is the tightest row so far for its
-    primitive coefficient vector (the first row wins ties), divided by the
-    gcd of its coefficients and rhs.  False signals an unsatisfiable
-    constant row; a satisfied one is dropped."""
+class _Empty(Exception):
+    """A constant row or three rows of one variable pair are unsatisfiable."""
+
+
+def _keep(levels: List[Tightest], terms: Terms, rhs: int) -> None:
+    """Record `terms . x <= rhs` under its first variable if it is the
+    tightest row so far for its primitive coefficient vector (the first row
+    wins ties), divided by the gcd of its coefficients and rhs.  A constant
+    row raises `_Empty` if it is unsatisfiable and is dropped if not."""
     if not terms:
-        return rhs >= 0
+        if rhs < 0:
+            raise _Empty
+        return
     if len(terms) == 1:
         (m, c), = terms
         g = abs(c)
@@ -152,6 +161,7 @@ def _keep(best: Tightest, terms: Terms, rhs: int) -> bool:
     else:
         g = math.gcd(*[c for _, c in terms])  # > 0: math.gcd ignores signs
         key = tuple([(m, c // g) for m, c in terms])
+    best = levels[key[0][0]]
     old = best.get(key)
     # rhs / g < old_rhs / old_g, by cross-multiplication: both gcds are > 0
     if old is None or rhs * old[2] < old[1] * g:
@@ -161,97 +171,146 @@ def _keep(best: Tightest, terms: Terms, rhs: int) -> bool:
             rhs //= common
             g //= common
         best[key] = (terms, rhs, g)
-    return True
 
 
 def _combine(b: int, p: Terms, a: int, n: Terms) -> Terms:
     """The terms of b*p + a*n, sorted by variable, zeros dropped."""
-    if len(p) <= 1 and len(n) <= 1:  # rows of at most two variables
-        if not p:
-            return tuple([(m, a * c) for m, c in n])
-        if not n:
-            return tuple([(m, b * c) for m, c in p])
-        (mp, cp), = p
-        (mn, cn), = n
-        if mp < mn:
-            return ((mp, b * cp), (mn, a * cn))
-        if mp > mn:
-            return ((mn, a * cn), (mp, b * cp))
-        c = b * cp + a * cn
-        return ((mp, c),) if c else ()
     acc = {m: b * c for m, c in p}
     for m, c in n:
         acc[m] = acc.get(m, 0) + a * c
     return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
+PairRow = Tuple[int, int, int, Terms]  # a*x + b*y <= c of one pair, and its key
+
+
+def _cross(p: PairRow, q: PairRow) -> int:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _excess(p: PairRow, q: PairRow, t: PairRow) -> int:
+    """> 0, 0 or < 0 as the vertex of p and q (cross > 0) is outside, on or inside t."""
+    (ap, bp, cp, _), (aq, bq, cq, _), (at, bt, ct, _) = p, q, t
+    return at * (cp * bq - bp * cq) + bt * (ap * cq - cp * aq) - ct * (ap * bq - bp * aq)
+
+
+def _implied(first: PairRow, mid: PairRow, last: PairRow) -> bool:
+    """Whether `mid`'s normal is a positive combination of the other two and
+    the vertex of two of the rows is not strictly inside the third.  Raises
+    `_Empty` if it is strictly outside and no cross product is negative: the
+    normals positively span the plane, or antiparallel rows bound no strip."""
+    c1, c2, c3 = _cross(first, mid), _cross(mid, last), _cross(last, first)
+    if min(c1, c2) < 0 or (c3 < 0 and not (c1 and c2)):
+        return False
+    excess = _excess(first, mid, last) if c1 else _excess(mid, last, first)
+    if excess > 0 and c3 >= 0:
+        raise _Empty
+    return excess >= 0 and c3 < 0
+
+
+def _envelope(rows: List[PairRow]) -> Deque[PairRow]:
+    """The rows of one variable pair that its other rows do not imply: one
+    deque pass of half-plane intersection over the normals in exact angular
+    order (upper half-plane first, then by -a/b, which grows with the angle
+    in each half), from after a gap of at least pi if there is one."""
+    rows.sort(key=lambda r: (r[1] < 0, Fraction(-r[0], r[1])))
+    start = next((j for j in range(len(rows)) if _cross(rows[j - 1], rows[j]) <= 0), 0)
+    kept: Deque[PairRow] = deque()
+    for r in rows[start:] + rows[:start]:
+        while len(kept) > 1 and _implied(kept[-2], kept[-1], r):
+            kept.pop()
+        while len(kept) > 1 and _implied(r, kept[0], kept[1]):
+            kept.popleft()
+        kept.append(r)
+    while len(kept) > 2:
+        if _implied(kept[-2], kept[-1], kept[0]):
+            kept.pop()
+        elif _implied(kept[-1], kept[0], kept[1]):
+            kept.popleft()
+        else:
+            break
+    return kept
+
+
+def _prune_pairs(level: Tightest) -> None:
+    """Cut each variable pair of more than two rows down to its envelope."""
+    pairs: Dict[int, List[PairRow]] = {}
+    for key, (terms, rhs, _) in level.items():
+        if len(terms) == 2:
+            pairs.setdefault(terms[1][0], []).append((terms[0][1], terms[1][1], rhs, key))
+    for rows in pairs.values():
+        if len(rows) > 2:
+            for *_, key in set(rows).difference(_envelope(rows)):
+                del level[key]
+
+
+def _over(rhs: int, terms: Terms, coords) -> Tuple[int, int]:
+    """rhs - terms . x as (numerator, denominator > 0); coords[m] = (p, q > 0) is x[m]."""
+    num, den = rhs, 1
+    for m, c in terms:
+        p, q = coords[m]
+        num, den = num * q - c * p * den, den * q
+    return num, den
+
+
 def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
     """Eliminate variables lowest index first; on success, back-substitute an
     exact witness (midpoints of the final bounds, 0 for free variables).
 
-    The input keeps its dense rational rows; elimination runs on sparse
-    integer copies of them.  The witness is checked against the original
-    dense rows before it is returned."""
+    The input keeps its dense rational rows; elimination, back-substitution
+    and the check of the witness run on sparse integer copies of them."""
     nvars = system.num_vars
     if nvars > FM_VAR_CAP:
         raise ValueError(f"Fourier-Motzkin oracle is capped at {FM_VAR_CAP} variables")
-    best: Tightest = {}
-    for coeffs, rhs in system.rows:
-        if not _keep(best, *_int_row(coeffs, rhs)):
-            return FmInfeasible()
-    stages: List[Tuple[int, List[IntRow]]] = []
-    for k in range(nvars):
-        # Every variable below k is gone, so a row mentions x_k iff its first
-        # term does.  A positive row (a > 0) and a negative row (-b < 0)
-        # cancel x_k as b*p + a*n.
-        pos: List[IntRow] = []
-        neg: List[IntRow] = []
-        nxt: Tightest = {}
-        for key, row in best.items():
-            var, c = row[0][0]
-            if var != k:
-                nxt[key] = row
-            elif c > 0:
-                pos.append(row[:2])
-            else:
-                neg.append(row[:2])
-        stages.append((k, pos + neg))
-        for pterms, prhs in pos:
-            a, ptail = pterms[0][1], pterms[1:]
-            for nterms, nrhs in neg:
-                b = -nterms[0][1]
-                if not _keep(nxt, _combine(b, ptail, a, nterms[1:]), b * prhs + a * nrhs):
-                    return FmInfeasible()
-        best = nxt
+    rows = [_int_row(coeffs, rhs) for coeffs, rhs in system.rows]
+    levels: List[Tightest] = [{} for _ in range(nvars)]  # rows by first variable
+    try:
+        for terms, rhs in rows:
+            _keep(levels, terms, rhs)
+        for level in levels:
+            # Level k holds every row that mentions x_k, and no smaller one.  A
+            # row with a > 0 and one with -b < 0 cancel x_k as b*p + a*n.
+            _prune_pairs(level)
+            pos: List[IntRow] = []
+            neg: List[IntRow] = []
+            for terms, rhs, _ in level.values():
+                (pos if terms[0][1] > 0 else neg).append((terms, rhs))
+            for pterms, prhs in pos:
+                a, ptail = pterms[0][1], pterms[1:]
+                for nterms, nrhs in neg:
+                    b = -nterms[0][1]
+                    _keep(levels, _combine(b, ptail, a, nterms[1:]), b * prhs + a * nrhs)
+    except _Empty:
+        return FmInfeasible()
 
+    coords = [(0, 1)] * nvars  # the witness as (numerator, denominator) pairs
     witness = [Fraction(0)] * nvars
-    for k, krows in reversed(stages):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for terms, rhs in krows:
-            # the bound is unchanged by any positive scaling of its row
-            a = terms[0][1]
-            rest_sum = sum((c * witness[m] for m, c in terms[1:]), Fraction(0))
-            bound = (rhs - rest_sum) / a
-            if a > 0:
-                if hi is None or bound < hi:
-                    hi = bound
-            else:
-                if lo is None or bound > lo:
-                    lo = bound
+    for k in reversed(range(nvars)):
+        # each row's bound (rhs - rest . x) / a: upper bounds have positive
+        # denominators, lower ones negative, so cross-multiplying compares two
+        lo: Optional[Tuple[int, int]] = None
+        hi: Optional[Tuple[int, int]] = None
+        for terms, rhs, _ in levels[k].values():
+            num, den = _over(rhs, terms[1:], coords)
+            den *= terms[0][1]
+            if den > 0:
+                if hi is None or num * hi[1] < hi[0] * den:
+                    hi = (num, den)
+            elif lo is None or num * lo[1] > lo[0] * den:
+                lo = (num, den)
         if lo is not None and hi is not None:
-            if lo > hi:
+            if (lo[0] * hi[1] - hi[0] * lo[1]) * lo[1] * hi[1] > 0:
                 raise AssertionError("back-substitution hit an empty interval")
-            witness[k] = (lo + hi) / 2
+            witness[k] = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
         elif lo is not None:
-            witness[k] = max(Fraction(0), lo)
+            witness[k] = max(witness[k], Fraction(*lo))
         elif hi is not None:
-            witness[k] = min(Fraction(0), hi)
+            witness[k] = min(witness[k], Fraction(*hi))
+        coords[k] = (witness[k].numerator, witness[k].denominator)
 
-    for coeffs, rhs in system.rows:
-        total = sum((c * w for c, w in zip(coeffs, witness) if c), Fraction(0))
-        if total > rhs:
-            raise AssertionError("witness violates an original row")
+    # the integer rows are positive multiples of the original rows
+    if any(_over(rhs, terms, coords)[0] < 0 for terms, rhs in rows):
+        raise AssertionError("witness violates an original row")
     return FmFeasible(witness)
 
 

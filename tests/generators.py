@@ -99,6 +99,17 @@ def planted_instance(rng: random.Random, n: int, span: int = 8) -> PolygonInstan
     return HalfPlaneInstance(space, planes)
 
 
+def mixed_instance(rng: random.Random, n: int) -> PolygonInstance:
+    """A draw in the mix of acceptance criterion 1: 45% random half-planes,
+    20% the same with infinite-distance blocks, 35% planted."""
+    roll = rng.random()
+    if roll < 0.45:
+        return random_instance(rng, n)
+    if roll < 0.65:
+        return random_instance(rng, n, inf_blocks=True)
+    return planted_instance(rng, n)
+
+
 def random_polygon_instance(
     rng: random.Random, n: int, nsides: int = 3, *, planted: bool = True
 ) -> PolygonInstance:

@@ -2,13 +2,14 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import planted_instance, random_instance, random_polygon_instance
+from generators import mixed_instance, planted_instance, random_instance, random_polygon_instance
 from lipsel.geometry import HalfPlane, Point2, halfplane
 from lipsel.metric import PseudometricSpace, validate_pseudometric
 from lipsel.oracle import (
@@ -16,6 +17,8 @@ from lipsel.oracle import (
     FmFeasible,
     FmInfeasible,
     RationalLinearSystem,
+    _Empty,
+    _envelope,
     build_sharp_lp,
     build_sharp_lp_polygon,
     estimate_min_seminorm,
@@ -212,6 +215,156 @@ def test_integer_elimination_matches_reference_on_wide_rows():
     tight = RationalLinearSystem(names, rows + [((F(-1), F(-1), F(-1)), F(-4))])
     assert isinstance(fm_feasible(tight), FmInfeasible)
     _assert_same_as_reference(tight)
+
+
+def test_pair_envelopes_match_fraction_reference_on_a_new_stream():
+    # The sizes stop where the reference, which keeps every row, runs for
+    # seconds per system: polygons of up to 4 sides at n = 4 and rational
+    # triangles at n = 4 already take it over 20 s.
+    rng = random.Random(6061)
+    kinds = (
+        (6, mixed_instance),
+        (6, lambda r, n: random_instance(r, n, inf_blocks=True)),
+        (6, planted_instance),
+        (4, lambda r, n: random_polygon_instance(r, n, r.randint(1, 4), planted=r.random() < 0.5)),
+        (3, lambda r, n: _rational_instance(r, n, r.choice((3, 7, 10)))),
+    )
+    for n in range(1, 7):
+        for top, kind in kinds:
+            for _ in range(2 if n <= top else 0):
+                inst = kind(rng, n)
+                for lam in REFERENCE_LAMBDAS:
+                    _assert_same_as_reference(build_sharp_lp(inst, lam))
+
+
+def _system(nvars, rows):
+    """A system from sparse rows ({var: coeff}, rhs) with integer data."""
+    dense = [(tuple(F(co.get(m, 0)) for m in range(nvars)), F(rhs)) for co, rhs in rows]
+    return RationalLinearSystem([f"x{m}" for m in range(nvars)], dense)
+
+
+def test_pair_envelopes_on_hand_built_systems():
+    # y + z <= -1 appears only once x0 is eliminated, and closes an empty
+    # triangle with two rows that were there from the start
+    empty_after = [({0: 1, 1: 1}, 0), ({0: -1, 2: 1}, -1), ({1: -2, 2: 1}, -1), ({1: 1, 2: -2}, -1)]
+    # the same with y + z <= 5: a triangle that needs all three rows
+    feasible_after = empty_after[:1] + [({0: -1, 2: 1}, 5)] + empty_after[2:]
+    # an open pair: y >= k*x - k*k for k = -3..3, tangents of y = x*x/4 whose
+    # normals lie in one half-plane; two of them repeated less tightly, one
+    # row through the vertex (3, 2) of two of them and one below them all
+    open_pair = [({0: k, 1: -1}, k * k) for k in range(-3, 4)]
+    open_pair += [({0: 2 * k, 1: -2}, 2 * k * k + 1) for k in (-1, 2)]
+    open_pair += [({0: 3, 1: -2}, 5), ({0: 3, 1: -4}, 5)]
+    # x + y = 1 as a strip of width 0, cut by rows through one point of it
+    strip = [({0: 1, 1: 1}, 1), ({0: -1, 1: -1}, -1)]
+    strip += [({0: 1, 1: -1}, 1), ({0: 2, 1: -1}, 2), ({0: 3, 1: -2}, 3)]
+    # three rows through (1, 1) on a triangle, the middle one implied
+    concurrent = [({0: 1, 1: 1}, 2), ({0: 2, 1: 1}, 3), ({0: 1, 1: 2}, 3), ({0: -1, 1: -1}, 0)]
+    # wide rows next to a pair of more than two rows
+    wide = [({0: 1, 1: 1, 2: 1}, 3), ({0: -1, 1: 2, 3: -1}, 2), ({1: 1, 2: -1}, 1),
+            ({1: -1, 2: 2}, 2), ({1: 2, 2: 1}, 6), ({1: -3, 2: -1}, 4), ({3: 1}, 1), ({0: -1}, 0)]
+    systems = [
+        _system(3, empty_after),
+        _system(3, feasible_after),
+        _system(2, open_pair),
+        _system(2, open_pair + [({1: 1}, -1)]),
+        # the tangents on (x1, x2), and x1 + x2 <= 0 once x0 is eliminated
+        _system(3, [({0: 1, 1: 1}, 0), ({0: -1, 2: 1}, 0)]
+                + [({1: k, 2: -1}, k * k) for k in range(-3, 4)]),
+        _system(2, strip),
+        _system(2, strip + [({0: -1, 1: 2}, -1)]),  # only (1, 0) is left
+        _system(2, strip + [({0: -1, 1: 2}, -2)]),
+        # x1 - x2 <= 1 appears once x0 is eliminated and closes a strip of
+        # width 0, cut to a segment by the pair's two other rows
+        _system(3, [({0: 1, 1: 1}, 1), ({0: -1, 2: -1}, 0), ({1: -1, 2: 1}, -1),
+                    ({1: 2, 2: -1}, 2), ({1: -2, 2: 1}, 0)]),
+        _system(2, concurrent),
+        _system(2, concurrent + [({0: 1, 1: 3}, 3)]),
+        _system(4, wide),
+        _system(4, wide + [({1: -1, 2: -1}, -5)]),
+    ]
+    verdicts = [type(fm_feasible(system)) for system in systems]
+    assert verdicts == [FmInfeasible, FmFeasible, FmFeasible, FmInfeasible, FmFeasible,
+                        FmFeasible, FmFeasible, FmInfeasible, FmFeasible, FmFeasible,
+                        FmFeasible, FmFeasible, FmInfeasible]
+    for system in systems:
+        _assert_same_as_reference(system)
+
+
+def _implied_by(row, rows):
+    """Whether a*x + b*y <= c holds on the nonempty polygon of `rows`: by
+    Farkas' lemma, and since a basic solution has two nonzeros, iff
+    (a, b) = l1*n1 + l2*n2 with l1, l2 >= 0 for two of the rows and
+    l1*c1 + l2*c2 <= c."""
+    a, b, c, _ = row
+    for i, (a1, b1, c1, _) in enumerate(rows):
+        for a2, b2, c2, _ in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
+            if det:
+                l1, l2 = F(a * b2 - b * a2, det), F(a1 * b - b1 * a, det)
+                if l1 >= 0 and l2 >= 0 and l1 * c1 + l2 * c2 <= c:
+                    return True
+    return False
+
+
+def _pair_rows(rng, kind):
+    """Rows a*x + b*y <= c with a, b nonzero and pairwise different
+    directions: small integers, which make strips of width 0 and concurrent
+    rows common; normals only in one half-plane; or normals of about 2**55
+    around one direction, whose angles a float cannot tell apart."""
+    rows, seen = [], set()
+    px, py = rng.randint(-3, 3), rng.randint(-3, 3)
+    base = [rng.choice((-1, 1)) * rng.randint(2**54, 2**55) for _ in range(2)]
+    m = rng.randint(3, 10)
+    while len(rows) < m:
+        if kind == "near" and rng.random() < 0.7:
+            a, b = base[0] + rng.randint(-2, 2), base[1] + rng.randint(-2, 2)
+        else:
+            a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+            if kind == "open":
+                b = abs(b)
+        g = math.gcd(a, b)
+        if (a // g, b // g) not in seen:
+            seen.add((a // g, b // g))
+            rows.append((a, b, a * px + b * py + rng.randint(-2, 3), len(rows)))
+    return rows
+
+
+def test_pair_envelope_keeps_exactly_the_rows_not_implied():
+    rng = random.Random("envelopes")
+    empty = 0
+    for kind in ("small", "open", "near") * 200:
+        rows = _pair_rows(rng, kind)
+        system = RationalLinearSystem(["x", "y"], [((F(a), F(b)), F(c)) for a, b, c, _ in rows])
+        feasible = isinstance(fm_feasible_reference(system), FmFeasible)
+        try:
+            kept = list(_envelope(list(rows)))
+        except _Empty:
+            assert not feasible, rows
+            empty += 1
+            continue
+        assert feasible, rows
+        for row in rows:
+            others = [k for k in kept if k is not row]
+            assert (row in kept) != _implied_by(row, others), (rows, kept, row)
+    assert 100 < empty < 500, empty
+
+
+def test_tail_systems_at_seven_and_eight_points_finish_and_agree_with_simplex():
+    # Without pair envelopes four of these systems ran for over 30 s each.
+    t0 = time.monotonic()
+    verdicts = []
+    for n in (7, 8):
+        rng = random.Random(100 + n)
+        for _ in range(12):
+            system = build_sharp_lp(mixed_instance(rng, n), 1)
+            verdicts.append((system, isinstance(fm_feasible(system), FmFeasible)))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 20.0, elapsed
+    for system, feasible in verdicts:
+        rows = [([float(c) for c in co], float(rhs)) for co, rhs in system.rows]
+        other = linprog_feasible(rows, system.num_vars, margin=1e-7)
+        assert other is None or other == feasible
 
 
 # ---------------------------------------------------------------------------
