@@ -20,7 +20,8 @@ feasible / valid, 1 no-go / infeasible / failed verification, 2 parse or flag
 errors (including oracle caps), 3 metric axiom violations, 4 infeasible upper
 end in `estimate`, 5 internal error: the traceback goes to stderr and stdout
 carries {"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
-closes stdout early gets 141 (128 + SIGPIPE) and nothing more.
+closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
+called repeatedly in one process: it builds its parser on the first call only.
 
 `validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
 and checks only shape, diagonal, and symmetry, keeping the solve path at the
@@ -37,6 +38,7 @@ The kind matters only to the CLI contract: polygon instances take a single
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -515,7 +517,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lipsel",
         description="Lipschitz selections of half-plane and polygon valued maps in the plane",
@@ -551,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader closed stdout: neither an answer nor a fault

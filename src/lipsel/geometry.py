@@ -34,9 +34,6 @@ class Point2(NamedTuple):
         return Point2(t * self.x1, t * self.x2)
 
 
-ORIGIN = Point2(0.0, 0.0)
-
-
 def uniform_norm(p: Point2) -> float:
     """Max-coordinate norm of a point."""
     return max(abs(p.x1), abs(p.x2))
@@ -141,8 +138,6 @@ class ExtInterval:
     def bounded(self) -> bool:
         return not (math.isinf(self.lo) or math.isinf(self.hi))
 
-
-REAL_LINE = ExtInterval(-INF, INF)
 
 MaybeInterval = Union[ExtInterval, EmptySet]
 

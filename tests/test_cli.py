@@ -7,6 +7,7 @@ runs `python -m lipsel` the same way.
 `test_installed_console_script_runs` checks the installed `lipsel` script and
 runs only where it is on PATH."""
 
+import argparse
 import json
 import math
 import os
@@ -75,7 +76,10 @@ def write(tmp_path, doc, name="inst.json"):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -668,3 +672,58 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
 )
 def test_installed_console_script_runs(tmp_path):
     _check_exit_codes([shutil.which("lipsel")], tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, SEP4)
+    assert run(capsys, "validate", path)[0] == 0  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, want in (
+        (["solve", path, "--lambda", "4"], 0),
+        (["solve", path, "--lambda", "2"], 1),
+        (["sharp", path, "--lambda", "4"], 0),
+        (["validate", path], 0),
+        (["estimate", path, "--hi", "8"], 0),
+    ):
+        assert run(capsys, *argv)[0] == want, argv
+    assert built == []
+
+
+def test_calls_in_one_process_share_no_state(tmp_path, capsys):
+    """Each call of a sequence in one process prints what the same call
+    prints alone in a fresh `python -m lipsel` process."""
+    path = write(tmp_path, SEP4)
+    result = str(tmp_path / "result.json")
+    sequence = [
+        ["solve", path, "--lambda", "4", "--trace"],
+        ["solve", path, "--lambda", "4"],
+        ["solve", path, "--lambda1", "1", "--lambda2", "1/4"],
+        ["sharp", path],
+        ["sharp", path, "--lambda", "1"],
+        ["estimate", path, "--hi", "64"],
+        ["validate", path, "--result", result],
+    ]
+    in_process = []
+    for argv in sequence:
+        code, out, _ = run(capsys, *argv)
+        in_process.append((code, out.encode()))
+        if argv == sequence[1]:
+            assert code == 0 and "diagnostics" not in json.loads(out)
+            Path(result).write_text(out)
+    assert [code for code, _ in in_process] == [0, 0, 1, 2, 1, 0, 0]
+    for argv, got in zip(sequence, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "lipsel", *argv], capture_output=True, env=_checkout_env()
+        )
+        assert got == (alone.returncode, alone.stdout), argv

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from lipsel.geometry import (
     EMPTY,
-    ORIGIN,
-    REAL_LINE,
     WHOLE_PLANE,
     EmptySet,
     ExtInterval,
@@ -109,7 +107,7 @@ def test_interval_constructor_rejects_inversion():
 
 
 def test_rect_propagates_empty():
-    assert rect(EMPTY, REAL_LINE) is EMPTY
+    assert rect(EMPTY, ExtInterval(-INF, INF)) is EMPTY
     assert rect(ExtInterval(0.0, 1.0), EMPTY) is EMPTY
 
 
@@ -120,12 +118,12 @@ def test_rect_dist_pinned():
 
 
 def test_rect_dist_unbounded_side():
-    t = rect(ExtInterval(-INF, -4.0), REAL_LINE)
+    t = rect(ExtInterval(-INF, -4.0), ExtInterval(-INF, INF))
     assert rect_dist_origin(t) == 4.0
 
 
 def test_rect_center_strip():
-    t = rect(REAL_LINE, ExtInterval(2.0, 5.0))
+    t = rect(ExtInterval(-INF, INF), ExtInterval(2.0, 5.0))
     assert rect_project_origin_center(t) == Point2(0.0, 2.0)
 
 
@@ -348,4 +346,3 @@ def test_point_algebra():
     assert p + q == Point2(1.5, 1.0)
     assert p.scaled(2.0) == Point2(2.0, 4.0)
     assert uniform_norm(Point2(-3.0, 2.0)) == 3.0
-    assert ORIGIN == Point2(0.0, 0.0)
