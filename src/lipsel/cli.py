@@ -496,6 +496,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     hi_f, hi_fr = _parse_number(args.hi, "--hi", False, True)
     lo = lo_fr if lo_fr is not None else Fraction(lo_f)
     hi = hi_fr if hi_fr is not None else Fraction(hi_f)
+    if lo < 0:
+        raise CliError(2, "--lo must be >= 0")
     if not lo < hi:
         raise CliError(2, "need --lo < --hi")
     if args.iters < 0:

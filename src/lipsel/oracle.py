@@ -8,19 +8,20 @@ lam times the distance.  The system is solved exactly over
 rationals by Fourier-Motzkin elimination, so Feasible/Infeasible verdicts are
 certificates, not numerics.  Sizes are desk-scale by design (16 variables).
 
-`RationalLinearSystem` stores dense rows; `fm_feasible` works on sparse
-integer copies, each row scaled by the lcm of its denominators and each
-combined row divided by the gcd of its entries.  A sharp row has at most two
-variables, and so has every combination of two (Aspvall & Shiloach, SIAM J.
-Comput. 1980).  Before x_k is eliminated, each pair (x_k, x_j) of more than
-two rows is cut down to its envelope, the rows its other rows do not imply,
-by one exact half-plane pass; an empty pair polygon means infeasible.  That
-keeps a pair's rows from multiplying from one elimination to the next
-(Hochbaum & Naor, SIAM J. Comput. 1994).  Neither step changes any stage's
-projected polyhedron, so verdicts and witnesses are those of elimination
-over rationals on all rows.  Back-substitution compares integer (numerator,
-denominator) bounds, builds one `Fraction` per coordinate, and checks the
-witness on the integer copies of the original rows.
+`build_sharp_lp` writes each row as a sparse row of integers: its nonzero
+(variable, coefficient) terms and its right-hand side, all multiplied by the
+lcm of the row's denominators, with every number read exactly.  A sharp row
+has at most two variables, and so has every combination of two (Aspvall &
+Shiloach, SIAM J. Comput. 1980).  `fm_feasible` eliminates on these rows and
+divides each combined row by the gcd of its entries.  Before x_k is
+eliminated, each pair (x_k, x_j) of more than two rows is cut down to its
+envelope, the rows its other rows do not imply, by one exact half-plane
+pass; an empty pair polygon means infeasible.  That keeps a pair's rows
+from multiplying from one elimination to the next (Hochbaum & Naor, SIAM J.
+Comput. 1994).  Neither step changes any stage's projected polyhedron, so
+verdicts and witnesses are those of elimination over rationals on all rows.
+Back-substitution compares integer (numerator, denominator) bounds, builds
+one `Fraction` per coordinate, and checks the witness on the system's rows.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from lipsel.selection import PolygonInstance
 
 FM_VAR_CAP = 16
 
-RatRow = Tuple[Tuple[Fraction, ...], Fraction]  # coeffs . vars <= rhs
+Terms = Tuple[Tuple[int, int], ...]  # nonzero (var, coeff), sorted by var
+IntRow = Tuple[Terms, int]  # terms . vars <= rhs, all integers
 
 
 @dataclass(frozen=True)
 class RationalLinearSystem:
     var_names: List[str]
-    rows: List[RatRow]
+    rows: List[IntRow]
 
     @property
     def num_vars(self) -> int:
@@ -61,61 +63,51 @@ class FmInfeasible:
 FmOutcome = Union[FmFeasible, FmInfeasible]
 
 
-def _rat(v, what: str) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _ratio(v, what: str, *where) -> Tuple[int, int]:
+    """v as (numerator, denominator > 0) in lowest terms; `what` is
+    formatted with `where` only for the error message."""
+    if isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v):
+        return v.as_integer_ratio()  # floats are dyadic rationals, this is exact
     if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"{what} must be finite and rational, got {v}")
-        return Fraction(v)  # floats are dyadic rationals, conversion is exact
-    raise ValueError(f"{what} must be rational, got {type(v).__name__}")
-
-
-def _coupling_rows(
-    nvars: int, distances, npoints: int, lam: Fraction
-) -> List[RatRow]:
-    rows: List[RatRow] = []
-    for i in range(npoints):
-        for j in range(i + 1, npoints):
-            rho = distances[i][j]
-            if rho == math.inf:
-                continue
-            cap = lam * _rat(rho, f"distance ({i},{j})")
-            for axis in (0, 1):  # u then v coordinates
-                a, b = 2 * i + axis, 2 * j + axis
-                co = [Fraction(0)] * nvars
-                co[a], co[b] = Fraction(1), Fraction(-1)
-                rows.append((tuple(co), cap))
-                co = [Fraction(0)] * nvars
-                co[a], co[b] = Fraction(-1), Fraction(1)
-                rows.append((tuple(co), cap))
-    return rows
+        raise ValueError(f"{what.format(*where)} must be finite and rational, got {v}")
+    raise ValueError(f"{what.format(*where)} must be rational, got {type(v).__name__}")
 
 
 def build_sharp_lp(inst: PolygonInstance, lam) -> RationalLinearSystem:
-    """Membership plus coupling rows.
+    """Membership plus coupling rows, as sparse integer rows.
 
     Row order: one membership row per (point, side) on that point's pair of
     coordinates, in point then side order; then 4 coupling rows per finite
-    pair (i < j), u-axis before v-axis.  All data is converted to exact
-    rationals; non-finite coefficients are rejected.
+    pair (i < j), u-axis before v-axis.  Each row is its rational row times
+    the lcm of the row's denominators.  Data must be ints, `Fraction`s or
+    finite floats, which are read exactly.
     """
     n = inst.n
-    lam_r = _rat(lam, "lambda")
-    if lam_r < 0:
+    lp, lq = _ratio(lam, "lambda")
+    if lp < 0:
         raise ValueError("lambda must be >= 0")
-    nvars = 2 * n
     names = [f"{ax}{i + 1}" for i in range(n) for ax in ("u", "v")]
-    rows: List[RatRow] = []
+    rows: List[IntRow] = []
     for i, poly in enumerate(inst.polygons):
-        for hp in poly:
-            co = [Fraction(0)] * nvars
-            co[2 * i] = _rat(hp.h.x1, "normal coordinate")
-            co[2 * i + 1] = _rat(hp.h.x2, "normal coordinate")
-            rows.append((tuple(co), -_rat(hp.alpha, "offset")))
-    rows.extend(_coupling_rows(nvars, inst.space.d, n, lam_r))
+        for (h1, h2), alpha in poly:
+            p1, q1 = _ratio(h1, "normal coordinate")
+            p2, q2 = _ratio(h2, "normal coordinate")
+            pa, qa = _ratio(alpha, "offset")
+            scale = math.lcm(qa, q1, q2)  # a zero has denominator 1
+            terms = tuple([(m, p * (scale // q)) for m, p, q in ((2 * i, p1, q1), (2 * i + 1, p2, q2)) if p])
+            rows.append((terms, -pa * (scale // qa)))
+    for i, d in enumerate(inst.space.d):
+        for j in range(i + 1, n):
+            rho = d[j]
+            if isinstance(rho, float) and rho == math.inf:
+                continue
+            rp, rq = _ratio(rho, "distance ({},{})", i, j)
+            p, q = lp * rp, lq * rq
+            g = math.gcd(p, q)
+            p, q = p // g, q // g  # cap = lam * rho = p / q in lowest terms
+            for a, b in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):  # u then v
+                rows.append((((a, q), (b, -q)), p))
+                rows.append((((a, -q), (b, q)), p))
     return RationalLinearSystem(names, rows)
 
 
@@ -126,19 +118,8 @@ build_sharp_lp_polygon = build_sharp_lp
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 
-Terms = Tuple[Tuple[int, int], ...]  # nonzero (var, coeff), sorted by var
-IntRow = Tuple[Terms, int]  # terms . vars <= rhs, all integers
 # primitive coefficient vector -> (terms, rhs, gcd of the coefficients)
 Tightest = Dict[Terms, Tuple[Terms, int, int]]
-
-
-def _int_row(coeffs, rhs) -> IntRow:
-    """A dense rational row as a sparse integer row: the nonzero terms, all
-    multiplied by the lcm of the row's denominators."""
-    nonzero = [(m, c) for m, c in enumerate(coeffs) if c]
-    scale = math.lcm(rhs.denominator, *(c.denominator for _, c in nonzero))
-    terms = tuple((m, c.numerator * (scale // c.denominator)) for m, c in nonzero)
-    return terms, rhs.numerator * (scale // rhs.denominator)
 
 
 class _Empty(Exception):
@@ -255,17 +236,14 @@ def _over(rhs: int, terms: Terms, coords) -> Tuple[int, int]:
 
 def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
     """Eliminate variables lowest index first; on success, back-substitute an
-    exact witness (midpoints of the final bounds, 0 for free variables).
-
-    The input keeps its dense rational rows; elimination, back-substitution
-    and the check of the witness run on sparse integer copies of them."""
+    exact witness (midpoints of the final bounds, 0 for free variables) and
+    check it against the system's rows."""
     nvars = system.num_vars
     if nvars > FM_VAR_CAP:
         raise ValueError(f"Fourier-Motzkin oracle is capped at {FM_VAR_CAP} variables")
-    rows = [_int_row(coeffs, rhs) for coeffs, rhs in system.rows]
     levels: List[Tightest] = [{} for _ in range(nvars)]  # rows by first variable
     try:
-        for terms, rhs in rows:
+        for terms, rhs in system.rows:
             _keep(levels, terms, rhs)
         for level in levels:
             # Level k holds every row that mentions x_k, and no smaller one.  A
@@ -308,8 +286,7 @@ def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
             witness[k] = min(witness[k], Fraction(*hi))
         coords[k] = (witness[k].numerator, witness[k].denominator)
 
-    # the integer rows are positive multiples of the original rows
-    if any(_over(rhs, terms, coords)[0] < 0 for terms, rhs in rows):
+    if any(_over(rhs, terms, coords)[0] < 0 for terms, rhs in system.rows):
         raise AssertionError("witness violates an original row")
     return FmFeasible(witness)
 
@@ -319,11 +296,13 @@ def estimate_min_seminorm(
 ) -> Tuple[Fraction, Fraction]:
     """Bisect the optimal seminorm into an exact bracket.
 
-    `hi` must be feasible; `lo` is a caller-promised lower bound (0 always
-    works).  Returns (a, b) with the optimum in [a, b] and
+    `hi` must be feasible; `lo` >= 0 is a caller-promised lower bound (0
+    always works).  Returns (a, b) with the optimum in [a, b] and
     b - a = (hi - lo) / 2**iterations.
     """
-    lo_r, hi_r = _rat(lo, "lo"), _rat(hi, "hi")
+    lo_r, hi_r = Fraction(*_ratio(lo, "lo")), Fraction(*_ratio(hi, "hi"))
+    if lo_r < 0:
+        raise ValueError("lo must be >= 0")
     if not lo_r < hi_r:
         raise ValueError("need lo < hi")
     if iterations < 0:

@@ -3,11 +3,13 @@
     PYTHONPATH=src python tests/oracle_times.py
     PYTHONPATH=src python tests/oracle_times.py --sizes 6 7 8 --draws 12
 
-For each size n it times `fm_feasible(build_sharp_lp(draw, 1))` on the draws
-of `random.Random(100 + n)` in the mix of acceptance criterion 1 (45% random
-half-planes, 20% with infinite-distance blocks, 35% planted), each under a
-SIGALRM limit, and prints the median and the maximum time, the number of
-systems over the limit and the number found feasible.  Sizes above the
+For each size n it times `build_sharp_lp(draw, 1)` and then `fm_feasible` of
+that system, the two steps of one `sharp` call, on the draws of
+`random.Random(100 + n)` in the mix of acceptance criterion 1 (45% random
+half-planes, 20% with infinite-distance blocks, 35% planted), elimination
+under a SIGALRM limit.  It prints the median and the maximum time of each
+step (`build_*` and `fm_*`), the number of systems over the limit and the
+number found feasible.  Sizes above the
 oracle's variable cap are timed with the cap raised in this process only:
 the table is the evidence for where the cap can go.  The standard library
 and the test generators are all it needs; pytest does not collect it.
@@ -38,11 +40,15 @@ def _alarm(signum, frame):
 
 
 def time_size(n: int, draws: int, limit: int):
-    """Seconds per system (None when over the limit) and the feasible count."""
+    """Build seconds per system, elimination seconds per system (None when
+    over the limit), and the feasible count."""
     rng = random.Random(100 + n)
-    times, feasible = [], 0
+    builds, times, feasible = [], [], 0
     for _ in range(draws):
-        system = oracle.build_sharp_lp(mixed_instance(rng, n), 1)
+        inst = mixed_instance(rng, n)
+        start = time.perf_counter()
+        system = oracle.build_sharp_lp(inst, 1)
+        builds.append(time.perf_counter() - start)
         signal.alarm(limit)
         start = time.perf_counter()
         try:
@@ -52,7 +58,7 @@ def time_size(n: int, draws: int, limit: int):
             times.append(None)
         finally:
             signal.alarm(0)
-    return times, feasible
+    return builds, times, feasible
 
 
 def main() -> None:
@@ -63,9 +69,9 @@ def main() -> None:
     args = parser.parse_args()
     oracle.FM_VAR_CAP = max(oracle.FM_VAR_CAP, 2 * max(args.sizes))
     signal.signal(signal.SIGALRM, _alarm)
-    print("n  median_s  max_s  over_limit  feasible")
+    print("n  build_median_s  build_max_s  fm_median_s  fm_max_s  over_limit  feasible")
     for n in args.sizes:
-        times, feasible = time_size(n, args.draws, args.limit)
+        builds, times, feasible = time_size(n, args.draws, args.limit)
         # a system over the limit counts as slower than any that finished
         ranked = [float("inf") if t is None else t for t in times]
         over = times.count(None)
@@ -74,7 +80,8 @@ def main() -> None:
             return f">{args.limit}" if t == float("inf") else f"{t:.4f}"
 
         median, top = shown(statistics.median(ranked)), shown(max(ranked))
-        print(f"{n}  {median}  {top}  {over}  {feasible}", flush=True)
+        build = f"{statistics.median(builds):.6f}  {max(builds):.6f}"
+        print(f"{n}  {build}  {median}  {top}  {over}  {feasible}", flush=True)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,16 @@ solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
 multiple of it; `lp_exact_optimum` is the exact optimum of a two-variable LP
-by enumeration in `Fraction`s.  Three exceptions: `refinement_constraints`
+by enumeration in `Fraction`s.  Four exceptions: `refinement_constraints`
 lists stage-1 constraints with the public geometry primitives, which the
 grid searches check, so that the public LP can be run on them;
-`fm_feasible_reference`
-is the `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before
-it moved to integer rows, kept as the reference its verdicts and witnesses
+`build_sharp_lp_reference` is the sharp system as the dense `Fraction` rows
+that `lipsel.oracle` built before it wrote sparse integer rows directly,
+and `int_row` is the conversion it then ran on every row, kept so that the
+integer rows can be checked against the dense ones and hand-built dense
+systems can be handed to the oracle; `fm_feasible_reference` is the
+`Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before it
+moved to integer rows, kept as the reference its verdicts and witnesses
 must equal exactly; and `step3_refine_rects_reference` is stage 3 as it
 was before it ran its folds first, with the pairwise scan always first,
 kept as the reference its NoGos and rectangles must equal exactly.
@@ -18,6 +22,7 @@ kept as the reference its NoGos and rectangles must equal exactly.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, gt, sub
@@ -25,7 +30,7 @@ from operator import add, gt, sub
 import numpy as np
 
 from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, WholePlane, inflate_halfplane, inflation_radius
-from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible
+from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible, RationalLinearSystem
 from lipsel.selection import NoGo, _radii, _snap_ends
 
 INF = math.inf
@@ -307,6 +312,63 @@ def linprog_feasible(rows, nvars, margin=0.0):
     if res.status == 2:
         return False
     return None
+
+
+# ---------------------------------------------------------------------------
+# the sharp system as dense Fraction rows
+
+
+@dataclass(frozen=True)
+class DenseSystem:
+    """Rows (coeffs, rhs) meaning coeffs . vars <= rhs, with one `Fraction`
+    coefficient per variable."""
+
+    var_names: list
+    rows: list
+
+    @property
+    def num_vars(self):
+        return len(self.var_names)
+
+
+def build_sharp_lp_reference(inst, lam):
+    """The rows of `lipsel.oracle.build_sharp_lp` in the same order, dense:
+    one membership row per (point, side), then 4 coupling rows per finite
+    pair i < j, u before v."""
+    n, lam = inst.n, Fraction(lam)
+    names = [f"{ax}{i + 1}" for i in range(n) for ax in ("u", "v")]
+    rows = []
+    for i, poly in enumerate(inst.polygons):
+        for hp in poly:
+            co = [Fraction(0)] * (2 * n)
+            co[2 * i], co[2 * i + 1] = Fraction(hp.h.x1), Fraction(hp.h.x2)
+            rows.append((tuple(co), -Fraction(hp.alpha)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rho = inst.space.d[i][j]
+            if rho == INF:
+                continue
+            for axis in (0, 1):
+                for sign in (1, -1):
+                    co = [Fraction(0)] * (2 * n)
+                    co[2 * i + axis], co[2 * j + axis] = Fraction(sign), Fraction(-sign)
+                    rows.append((tuple(co), lam * Fraction(rho)))
+    return DenseSystem(names, rows)
+
+
+def int_row(coeffs, rhs):
+    """A dense rational row as a sparse integer row: the nonzero terms
+    (var, coeff), all multiplied by the lcm of the row's denominators."""
+    nonzero = [(m, c) for m, c in enumerate(coeffs) if c]
+    scale = math.lcm(rhs.denominator, *(c.denominator for _, c in nonzero))
+    terms = tuple((m, c.numerator * (scale // c.denominator)) for m, c in nonzero)
+    return terms, rhs.numerator * (scale // rhs.denominator)
+
+
+def int_system(dense):
+    """A `DenseSystem` as the `lipsel.oracle.RationalLinearSystem` that
+    `fm_feasible` takes."""
+    return RationalLinearSystem(dense.var_names, [int_row(co, rhs) for co, rhs in dense.rows])
 
 
 # ---------------------------------------------------------------------------

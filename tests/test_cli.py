@@ -520,6 +520,20 @@ def test_estimate_flag_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_estimate_rejects_a_negative_lo(tmp_path, capsys):
+    # x <= 0 and x >= 1 at distance 1, and x <= 0 alone: a negative --lo
+    # fails the same way on both, before any elimination
+    apart = {
+        "n": 2,
+        "metric": {"matrix": [[0, 1], [1, 0]]},
+        "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}, {"h": [-1, 0], "alpha": 1}]},
+    }
+    alone = {"n": 1, "metric": {"matrix": [[0]]}, "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}]}}
+    for doc in (apart, alone):
+        got = run(capsys, "estimate", write(tmp_path, doc), "--lo", "-1", "--hi", "64")
+        assert got == (2, "", "error: --lo must be >= 0\n")
+
+
 def test_estimate_rejects_polygons(tmp_path, capsys):
     path = write(tmp_path, TWO_SQUARES)
     code, _, err = run(capsys, "estimate", path, "--hi", "8")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from generators import mixed_instance, planted_instance, random_instance, random_polygon_instance
 from lipsel.geometry import HalfPlane, Point2, halfplane
+from lipsel import oracle
 from lipsel.metric import PseudometricSpace, validate_pseudometric
 from lipsel.oracle import (
     FM_VAR_CAP,
@@ -26,7 +27,14 @@ from lipsel.oracle import (
 )
 from lipsel.polygon import PolygonInstance
 from lipsel.selection import HalfPlaneInstance
-from oracles import fm_feasible_reference, linprog_feasible
+from oracles import (
+    DenseSystem,
+    build_sharp_lp_reference,
+    fm_feasible_reference,
+    int_row,
+    int_system,
+    linprog_feasible,
+)
 
 INF = math.inf
 F = Fraction
@@ -48,7 +56,7 @@ def test_single_point_system():
     inst = HalfPlaneInstance(sp, [halfplane(2.0, -1.0, 3.0)])
     sys = build_sharp_lp(inst, 5)
     assert sys.var_names == ["u1", "v1"]
-    assert sys.rows == [((F(2), F(-1)), F(-3))]
+    assert sys.rows == [(((0, 2), (1, -1)), -3)]
 
 
 def test_pair_system_rows():
@@ -56,13 +64,13 @@ def test_pair_system_rows():
     assert sys.var_names == ["u1", "v1", "u2", "v2"]
     assert len(sys.rows) == 2 + 4
     # membership rows first
-    assert sys.rows[0] == ((F(1), F(0), F(0), F(0)), F(0))
-    assert sys.rows[1] == ((F(0), F(0), F(-1), F(0)), F(-4))
+    assert sys.rows[0] == (((0, 1),), 0)
+    assert sys.rows[1] == (((2, -1),), -4)
     # then |u1-u2| <= lam*rho and |v1-v2| <= lam*rho
-    assert sys.rows[2] == ((F(1), F(0), F(-1), F(0)), F(2))
-    assert sys.rows[3] == ((F(-1), F(0), F(1), F(0)), F(2))
-    assert sys.rows[4] == ((F(0), F(1), F(0), F(-1)), F(2))
-    assert sys.rows[5] == ((F(0), F(-1), F(0), F(1)), F(2))
+    assert sys.rows[2] == (((0, 1), (2, -1)), 2)
+    assert sys.rows[3] == (((0, -1), (2, 1)), 2)
+    assert sys.rows[4] == (((1, 1), (3, -1)), 2)
+    assert sys.rows[5] == (((1, -1), (3, 1)), 2)
 
 
 def test_infinite_distance_pairs_are_uncoupled():
@@ -81,8 +89,58 @@ def test_polygon_system_rows():
     sys = build_sharp_lp_polygon(p, F(1, 2))
     assert sys.var_names == ["u1", "v1", "u2", "v2"]
     assert len(sys.rows) == 4 + 4
-    assert sys.rows[3] == ((F(0), F(0), F(0), F(-1)), F(0))
-    assert sys.rows[4] == ((F(1), F(0), F(-1), F(0)), F(1, 2))
+    assert sys.rows[3] == (((3, -1),), 0)
+    # u1 - u2 <= 1/2, times 2
+    assert sys.rows[4] == (((0, 2), (2, -2)), 1)
+
+
+LAMBDA_FORMS = [
+    form
+    for lam in (F(0), F(1, 3), F(1, 4), F(1), F(4), F(2**20))
+    for form in (lam, float(lam)) + ((int(lam),) if lam.denominator == 1 else ())
+]
+
+
+def _renumbered(inst, k, form):
+    """`inst` with every offset and finite distance times 2^k, which is
+    exact, and its numbers as floats, `Fraction`s, or ints where integral
+    and `Fraction`s elsewhere."""
+    def num(v, scale=True):
+        v = math.ldexp(v, k) if scale else v
+        if form == "float" or v == INF:
+            return v
+        return int(v) if form == "int" and v == int(v) else F(v)
+
+    space = PseudometricSpace(inst.n, [[num(v) for v in row] for row in inst.space.d])
+    polygons = [[HalfPlane(Point2(num(hp.h.x1, False), num(hp.h.x2, False)), num(hp.alpha)) for hp in poly]
+                for poly in inst.polygons]
+    return PolygonInstance(space, polygons)
+
+
+def test_builder_writes_the_integer_rows_of_the_dense_reference():
+    rng = random.Random("sharp-rows")
+    kinds = (
+        mixed_instance,
+        lambda r, n: random_instance(r, n, inf_blocks=True),
+        lambda r, n: random_polygon_instance(r, n, r.randint(1, 4), planted=r.random() < 0.5),
+    )
+    zero = infinite = 0
+    for n in range(1, 9):
+        for kind in kinds:
+            for k in (0, 40, -40):
+                for form in ("float", "fraction", "int"):
+                    inst = _renumbered(kind(rng, n), k, form)
+                    pairs = [row[j] for i, row in enumerate(inst.space.d) for j in range(i + 1, n)]
+                    zero += 0 in pairs
+                    infinite += INF in pairs
+                    for lam in LAMBDA_FORMS:
+                        system = build_sharp_lp(inst, lam)
+                        dense = build_sharp_lp_reference(inst, lam)
+                        assert system.var_names == dense.var_names
+                        assert system.rows == [int_row(co, rhs) for co, rhs in dense.rows], (n, k, form, lam)
+                        for terms, rhs in system.rows:
+                            assert type(rhs) is int and all(type(m) is type(c) is int for m, c in terms)
+    assert zero > 50 and infinite > 50, (zero, infinite)
 
 
 def test_lambda_must_be_nonnegative_and_finite():
@@ -112,9 +170,8 @@ def test_witness_satisfies_every_row():
     got = fm_feasible(sys)
     assert isinstance(got, FmFeasible)
     assert len(got.witness) == 4
-    for coeffs, rhs in sys.rows:
-        total = sum(c * w for c, w in zip(coeffs, got.witness))
-        assert total <= rhs
+    for terms, rhs in sys.rows:
+        assert sum(c * got.witness[m] for m, c in terms) <= rhs
     assert all(isinstance(w, Fraction) for w in got.witness)
 
 
@@ -135,12 +192,12 @@ def test_empty_system_is_feasible():
 
 
 def test_constant_row_contradiction():
-    sys = RationalLinearSystem(["u1"], [((F(0),), F(-1))])
+    sys = int_system(DenseSystem(["u1"], [((F(0),), F(-1))]))
     assert isinstance(fm_feasible(sys), FmInfeasible)
     rows = [((F(1), F(0)), F(2)), ((F(0), F(0)), F(-1, 3)), ((F(0), F(-1)), F(0))]
-    sys = RationalLinearSystem(["u1", "v1"], rows)
-    assert isinstance(fm_feasible(sys), FmInfeasible)
-    assert isinstance(fm_feasible_reference(sys), FmInfeasible)
+    dense = DenseSystem(["u1", "v1"], rows)
+    assert isinstance(fm_feasible(int_system(dense)), FmInfeasible)
+    assert isinstance(fm_feasible_reference(dense), FmInfeasible)
 
 
 def test_variable_cap():
@@ -157,8 +214,11 @@ def test_variable_cap():
 REFERENCE_LAMBDAS = (F(0), F(1, 4), F(1, 3), F(1), F(5, 2), F(16))
 
 
-def _assert_same_as_reference(system):
-    got, want = fm_feasible(system), fm_feasible_reference(system)
+def _assert_same_as_reference(dense, system=None):
+    """`fm_feasible` on `system`, by default the integer rows of `dense`,
+    gives the verdict and witness of the reference on `dense`."""
+    got = fm_feasible(int_system(dense) if system is None else system)
+    want = fm_feasible_reference(dense)
     assert type(got) is type(want)
     if isinstance(got, FmFeasible):
         assert got.witness == want.witness
@@ -193,7 +253,7 @@ def test_integer_elimination_matches_fraction_reference():
     insts += [_rational_instance(rng, n, q) for q in (3, 7, 10) for n in range(1, 4) for _ in range(3)]
     for inst in insts:
         for lam in REFERENCE_LAMBDAS:
-            _assert_same_as_reference(build_sharp_lp(inst, lam))
+            _assert_same_as_reference(build_sharp_lp_reference(inst, lam), build_sharp_lp(inst, lam))
 
 
 def test_integer_elimination_matches_reference_on_wide_rows():
@@ -208,12 +268,12 @@ def test_integer_elimination_matches_reference_on_wide_rows():
         ((F(0), F(0), F(-3, 10)), F(1)),
         ((F(0), F(2), F(-1)), F(5)),
     ]
-    system = RationalLinearSystem(names, rows)
-    assert isinstance(fm_feasible(system), FmFeasible)
+    system = DenseSystem(names, rows)
+    assert isinstance(fm_feasible(int_system(system)), FmFeasible)
     _assert_same_as_reference(system)
     # the same rows with a cap that contradicts x0 + x1 + x2 <= 3 from below
-    tight = RationalLinearSystem(names, rows + [((F(-1), F(-1), F(-1)), F(-4))])
-    assert isinstance(fm_feasible(tight), FmInfeasible)
+    tight = DenseSystem(names, rows + [((F(-1), F(-1), F(-1)), F(-4))])
+    assert isinstance(fm_feasible(int_system(tight)), FmInfeasible)
     _assert_same_as_reference(tight)
 
 
@@ -234,13 +294,13 @@ def test_pair_envelopes_match_fraction_reference_on_a_new_stream():
             for _ in range(2 if n <= top else 0):
                 inst = kind(rng, n)
                 for lam in REFERENCE_LAMBDAS:
-                    _assert_same_as_reference(build_sharp_lp(inst, lam))
+                    _assert_same_as_reference(build_sharp_lp_reference(inst, lam), build_sharp_lp(inst, lam))
 
 
 def _system(nvars, rows):
-    """A system from sparse rows ({var: coeff}, rhs) with integer data."""
+    """A dense system from sparse rows ({var: coeff}, rhs) with integer data."""
     dense = [(tuple(F(co.get(m, 0)) for m in range(nvars)), F(rhs)) for co, rhs in rows]
-    return RationalLinearSystem([f"x{m}" for m in range(nvars)], dense)
+    return DenseSystem([f"x{m}" for m in range(nvars)], dense)
 
 
 def test_pair_envelopes_on_hand_built_systems():
@@ -283,7 +343,7 @@ def test_pair_envelopes_on_hand_built_systems():
         _system(4, wide),
         _system(4, wide + [({1: -1, 2: -1}, -5)]),
     ]
-    verdicts = [type(fm_feasible(system)) for system in systems]
+    verdicts = [type(fm_feasible(int_system(system))) for system in systems]
     assert verdicts == [FmInfeasible, FmFeasible, FmFeasible, FmInfeasible, FmFeasible,
                         FmFeasible, FmFeasible, FmInfeasible, FmFeasible, FmFeasible,
                         FmFeasible, FmFeasible, FmInfeasible]
@@ -335,7 +395,7 @@ def test_pair_envelope_keeps_exactly_the_rows_not_implied():
     empty = 0
     for kind in ("small", "open", "near") * 200:
         rows = _pair_rows(rng, kind)
-        system = RationalLinearSystem(["x", "y"], [((F(a), F(b)), F(c)) for a, b, c, _ in rows])
+        system = DenseSystem(["x", "y"], [((F(a), F(b)), F(c)) for a, b, c, _ in rows])
         feasible = isinstance(fm_feasible_reference(system), FmFeasible)
         try:
             kept = list(_envelope(list(rows)))
@@ -357,11 +417,12 @@ def test_tail_systems_at_seven_and_eight_points_finish_and_agree_with_simplex():
     for n in (7, 8):
         rng = random.Random(100 + n)
         for _ in range(12):
-            system = build_sharp_lp(mixed_instance(rng, n), 1)
-            verdicts.append((system, isinstance(fm_feasible(system), FmFeasible)))
+            inst = mixed_instance(rng, n)
+            verdicts.append((inst, isinstance(fm_feasible(build_sharp_lp(inst, 1)), FmFeasible)))
     elapsed = time.monotonic() - t0
     assert elapsed < 20.0, elapsed
-    for system, feasible in verdicts:
+    for inst, feasible in verdicts:
+        system = build_sharp_lp_reference(inst, 1)
         rows = [([float(c) for c in co], float(rhs)) for co, rhs in system.rows]
         other = linprog_feasible(rows, system.num_vars, margin=1e-7)
         assert other is None or other == feasible
@@ -376,6 +437,16 @@ def test_estimate_brackets_the_separation_optimum():
     assert lo <= F(4) <= hi
     assert hi - lo == F(8, 2**20)
     assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+
+
+def test_estimate_rejects_a_negative_lo_before_any_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "fm_feasible", lambda system: calls.append(system))
+    one = HalfPlaneInstance(validate_pseudometric([[0.0]]), [halfplane(1.0, 0.0, 0.0)])
+    for inst in (one, _sep(1)):
+        with pytest.raises(ValueError, match="lo must be >= 0"):
+            estimate_min_seminorm(inst, -1, 64, 8)
+    assert calls == []
 
 
 def test_estimate_validates_inputs():
@@ -400,7 +471,7 @@ def test_elimination_agrees_with_simplex(seed):
     lam = rng.randint(0, 12) / 2.0
     sys = build_sharp_lp(inst, lam)
     mine = fm_feasible(sys)
-    rows = [([float(c) for c in co], float(rhs)) for co, rhs in sys.rows]
+    rows = [([float(c) for c in co], float(rhs)) for co, rhs in build_sharp_lp_reference(inst, lam).rows]
     other = linprog_feasible(rows, sys.num_vars, margin=1e-7)
     if other is None:
         return  # numerically ambiguous for the float solver; exactness is ours
@@ -416,7 +487,7 @@ def test_polygon_elimination_agrees_with_simplex(seed):
     sys = build_sharp_lp_polygon(p, lam)
     assert len(sys.rows) >= sum(len(poly) for poly in p.polygons)
     mine = fm_feasible(sys)
-    rows = [([float(c) for c in co], float(rhs)) for co, rhs in sys.rows]
+    rows = [([float(c) for c in co], float(rhs)) for co, rhs in build_sharp_lp_reference(p, lam).rows]
     other = linprog_feasible(rows, sys.num_vars, margin=1e-7)
     if other is None:
         return
