@@ -15,11 +15,12 @@ like "0.1", or a ratio like "1/3"; string forms are parsed exactly and the
 to its shortest-path pseudometric before solving.
 
 Result documents are emitted with 17 significant digits and fixed key order,
-so a fixed seed reproduces byte-identical output.  Exit codes: 0 success /
-feasible / valid, 1 no-go / infeasible / failed verification, 2 parse or flag
-errors (including oracle caps), 3 metric axiom violations, 4 infeasible upper
-end in `estimate`, 5 internal error: the traceback goes to stderr and stdout
-carries {"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
+and no step draws random numbers, so reruns print byte-identical output;
+`solve --seed` is accepted and ignored.  Exit codes: 0 success / feasible /
+valid, 1 no-go / infeasible / failed verification, 2 parse or flag errors
+(including oracle caps), 3 metric axiom violations, 4 an infeasible --hi or
+a feasible --lo in `estimate`, 5 internal error: the traceback goes to
+stderr and stdout carries {"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
 closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
 called repeatedly in one process: it builds its parser on the first call only.
 
@@ -432,7 +433,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         note(f"solving half-plane instance, n={inst.n}, lambda=({l1}, {l2})")
     assert inst.inst is not None
     try:
-        outcome = run_projection_algorithm(inst.inst, (l1, l2), seed=args.seed)
+        outcome = run_projection_algorithm(inst.inst, (l1, l2))
     except RuntimeError:
         # a failed verification is an input fault when the triangle
         # inequality does not hold; otherwise it is the program's
@@ -510,6 +511,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         if "hi must be feasible" in str(exc):
             raise CliError(4, "--hi is infeasible; raise it")
+        if "lo must be 0 or infeasible" in str(exc):
+            raise CliError(4, "--lo is feasible; lower it")
         raise CliError(2, str(exc))
     print(emit({"lo": a, "hi": b, "width": b - a, "lo_float": float(a), "hi_float": float(b)}))
     return 0
@@ -537,7 +540,7 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lam", default=None)
     ps.add_argument("--lambda1", default=None)
     ps.add_argument("--lambda2", default=None)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=0, help="ignored: no step of the solver is random")
     ps.add_argument("--trace", action="store_true")
     ps.set_defaults(func=cmd_solve)
 

@@ -1,36 +1,31 @@
-"""Small linear programs over intersections of closed half-planes.
+"""Small linear programs over intersections of closed half-planes, exactly.
 
-Solves max/min of a linear objective over {u : <h_i, u> + alpha_i <= 0} by
-randomized incremental insertion (expected linear time in the number of
-constraints).  Objective boundedness is decided up front from the normals
-alone: the objective is bounded above iff it lies in the conic hull of the
-outward normals, tested on float cross products, which can take a nearly
-antiparallel pair for parallel.  Unbounded outcomes become real +/-inf
-interval ends downstream instead of sentinel-large numbers.
+One routine, `_envelope`, intersects half-planes a*x + b*y <= c with integer
+data: one deque pass over the normals in exact angular order keeps the rows
+that the others do not imply, or reports 2 or 3 rows that are already
+jointly empty (Helly), a disjoint antiparallel pair where there is one.  It
+rounds nothing and draws no random numbers.  A float row converts to
+integers exactly (`_exact`), since every float is a dyadic rational.
 
-An optimal value is the correctly rounded exact optimum of the float rows as
-given, so it does not depend on the insertion order, on the seed, or on rows
-that cannot cut the feasible set: the float run only finds the rows active at
-the optimum, and the value is evaluated exactly on them (adaptive exactness,
-Shewchuk, Discrete Comput. Geom. 1997).  The witness point is the float
-vertex the run stopped at.
-
-`_pair_bound` is that exact evaluation; stage 2 of `selection` also uses it
-on the polygon of one angular sweep, and runs these LPs only on the sets the
-sweep leaves to them.
+On the kept rows, `_pair_bound` is the maximum of a linear objective,
+correctly rounded: the least bound that a row parallel to it, or a pair of
+rows whose normals hold it in their cone, gives by weak duality, which an
+optimal basis attains.  The envelope serves the pair envelopes of `oracle`,
+the hull ends of `selection` on the sets its float sweep leaves aside (by
+`_pair_bound`) and the bracketing rows it shares per set of neighbours
+(`_bracket`), and `lp2d_optimize`.
 
 A quadratic brute-force twin (`lp2d_brute_force`) serves as an oracle for
-small systems; it shares no solver code with the incremental path.
+small systems; it shares no solver code with the exact path.
 """
 
 from __future__ import annotations
 
 import math
-import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Any, Deque, List, Sequence, Tuple, Union
 
 from lipsel.geometry import DEFAULT_TOL, HalfPlane, Point2, WholePlane
 
@@ -38,6 +33,8 @@ INF = math.inf
 
 # internal row form: (a, b, alpha, original_index) for a*u1 + b*u2 + alpha <= 0
 Row = Tuple[float, float, float, int]
+# the exact form: (a, b, c, tag) for a*x + b*y <= c, integers and any tag
+PairRow = Tuple[int, int, int, Any]
 
 
 @dataclass(frozen=True)
@@ -70,416 +67,129 @@ def _rows_from(constraints: Sequence[HalfPlane | WholePlane]) -> list[Row]:
     for i, cst in enumerate(constraints):
         if isinstance(cst, WholePlane):
             continue  # vacuous
-        if isinstance(cst, HalfPlane):
-            rows.append((cst.h.x1, cst.h.x2, cst.alpha, i))
-        else:
+        if not isinstance(cst, HalfPlane):
             raise ValueError(f"constraint {i} is not a HalfPlane or WholePlane")
+        if cst.h.x1 == 0.0 and cst.h.x2 == 0.0:
+            raise ValueError(f"constraint {i} has a zero normal")
+        rows.append((cst.h.x1, cst.h.x2, cst.alpha, i))
     return rows
 
 
-def _lex_less(p: Point2, q: Point2) -> bool:
-    return (p.x1, p.x2) < (q.x1, q.x2)
-
-
 # ---------------------------------------------------------------------------
-# conic-hull analysis of the normals
-#
-# For the objective c (maximization) either
-#   * c lies in cone{h_i}: then sup <c,x> is finite whenever the system is
-#     feasible, and a "bracketing" pair of normals certifies it, or
-#   * some recession direction d has <h_i,d> <= 0 for all i and <c,d> > 0.
-# We locate the normals angularly closest to c on either side with sign-exact
-# cross/dot comparisons, then either bracket or rotate one of them into an
-# improving direction (verified against every constraint before use).
+# the exact half-plane envelope
 
 
-def _closest_normals(rows: list[Row], cx: float, cy: float) -> tuple[int, int]:
-    """Positions of the angularly nearest normals on the clockwise (`P`) and
-    counterclockwise (`Q`) sides of c; -1 when a side is empty."""
-    best_p = -1  # minimizes ccw angle from h to c, among cross(h,c) >= 0
-    bp_u = bp_v = 0.0
-    best_q = -1  # minimizes ccw angle from c to h, among cross(c,h) >= 0
-    bq_u = bq_v = 0.0
-    for pos, (a, b, _alpha, _idx) in enumerate(rows):
-        u = a * cx + b * cy
-        v = a * cy - b * cx  # cross(h, c)
-        if v >= 0.0:
-            # angle from h to c is atan2(v, u) in [0, pi]; the cross test is
-            # blind to the antiparallel tie (angles 0 vs pi), hence the dot
-            # tie-break
-            cr = u * bp_v - v * bp_u
-            if best_p < 0 or cr > 0.0 or (cr == 0.0 and u > 0.0 and bp_u < 0.0):
-                best_p, bp_u, bp_v = pos, u, v
-        if v <= 0.0:
-            # angle from c to h is atan2(-v, u) in [0, pi]
-            cr = u * bq_v - (-v) * bq_u
-            if best_q < 0 or cr > 0.0 or (cr == 0.0 and u > 0.0 and bq_u < 0.0):
-                best_q, bq_u, bq_v = pos, u, -v
-    return best_p, best_q
+def _exact(a: float, b: float, alpha: float, tag: Any = None) -> PairRow:
+    """The row a*x + b*y + alpha <= 0 as integers (A, B, C, tag), meaning
+    A*x + B*y <= C."""
+    (pa, qa), (pb, qb), (pl, ql) = a.as_integer_ratio(), b.as_integer_ratio(), alpha.as_integer_ratio()
+    q = max(qa, qb, ql)  # powers of two, so q is their lcm
+    return pa * (q // qa), pb * (q // qb), -pl * (q // ql), tag
 
 
-def _in_cone_pair(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> bool:
-    """c in cone{a, b} (nonzero vectors) by float cross products: inexact."""
-    d = ax * by - ay * bx
-    cb = cx * by - cy * bx
-    ac = ax * cy - ay * cx
-    if d != 0.0:
-        return cb * d >= 0.0 and ac * d >= 0.0
-    # parallel pair: cone is the ray of a (same direction) or the full line
-    if ac != 0.0:
+class _Empty(Exception):
+    """The rows in `args` (none for a constant row) are jointly empty."""
+
+
+def _cross(p: PairRow, q: PairRow) -> int:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _excess(p: PairRow, q: PairRow, t: PairRow) -> int:
+    """> 0, 0 or < 0 as the vertex of p and q (cross > 0) is outside, on or inside t."""
+    (ap, bp, cp, _), (aq, bq, cq, _), (at, bt, ct, _) = p, q, t
+    return at * (cp * bq - bp * cq) + bt * (ap * cq - cp * aq) - ct * (ap * bq - bp * aq)
+
+
+def _disjoint(p: PairRow, q: PairRow) -> bool:
+    """Whether p and q are antiparallel and bound no strip."""
+    return (
+        _cross(p, q) == 0
+        and p[0] * q[0] + p[1] * q[1] < 0
+        and p[2] * (abs(q[0]) + abs(q[1])) + q[2] * (abs(p[0]) + abs(p[1])) < 0
+    )
+
+
+def _implied(first: PairRow, mid: PairRow, last: PairRow) -> bool:
+    """Whether `mid`'s normal is a positive combination of the other two and
+    the vertex of two of the rows is not strictly inside the third.  Raises
+    `_Empty` if it is strictly outside and no cross product is negative: the
+    normals positively span the plane (the three rows are empty), or
+    antiparallel rows bound no strip (those two are)."""
+    c1, c2, c3 = _cross(first, mid), _cross(mid, last), _cross(last, first)
+    if min(c1, c2) < 0 or (c3 < 0 and not (c1 and c2)):
         return False
-    same_dir = ax * bx + ay * by > 0.0
-    if same_dir:
-        return ax * cx + ay * cy > 0.0
-    return True  # line through a: any parallel c is inside
+    excess = _excess(first, mid, last) if c1 else _excess(mid, last, first)
+    if excess > 0 and c3 >= 0:
+        pair = (first, last) if not c3 else (first, mid) if not c1 else (mid, last) if not c2 else ()
+        raise _Empty(*(pair or (first, mid, last)))
+    return excess >= 0 and c3 < 0
 
 
-def _try_direction(rows: list[Row], cx: float, cy: float, dx: float, dy: float) -> bool:
-    if dx == 0.0 and dy == 0.0:
-        return False
-    if cx * dx + cy * dy <= 0.0:
-        return False
-    for a, b, _alpha, _idx in rows:
-        if a * dx + b * dy > 0.0:
-            return False
-    return True
+def _float_angle(r: PairRow) -> float:
+    """The angle of r's normal in [0, 2*pi), rounded."""
+    a, b = r[0], r[1]
+    m = max(abs(a), abs(b))  # int / int neither overflows nor loses the ratio's sign
+    t = math.atan2(b / m, a / m)
+    return t if t >= 0.0 else t + 2.0 * math.pi
 
 
-def _boundedness(rows: list[Row], cx: float, cy: float):
-    """Either ("bracket", pos_a, pos_b) with c in cone{h_a, h_b}, or
-    ("direction", d) with d improving and recession-feasible."""
-    pa, pb = _closest_normals(rows, cx, cy)
-    if pa >= 0 and pb >= 0:
-        ha, hb = rows[pa], rows[pb]
-        if _in_cone_pair(ha[0], ha[1], hb[0], hb[1], cx, cy):
-            return ("bracket", pa, pb)
-    candidates: list[tuple[float, float]] = []
-    if pa >= 0:
-        a, b = rows[pa][0], rows[pa][1]
-        candidates.append((-b, a))  # quarter turn ccw
-    if pb >= 0:
-        a, b = rows[pb][0], rows[pb][1]
-        candidates.append((b, -a))  # quarter turn cw
-    candidates.append((cx, cy))
-    for dx, dy in candidates:
-        if _try_direction(rows, cx, cy, dx, dy):
-            return ("direction", Point2(dx, dy))
-    raise AssertionError("conic-hull analysis failed to classify the objective")
+def _half(r: PairRow) -> bool:
+    """Whether the normal's angle is in [pi, 2*pi)."""
+    return r[1] < 0 or r[1] == 0 and r[0] < 0
 
 
-# ---------------------------------------------------------------------------
-# infeasibility witnesses
+def _by_angle(rows: Sequence[PairRow]) -> List[PairRow]:
+    """The rows by the angle of their normals in [0, 2*pi), exactly, rows
+    of one direction in input order: sorted by a float angle, which can
+    misplace only nearly parallel normals, then put right by insertion with
+    exact comparisons (half-planes of angles, then cross products)."""
+    out = sorted(rows, key=_float_angle)
+    for i in range(1, len(out)):
+        r, j, hr = out[i], i, _half(out[i])
+        while j and (_half(out[j - 1]), -_cross(out[j - 1], r)) > (hr, 0):
+            out[j] = out[j - 1]
+            j -= 1
+        out[j] = r
+    return out
 
 
-def _pair_infeasible(r1: Row, r2: Row) -> bool:
-    """Two half-planes are disjoint iff their normals are antiparallel and the
-    strips they bound do not overlap."""
-    a1, b1, al1, _ = r1
-    a2, b2, al2, _ = r2
-    if a1 * b2 - b1 * a2 != 0.0:
-        return False
-    dot = a1 * a2 + b1 * b2
-    if dot >= 0.0:
-        return False
-    # with h2 = -s*h1 (s>0): empty iff alpha2*|h1|^2 - <h1,h2>*alpha1 > 0.
-    # Evaluated in exact rationals: touching strips (width zero) are feasible,
-    # and float products must not flip that boundary case.
-    A1, B1, AL1 = Fraction(a1), Fraction(b1), Fraction(al1)
-    A2, B2, AL2 = Fraction(a2), Fraction(b2), Fraction(al2)
-    return AL2 * (A1 * A1 + B1 * B1) - (A1 * A2 + B1 * B2) * AL1 > 0
-
-
-def _refine_witness(rows_involved: list[Row]) -> Tuple[int, ...]:
-    """Prefer a disjoint pair inside a candidate witness triple."""
-    n = len(rows_involved)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pair_infeasible(rows_involved[i], rows_involved[j]):
-                return tuple(sorted((rows_involved[i][3], rows_involved[j][3])))
-    return tuple(sorted(r[3] for r in rows_involved))
-
-
-# ---------------------------------------------------------------------------
-# core solver (maximization)
-
-
-def _solve_on_line_exact(k_row: Row, inserted: list[Row], cx: float, cy: float):
-    """Exact-rational twin of _solve_on_line for brackets too close to call.
-
-    Floats convert to Fraction losslessly, so every comparison here is exact;
-    in particular three near-concurrent boundary lines are classified
-    correctly (a single-point pinch is feasible, not an empty bracket).
-    """
-    a, b, alpha, _kidx = k_row
-    A, B, AL = Fraction(a), Fraction(b), Fraction(alpha)
-    nn = A * A + B * B
-    p0x, p0y = -AL * A / nn, -AL * B / nn
-    ux, uy = -B, A
-    t_lo = t_hi = None  # None stands for -inf / +inf respectively
-    lo_row = hi_row = None
-    for row in inserted:
-        aj, bj, alj, _ = row
-        AJ, BJ, ALJ = Fraction(aj), Fraction(bj), Fraction(alj)
-        coef = AJ * ux + BJ * uy
-        rhs = -ALJ - (AJ * p0x + BJ * p0y)
-        if coef == 0:
-            if rhs < 0:
-                if AJ * A + BJ * B < 0:
-                    return ("infeasible", _refine_witness([k_row, row]))
-                raise AssertionError("parallel same-side constraint cannot cut the line")
-            continue
-        bound = rhs / coef
-        if coef > 0:
-            if t_hi is None or bound < t_hi:
-                t_hi, hi_row = bound, row
+def _envelope(rows: Sequence[PairRow]) -> List[PairRow]:
+    """The rows that the other rows do not imply, in angular order from
+    after a gap of at least pi between normals if there is one; raises
+    `_Empty` with 2 or 3 rows that are jointly empty instead.  Normals must
+    be nonzero; of rows with one direction only the tightest (the first on
+    ties) takes part.  One deque pass of half-plane intersection."""
+    unique: List[PairRow] = []
+    for r in _by_angle(rows):
+        u = unique[-1] if unique else r
+        if u is r or _cross(u, r) or _half(u) != _half(r):
+            unique.append(r)
+        elif r[2] * (abs(u[0]) + abs(u[1])) < u[2] * (abs(r[0]) + abs(r[1])):
+            unique[-1] = r
+    start = next((j for j in range(len(unique)) if _cross(unique[j - 1], unique[j]) <= 0), 0)
+    kept: Deque[PairRow] = deque()
+    for r in unique[start:] + unique[:start]:
+        while len(kept) > 1 and _implied(kept[-2], kept[-1], r):
+            kept.pop()
+        while len(kept) > 1 and _implied(r, kept[0], kept[1]):
+            kept.popleft()
+        kept.append(r)
+    while len(kept) > 2:
+        if _implied(kept[-2], kept[-1], kept[0]):
+            kept.pop()
+        elif _implied(kept[-1], kept[0], kept[1]):
+            kept.popleft()
         else:
-            if t_lo is None or bound > t_lo:
-                t_lo, lo_row = bound, row
-    if t_lo is not None and t_hi is not None and t_lo > t_hi:
-        return ("infeasible", _refine_witness([k_row, lo_row, hi_row]))
-    slope = Fraction(cx) * ux + Fraction(cy) * uy
-    if slope == 0:
-        zero = Fraction(0)
-        lo = zero if t_lo is None else max(zero, t_lo)
-        anchor = lo if t_hi is None else min(lo, t_hi)
-        cands = [anchor]
-        if t_lo is not None:
-            cands.append(t_lo)
-        if t_hi is not None:
-            cands.append(t_hi)
-        bx, by = min((p0x + tc * ux, p0y + tc * uy) for tc in cands)
-        return ("point", Point2(float(bx), float(by)))
-    t = t_hi if slope > 0 else t_lo
-    if t is None:
-        raise AssertionError("1-d subproblem unbounded despite bracket certificate")
-    return ("point", Point2(float(p0x + t * ux), float(p0y + t * uy)))
+            break
+    if len(kept) == 2 and _disjoint(*kept):
+        raise _Empty(*kept)
+    return list(kept)
 
 
-def _solve_on_line(
-    k_row: Row, inserted: list[Row], cx: float, cy: float, tol: float
-):
-    """Re-optimize along the boundary line of `k_row` subject to `inserted`.
-
-    Returns ("point", Point2) or ("infeasible", witness_tuple).  Bracket
-    decisions within a relative `tol` window are handed to the exact-rational
-    twin: the foot-of-origin parametrization rounds, and that rounding must
-    not turn a pinched-to-a-point bracket into a bogus infeasibility
-    certificate (or vice versa).
-    """
-    a, b, alpha, _kidx = k_row
-    nn = a * a + b * b
-    p0x, p0y = -alpha * a / nn, -alpha * b / nn  # foot of the origin
-    ux, uy = -b, a  # run along the boundary
-    t_lo, lo_row = -INF, None
-    t_hi, hi_row = INF, None
-    for row in inserted:
-        aj, bj, alj, _ = row
-        coef = aj * ux + bj * uy
-        rhs = -alj - (aj * p0x + bj * p0y)
-        if coef == 0.0:
-            if rhs < 0.0:
-                if rhs >= -tol * max(1.0, abs(alj)):
-                    return _solve_on_line_exact(k_row, inserted, cx, cy)
-                if aj * a + bj * b < 0.0:
-                    return ("infeasible", _refine_witness([k_row, row]))
-                raise AssertionError("parallel same-side constraint cannot cut the line")
-            continue
-        bound = rhs / coef
-        if coef > 0.0:
-            if bound < t_hi:
-                t_hi, hi_row = bound, row
-        else:
-            if bound > t_lo:
-                t_lo, lo_row = bound, row
-    # a bracket with an infinite end is not pinched, however tol * inf reads
-    if -INF < t_lo and t_hi < INF and abs(t_lo - t_hi) <= tol * max(1.0, abs(t_lo), abs(t_hi)):
-        return _solve_on_line_exact(k_row, inserted, cx, cy)
-    if t_lo > t_hi:
-        assert lo_row is not None and hi_row is not None
-        return ("infeasible", _refine_witness([k_row, lo_row, hi_row]))
-    slope = cx * ux + cy * uy
-    if slope > 0.0:
-        t = t_hi
-    elif slope < 0.0:
-        t = t_lo
-    else:
-        # flat objective along the line: deterministic, prefer the lex-least
-        # finite candidate (clamped foot as fallback anchor)
-        anchor = min(max(0.0, t_lo), t_hi)
-        cands = [anchor]
-        if not math.isinf(t_lo):
-            cands.append(t_lo)
-        if not math.isinf(t_hi):
-            cands.append(t_hi)
-        best = None
-        for tc in cands:
-            pt = Point2(p0x + tc * ux, p0y + tc * uy)
-            if best is None or _lex_less(pt, best):
-                best = pt
-        return ("point", best)
-    if math.isinf(t):
-        return _solve_on_line_exact(k_row, inserted, cx, cy)
-    return ("point", Point2(p0x + t * ux, p0y + t * uy))
-
-
-def _feasible_point_unbounded(rows: list[Row], d: Point2):
-    """A feasible point when d is a recession direction, or an infeasible pair.
-
-    Constraints orthogonal to d form a 1-d system across d; the rest recede
-    and are switched on by walking far enough along d.
-    """
-    dx, dy = d.x1, d.x2
-    ex, ey = -dy, dx
-    s_lo, lo_row = -INF, None
-    s_hi, hi_row = INF, None
-    cross_rows: list[Row] = []
-    for row in rows:
-        a, b, alpha, _ = row
-        if a * dx + b * dy == 0.0:
-            coef = a * ex + b * ey
-            bound = -alpha / coef
-            if coef > 0.0:
-                if bound < s_hi:
-                    s_hi, hi_row = bound, row
-            else:
-                if bound > s_lo:
-                    s_lo, lo_row = bound, row
-        else:
-            cross_rows.append(row)
-    if s_lo > s_hi:
-        if s_lo - s_hi <= DEFAULT_TOL * max(1.0, abs(s_lo), abs(s_hi)):
-            # antiparallel cuts pinched to one line; rounding in the cut
-            # coefficients must not report the degenerate strip as empty
-            s_lo = s_hi = 0.5 * (s_lo + s_hi)
-        else:
-            assert lo_row is not None and hi_row is not None
-            return ("infeasible", _refine_witness([lo_row, hi_row]))
-    s = min(max(0.0, s_lo), s_hi)
-    t = 0.0
-    for a, b, alpha, _ in cross_rows:
-        # need t*(<h,d>) <= -alpha - s*<h,e>, with <h,d> < 0
-        bound = (-alpha - s * (a * ex + b * ey)) / (a * dx + b * dy)
-        if bound > t:
-            t = bound
-    return ("point", Point2(s * ex + t * dx, s * ey + t * dy))
-
-
-@lru_cache(maxsize=128)
-def _shuffled(m: int, seed: int) -> tuple[int, ...]:
-    """range(m) in a seeded random order; cached, as seeding a generator
-    costs more than a small LP."""
-    order = list(range(m))
-    random.Random(seed).shuffle(order)
-    return tuple(order)
-
-
-def _solve_max(rows: list[Row], cx: float, cy: float, seed: int, tol: float = DEFAULT_TOL):
-    """Maximize (cx, cy) over the rows: from the bracketing pair of
-    `_boundedness`, insert the other rows in a seeded random order, which
-    keeps the expected-time bound of randomized incremental LP (Seidel,
-    Discrete Comput. Geom. 1991).
-
-    Returns one of
-      ("optimal", value, point) | ("unbounded", direction, point) |
-      ("infeasible", witness_tuple)
-    where the unbounded outcome still carries a feasible point.
-    """
-    if not rows:
-        if cx == 0.0 and cy == 0.0:
-            return ("optimal", 0.0, Point2(0.0, 0.0))
-        return ("unbounded", Point2(cx, cy), Point2(0.0, 0.0))
-    verdict = _boundedness(rows, cx, cy)
-    if verdict[0] == "direction":
-        d = verdict[1]
-        got = _feasible_point_unbounded(rows, d)
-        if got[0] == "infeasible":
-            return got
-        return ("unbounded", d, got[1])
-
-    _, pa, pb = verdict
-    ra, rb = rows[pa], rows[pb]
-    a1, b1, al1, _ = ra
-    a2, b2, al2, _ = rb
-    det = a1 * b2 - b1 * a2
-    inserted: list[Row]
-    if pa == pb:
-        nn = a1 * a1 + b1 * b1
-        v = Point2(-al1 * a1 / nn, -al1 * b1 / nn)
-        inserted = [ra]
-    elif det != 0.0:
-        v = Point2((-al1 * b2 + al2 * b1) / det, (-al2 * a1 + al1 * a2) / det)
-        inserted = [ra, rb]
-    else:
-        dot = a1 * a2 + b1 * b2
-        nn1 = a1 * a1 + b1 * b1
-        if dot > 0.0:
-            # nested half-planes: the optimum sits on the tighter boundary
-            s = dot / nn1  # rb normal = s * ra normal
-            if -al2 / s < -al1:
-                nn2 = a2 * a2 + b2 * b2
-                v = Point2(-al2 * a2 / nn2, -al2 * b2 / nn2)
-            else:
-                v = Point2(-al1 * a1 / nn1, -al1 * b1 / nn1)
-        else:
-            # opposite normals: a strip, possibly empty
-            if _pair_infeasible(ra, rb):
-                return ("infeasible", _refine_witness([ra, rb]))
-            if a1 * cx + b1 * cy > 0.0:
-                v = Point2(-al1 * a1 / nn1, -al1 * b1 / nn1)
-            else:
-                nn2 = a2 * a2 + b2 * b2
-                v = Point2(-al2 * a2 / nn2, -al2 * b2 / nn2)
-        inserted = [ra, rb]
-
-    for p in _shuffled(len(rows), seed):
-        if p == pa or p == pb:
-            continue
-        row = rows[p]
-        a, b, alpha, _ = row
-        if a * v.x1 + b * v.x2 + alpha > tol:
-            got = _solve_on_line(row, inserted, cx, cy, tol)
-            if got[0] == "infeasible":
-                return got
-            v = got[1]
-        inserted.append(row)
-    return ("optimal", _exact_value(rows, v, cx, cy, tol), v)
-
-
-def _ints(*xs: float) -> tuple[list[int], int]:
-    """Integers in the ratio of the floats, and the power of two that takes
-    the floats to them."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    q = max(d for _, d in ratios)
-    return [p * (q // d) for p, d in ratios], q
-
-
-def _exact_value(rows: list[Row], v: Point2, cx: float, cy: float, tol: float) -> float:
-    """The correctly rounded maximum of (cx, cy) over the rows, given a
-    float optimum `v`.
-
-    The optimal basis is among the rows active at `v`, up to a window
-    relative to the row and to the size of `v` that holds the rounding of
-    `v`, so the least `_pair_bound` of those rows is the exact optimum.
-    Should no active row bound c, the float value at `v` stands.
-    """
-    x1, x2 = v
-    size = max(abs(x1), abs(x2))
-    active = {
-        (a, b, al)
-        for a, b, al, _ in rows
-        if abs(a * x1 + b * x2 + al) <= tol * ((abs(a) + abs(b)) * size + abs(al))
-    }
-    (Cx, Cy), q = _ints(cx, cy)
-    best = _pair_bound([_ints(*r)[0] for r in active], Cx, Cy, q)
-    if best == INF:
-        best = cx * x1 + cy * x2
-    return best + 0.0  # a zero optimum is +0.0
-
-
-def _pair_bound(ints: list[list[int]], Cx: int, Cy: int, q: int) -> float:
+def _pair_bound(rows: Sequence[PairRow], Cx: int, Cy: int, q: int) -> float:
     """The least bound on the maximum of (Cx, Cy) / q that one of the rows
-    (A, B, L) or a pair of them gives, correctly rounded; INF when none
-    bounds it.
+    or a pair of them gives, correctly rounded; INF when none bounds it.
 
     When c is in cone{h_i, h_j}, weak duality bounds the maximum by the
     exact value at the vertex of rows i and j (or, for one row whose normal
@@ -487,16 +197,48 @@ def _pair_bound(ints: list[list[int]], Cx: int, Cy: int, q: int) -> float:
     bound.  Evaluated in integers, as `int / int` rounds correctly.
     """
     best = INF
-    for i, (A1, B1, L1) in enumerate(ints):
+    for i, (A1, B1, C1, _) in enumerate(rows):
         dot = Cx * A1 + Cy * B1
         if Cx * B1 == Cy * A1 and dot > 0:
-            best = min(best, -L1 * dot / (q * (A1 * A1 + B1 * B1)))
-        for A2, B2, L2 in ints[i + 1:]:
+            best = min(best, C1 * dot / (q * (A1 * A1 + B1 * B1)))
+        for A2, B2, C2, _ in rows[i + 1:]:
             det = A1 * B2 - B1 * A2
             mu, nu = Cx * B2 - Cy * A2, A1 * Cy - B1 * Cx  # c = (mu h1 + nu h2) / det
             if det > 0 and mu >= 0 and nu >= 0 or det < 0 and mu <= 0 and nu <= 0:
-                best = min(best, (Cx * (B1 * L2 - L1 * B2) + Cy * (L1 * A2 - L2 * A1)) / (q * det))
+                best = min(best, (Cx * (C1 * B2 - B1 * C2) + Cy * (A1 * C2 - C1 * A2)) / (q * det))
     return best
+
+
+def _bracket(kept: List[PairRow], Cx: int, Cy: int) -> Tuple[PairRow, ...]:
+    """Kept rows whose normals hold c in their cone: one parallel to c, or
+    two consecutive ones less than pi apart with c strictly between them;
+    () when there are none, which on an envelope means c is unbounded."""
+    c = (Cx, Cy, 0, None)
+    for r in kept:
+        if _cross(r, c) == 0 and r[0] * Cx + r[1] * Cy > 0:
+            return (r,)
+    for r, s in zip(kept, kept[1:] + kept[:1]):
+        if _cross(r, s) > 0 and _cross(r, c) > 0 and _cross(c, s) > 0:
+            return r, s
+    return ()
+
+
+def _on_line(r: PairRow, kept: List[PairRow]) -> Tuple[Fraction, Fraction]:
+    """The point of the kept rows' polygon on r's boundary line nearest the
+    foot of the origin on that line, exactly; r is one of the kept rows."""
+    A, B, C, _ = r
+    N = A * A + B * B
+    lo, hi = -INF, INF  # the foot plus t * (-B, A) is in the polygon for t in [lo, hi]
+    for a, b, c, _ in kept:
+        coef = A * b - B * a
+        if coef:
+            t = Fraction(c * N - (a * A + b * B) * C, N * coef)
+            if coef > 0:
+                hi = min(hi, t)
+            else:
+                lo = max(lo, t)
+    t = min(max(0, lo), hi)
+    return Fraction(A * C, N) - t * B, Fraction(B * C, N) + t * A
 
 
 # ---------------------------------------------------------------------------
@@ -515,31 +257,76 @@ def lp2d_optimize(
     *,
     seed: int = 0,
 ) -> LpOutcome:
-    """Optimize <c, u> over the intersection of the constraints.
+    """Optimize <c, u> over the intersection of the constraints, exactly.
 
-    Unbounded outcomes carry a direction that improves the requested sense
-    (<c,d> > 0 for max, < 0 for min) and recedes inside the feasible set.
-    A zero objective reports Optimal(0, some feasible point).
+    Infeasible carries 2 or 3 input indices whose constraints are jointly
+    empty, a disjoint pair where the envelope finds one.  Unbounded carries
+    a direction that improves the requested sense (<c,d> > 0 for max, < 0
+    for min) and recedes inside the feasible set: a normal turned a quarter
+    into the gap of at least pi between the normals, or c itself.  Optimal
+    carries the float rounding of an exact optimal point, and the correctly
+    rounded optimum, its exact value: the point is the vertex of the two
+    kept rows around c, or, when a kept row's normal is parallel to c, the
+    point of its optimal edge nearest the foot of the origin on its line.
+    A zero objective reports Optimal(0, such a point of the first kept
+    row's edge).  `seed` is ignored: nothing here draws random numbers.
     """
     _check_sense(sense)
     cx, cy = float(c[0]), float(c[1])
-    rows = _rows_from(constraints)
-    if cx == 0.0 and cy == 0.0:
-        got = _solve_max(rows, 1.0, 0.0, seed)
-        if got[0] == "infeasible":
-            return Infeasible(got[1])
-        return Optimal(0.0, got[2])
     flip = -1.0 if sense == "min" else 1.0
-    got = _solve_max(rows, flip * cx, flip * cy, seed)
-    if got[0] == "infeasible":
-        return Infeasible(got[1])
-    if got[0] == "unbounded":
-        return Unbounded(got[1])
-    return Optimal(flip * got[1], got[2])
+    try:
+        kept = _envelope([_exact(*row) for row in _rows_from(constraints)])
+    except _Empty as empty:
+        return Infeasible(tuple(sorted(r[3] for r in empty.args)))
+    C = _exact(flip * cx, flip * cy, 0.0)  # the maximised objective, in integers
+    if not (C[0] or C[1]):
+        if not kept:
+            return Optimal(0.0, Point2(0.0, 0.0))
+        C = kept[0]
+    bracket = _bracket(kept, C[0], C[1])
+    if not bracket:
+        for r, s in zip(kept, kept[1:] + kept[:1]):
+            if _cross(r, s) <= 0:  # the gap runs counterclockwise from r to s
+                if _cross(r, C) > 0:
+                    a, b = constraints[r[3]].h
+                    return Unbounded(Point2(-b, a))
+                if _cross(C, s) > 0:
+                    a, b = constraints[s[3]].h
+                    return Unbounded(Point2(b, -a))
+        return Unbounded(Point2(flip * cx, flip * cy))
+    if len(bracket) == 2:
+        (A1, B1, C1, _), (A2, B2, C2, _) = bracket
+        det = A1 * B2 - B1 * A2
+        x, y = Fraction(C1 * B2 - B1 * C2, det), Fraction(A1 * C2 - C1 * A2, det)
+    else:
+        x, y = _on_line(bracket[0], kept)
+    return Optimal(float(Fraction(cx) * x + Fraction(cy) * y), Point2(float(x), float(y)))
 
 
 # ---------------------------------------------------------------------------
 # brute-force twin (oracle for <= 20 constraints)
+
+
+def _lex_less(p: Point2, q: Point2) -> bool:
+    return (p.x1, p.x2) < (q.x1, q.x2)
+
+
+def _pair_infeasible(r1: Row, r2: Row) -> bool:
+    """Two half-planes are disjoint iff their normals are antiparallel and the
+    strips they bound do not overlap."""
+    a1, b1, al1, _ = r1
+    a2, b2, al2, _ = r2
+    if a1 * b2 - b1 * a2 != 0.0:
+        return False
+    dot = a1 * a2 + b1 * b2
+    if dot >= 0.0:
+        return False
+    # with h2 = -s*h1 (s>0): empty iff alpha2*|h1|^2 - <h1,h2>*alpha1 > 0.
+    # Evaluated in exact rationals: touching strips (width zero) are feasible,
+    # and float products must not flip that boundary case.
+    A1, B1, AL1 = Fraction(a1), Fraction(b1), Fraction(al1)
+    A2, B2, AL2 = Fraction(a2), Fraction(b2), Fraction(al2)
+    return AL2 * (A1 * A1 + B1 * B1) - (A1 * A2 + B1 * B2) * AL1 > 0
 
 
 def lp2d_brute_force(

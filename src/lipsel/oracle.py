@@ -15,10 +15,10 @@ has at most two variables, and so has every combination of two (Aspvall &
 Shiloach, SIAM J. Comput. 1980).  `fm_feasible` eliminates on these rows and
 divides each combined row by the gcd of its entries.  Before x_k is
 eliminated, each pair (x_k, x_j) of more than two rows is cut down to its
-envelope, the rows its other rows do not imply, by one exact half-plane
-pass; an empty pair polygon means infeasible.  That keeps a pair's rows
-from multiplying from one elimination to the next (Hochbaum & Naor, SIAM J.
-Comput. 1994).  Neither step changes any stage's projected polyhedron, so
+envelope, the rows its other rows do not imply, by the exact half-plane
+pass of `lp2d._envelope`; an empty pair polygon means infeasible.  That
+keeps a pair's rows from multiplying from one elimination to the next
+(Hochbaum & Naor, SIAM J. Comput. 1994).  Neither step changes any stage's projected polyhedron, so
 verdicts and witnesses are those of elimination over rationals on all rows.
 Back-substitution compares integer (numerator, denominator) bounds, builds
 one `Fraction` per coordinate, and checks the witness on the system's rows.
@@ -27,11 +27,11 @@ one `Fraction` per coordinate, and checks the witness on the system's rows.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from lipsel.lp2d import PairRow, _Empty, _envelope
 from lipsel.selection import PolygonInstance
 
 FM_VAR_CAP = 16
@@ -122,10 +122,6 @@ build_sharp_lp_polygon = build_sharp_lp
 Tightest = Dict[Terms, Tuple[Terms, int, int]]
 
 
-class _Empty(Exception):
-    """A constant row or three rows of one variable pair are unsatisfiable."""
-
-
 def _keep(levels: List[Tightest], terms: Terms, rhs: int) -> None:
     """Record `terms . x <= rhs` under its first variable if it is the
     tightest row so far for its primitive coefficient vector (the first row
@@ -160,57 +156,6 @@ def _combine(b: int, p: Terms, a: int, n: Terms) -> Terms:
     for m, c in n:
         acc[m] = acc.get(m, 0) + a * c
     return tuple(sorted((m, c) for m, c in acc.items() if c))
-
-
-PairRow = Tuple[int, int, int, Terms]  # a*x + b*y <= c of one pair, and its key
-
-
-def _cross(p: PairRow, q: PairRow) -> int:
-    return p[0] * q[1] - p[1] * q[0]
-
-
-def _excess(p: PairRow, q: PairRow, t: PairRow) -> int:
-    """> 0, 0 or < 0 as the vertex of p and q (cross > 0) is outside, on or inside t."""
-    (ap, bp, cp, _), (aq, bq, cq, _), (at, bt, ct, _) = p, q, t
-    return at * (cp * bq - bp * cq) + bt * (ap * cq - cp * aq) - ct * (ap * bq - bp * aq)
-
-
-def _implied(first: PairRow, mid: PairRow, last: PairRow) -> bool:
-    """Whether `mid`'s normal is a positive combination of the other two and
-    the vertex of two of the rows is not strictly inside the third.  Raises
-    `_Empty` if it is strictly outside and no cross product is negative: the
-    normals positively span the plane, or antiparallel rows bound no strip."""
-    c1, c2, c3 = _cross(first, mid), _cross(mid, last), _cross(last, first)
-    if min(c1, c2) < 0 or (c3 < 0 and not (c1 and c2)):
-        return False
-    excess = _excess(first, mid, last) if c1 else _excess(mid, last, first)
-    if excess > 0 and c3 >= 0:
-        raise _Empty
-    return excess >= 0 and c3 < 0
-
-
-def _envelope(rows: List[PairRow]) -> Deque[PairRow]:
-    """The rows of one variable pair that its other rows do not imply: one
-    deque pass of half-plane intersection over the normals in exact angular
-    order (upper half-plane first, then by -a/b, which grows with the angle
-    in each half), from after a gap of at least pi if there is one."""
-    rows.sort(key=lambda r: (r[1] < 0, Fraction(-r[0], r[1])))
-    start = next((j for j in range(len(rows)) if _cross(rows[j - 1], rows[j]) <= 0), 0)
-    kept: Deque[PairRow] = deque()
-    for r in rows[start:] + rows[:start]:
-        while len(kept) > 1 and _implied(kept[-2], kept[-1], r):
-            kept.pop()
-        while len(kept) > 1 and _implied(r, kept[0], kept[1]):
-            kept.popleft()
-        kept.append(r)
-    while len(kept) > 2:
-        if _implied(kept[-2], kept[-1], kept[0]):
-            kept.pop()
-        elif _implied(kept[-1], kept[0], kept[1]):
-            kept.popleft()
-        else:
-            break
-    return kept
 
 
 def _prune_pairs(level: Tightest) -> None:
@@ -296,9 +241,9 @@ def estimate_min_seminorm(
 ) -> Tuple[Fraction, Fraction]:
     """Bisect the optimal seminorm into an exact bracket.
 
-    `hi` must be feasible; `lo` >= 0 is a caller-promised lower bound (0
-    always works).  Returns (a, b) with the optimum in [a, b] and
-    b - a = (hi - lo) / 2**iterations.
+    `hi` must be feasible, and `lo` >= 0 must be 0 or infeasible, so that
+    the optimum is in [lo, hi]; one elimination checks each.  Returns (a, b)
+    with the optimum in [a, b] and b - a = (hi - lo) / 2**iterations.
     """
     lo_r, hi_r = Fraction(*_ratio(lo, "lo")), Fraction(*_ratio(hi, "hi"))
     if lo_r < 0:
@@ -309,6 +254,8 @@ def estimate_min_seminorm(
         raise ValueError("iterations must be >= 0")
     if isinstance(fm_feasible(build_sharp_lp(inst, hi_r)), FmInfeasible):
         raise ValueError("hi must be feasible")
+    if lo_r > 0 and isinstance(fm_feasible(build_sharp_lp(inst, lo_r)), FmFeasible):
+        raise ValueError("lo must be 0 or infeasible")
     for _ in range(iterations):
         mid = (lo_r + hi_r) / 2
         if isinstance(fm_feasible(build_sharp_lp(inst, mid)), FmFeasible):

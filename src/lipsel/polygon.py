@@ -46,7 +46,7 @@ def reduce_to_halfplanes(
     return HalfPlaneInstance(PseudometricSpace(m, d), planes), owners
 
 
-def solve_polygon(p: PolygonInstance, lam: float, *, seed: int = 0) -> Outcome:
+def solve_polygon(p: PolygonInstance, lam: float) -> Outcome:
     """Run the projection algorithm with parameters (lam, lam).
 
     Success means a selection with seminorm at most 3*lam; NoGo certifies
@@ -54,4 +54,4 @@ def solve_polygon(p: PolygonInstance, lam: float, *, seed: int = 0) -> Outcome:
     """
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
         raise ValueError("lambda must be finite and > 0")
-    return run_projection_algorithm(p, (lam, lam), seed=seed)
+    return run_projection_algorithm(p, (lam, lam))

@@ -19,16 +19,17 @@ selection has seminorm <= min(l1, l2).  The pipeline:
 Stages 1 and 3 test emptiness with a small bias toward success (strict
 comparison against +tol), so boundary parameter values succeed.
 
-Stage 2 reads each hull off the polygon of one angular sweep, exactly
-(`_sweep_ends`); four LPs (`lp2d`) decide the sets it leaves to them.  A
-hull end is the correctly rounded optimum of its LP, so it is the same on
-any subset of the rows that has the same intersection.  Past a few points,
-stage 2 therefore first takes B, the hull of a few of x's rows: its own
-sides and the sides of its nearest points, plus, for a direction those leave
-unbounded, the rows that bound it for every point with the same finite
-neighbours.  B contains the stage-1 set, and a row whose half-plane holds B
-strictly cannot cut that set, so the four hull LPs run only on the rows that
-cut B, and stage 5 scans only the sides of the points that own those rows.
+Stage 2 reads each hull off the polygon of one float angular sweep
+(`_sweep_ends`); the sets it leaves aside go to the exact half-plane
+envelope of `lp2d`, in integers.  A hull end is the correctly rounded exact
+optimum either way, so it is the same on any subset of the rows that has
+the same intersection.  Past a few points, stage 2 therefore first takes B,
+the hull of a few of x's rows: its own sides and the sides of its nearest
+points, plus, for a direction those leave unbounded, the rows that bound it
+for every point with the same finite neighbours.  B contains the stage-1
+set, and a row whose half-plane holds B strictly cannot cut that set, so
+the hull is taken only on the rows that cut B, and stage 5 scans only the
+sides of the points that own those rows.
 
 Stage 3 folds each hull against its neighbours first and runs the pairwise
 test for NoGo only when some fold comes out empty or pinched: every pair the
@@ -64,7 +65,7 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Row, _boundedness, _ints, _pair_bound, _solve_max
+from lipsel.lp2d import Row, _Empty, _bracket, _envelope, _exact, _excess, _pair_bound
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
@@ -78,8 +79,8 @@ VERIFY_TOL = 1e-7
 # near 100 rows; polygons with 4 sides at n = 100 gain from it)
 NEAREST, BOX_SHARE = 8, 6
 
-# the objectives of the four hull LPs: -lo1, hi1, -lo2, hi2
-HULL_DIRECTIONS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+# the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
+HULL_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 class LambdaPair(NamedTuple):
@@ -212,37 +213,37 @@ def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
     raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
 
 
-def _hull_from_rows(rows: List[Row], seed: int) -> MaybeRect:
+def _hull_from_rows(rows: List[Row]) -> MaybeRect:
     """The rectangular hull of the rows' intersection, or EMPTY: from one
-    angular sweep (`_sweep_ends`) where it decides, else from four LPs."""
+    angular sweep (`_sweep_ends`) where it decides, else from the rows'
+    exact envelope (`lp2d._envelope`)."""
     ends = _sweep_ends(rows)
     if ends is None:
-        ends = []
-        for cx, cy in HULL_DIRECTIONS:
-            got = _solve_max(rows, cx, cy, seed)
-            if got[0] == "infeasible":
-                return EMPTY
-            ends.append(INF if got[0] == "unbounded" else got[1])
+        try:
+            kept = _envelope([_exact(*row) for row in rows])
+        except _Empty:
+            return EMPTY
+        ends = [_pair_bound(kept, cx, cy, 1) + 0.0 for cx, cy in HULL_DIRECTIONS]
     lo1, hi1 = _snap_ends(-ends[0], ends[1], DEFAULT_TOL)
     lo2, hi2 = _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
     return ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2))
 
 
 def _sweep_ends(rows: List[Row]) -> Optional[List[float]]:
-    """The hull LPs' values (-lo1, hi1, -lo2, hi2), or None where the LPs
-    must decide.  One sweep over the rows in the angular order of their
-    normals builds the polygon (half-plane intersection with a deque; no
-    random numbers), and each end is `_pair_bound` of the rows active at the
-    polygon's extreme vertex, the exact optimum, as in `lp2d._exact_value`.
-    A row cuts a vertex off when it is outside by more than both Seidel's
-    tol and the row's activity window, and any vertex within that band of a
-    row not through it exactly is a close call.  Without close calls the
-    polygon is exact up to rounding, so Seidel's float run calls the set
-    feasible too and its exact ends are the same.  The LPs decide the rest
-    as before (NoGo witnesses, infinite and pinched ends, sets at scales
-    where tol is not small): close calls, empty sets, consecutive normals
-    not clearly less than pi apart (so every open direction), and sets no
-    wider than tol * max(1, largest coordinate) in x or y."""
+    """The hull's values (-lo1, hi1, -lo2, hi2), or None where the exact
+    envelope must decide.  One float sweep over the rows in the angular
+    order of their normals builds the polygon (half-plane intersection with
+    a deque), and each end is `_pair_bound` of the rows active at the
+    polygon's extreme vertex: the exact optimum, since the optimal basis is
+    among them.  A row cuts a vertex off when it is outside by more than
+    both tol and the row's activity window, and any vertex within that band
+    of a row not through it exactly is a close call.  Without close calls
+    the polygon is exact up to rounding, so the set is not empty and its
+    exact ends are these.  The envelope decides the rest: close calls,
+    empty sets, consecutive normals not clearly less than pi apart (so every
+    open direction), and sets no wider than tol * max(1, largest
+    coordinate) in x or y (so pinched sets, and sets at scales where tol is
+    not small)."""
     tol = DEFAULT_TOL
     A, B = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
     if len(rows) < 3 or not (min(A) < 0.0 < max(A) and min(B) < 0.0 < max(B)):
@@ -277,14 +278,14 @@ def _sweep_ends(rows: List[Row]) -> Optional[List[float]]:
     if x_hi[0] - x_lo[0] <= w or y_hi[1] - y_lo[1] <= w:
         return None
     ends = []
-    ints: Dict[tuple, List[int]] = {}
+    ints: Dict[tuple, tuple] = {}
     for (x, y, size, _, _), (cx, cy) in zip((x_lo, x_hi, y_lo, y_hi), HULL_DIRECTIONS):
         active = [
-            ints[r] if r in ints else ints.setdefault(r, _ints(*r[:3])[0])
+            ints[r] if r in ints else ints.setdefault(r, _exact(*r[:3]))
             for _, _, r in lines
             if abs(r[0] * x + r[1] * y + r[2]) <= tol * (r[3] * size + r[4])
         ]
-        ends.append(_pair_bound(active, int(cx), int(cy), 1) + 0.0)
+        ends.append(_pair_bound(active, cx, cy, 1) + 0.0)
     return None if INF in ends else ends
 
 
@@ -299,8 +300,7 @@ def _drop_cut(qa: deque, qv: deque, row: tuple, keep: int, tol: float, front: bo
         if res < -w:
             return True
         if res <= w or res <= tol:  # no close call if the row meets the exact vertex
-            (A1, B1, L1), (A2, B2, L2), (A, B, L) = (_ints(*r[:3])[0] for r in (p, q, row))
-            return A * (B1 * L2 - B2 * L1) + B * (A2 * L1 - A1 * L2) + L * (A1 * B2 - B1 * A2) == 0
+            return _excess(*(_exact(*r[:3]) for r in (p, q, row))) == 0
         if front:
             qa.popleft()
             qv.popleft()
@@ -325,34 +325,33 @@ def _vertex(p: tuple, q: tuple, tol: float) -> Optional[tuple]:
 class _Neighbours:
     """What the points with one set of finite neighbours share: the normals
     of their rows (offsets 0, row index the side's position in
-    `inst.sides`), and per hull direction the `_boundedness` verdict, made
-    on first use."""
+    `inst.sides`), and their exact envelope, made on first use."""
 
     def __init__(self, inst: PolygonInstance, drow: Sequence[float]):
         self.normals: List[Row] = [
             (h1, h2, 0.0, k) for k, (y, h1, h2, _, _) in enumerate(inst.sides) if drow[y] != INF
         ]
-        self.verdicts: list = [None] * 4
+        self.kept: Optional[list] = None
 
     def bracket_rows(self, inst: PolygonInstance, l1: float, x: int, directions: List[int]) -> Optional[List[Row]]:
-        """x's rows that bound the given hull directions, or None when one
-        of them is unbounded."""
+        """x's rows whose normals bracket the given hull directions
+        (`lp2d._bracket`), or None when one of them is unbounded."""
+        if self.kept is None:
+            self.kept = _envelope([_exact(*row) for row in self.normals])
         drow = inst.space.d[x]
         out = []
         for k in directions:
-            if self.verdicts[k] is None:
-                self.verdicts[k] = _boundedness(self.normals, *HULL_DIRECTIONS[k])
-            verdict = self.verdicts[k]
-            if verdict[0] == "direction":
+            bracket = _bracket(self.kept, *HULL_DIRECTIONS[k])
+            if not bracket:
                 return None
-            for pos in verdict[1:]:
-                y, h1, h2, alpha, norm1 = inst.sides[self.normals[pos][3]]
+            for *_, pos in bracket:
+                y, h1, h2, alpha, norm1 = inst.sides[pos]
                 out.append((h1, h2, alpha - l1 * drow[y] * norm1, y))
         return out
 
 
 def _stage12_hull(
-    inst: PolygonInstance, l1: float, x: int, seed: int, group: _Neighbours
+    inst: PolygonInstance, l1: float, x: int, group: _Neighbours
 ) -> Tuple[MaybeRect, Optional[List[int]]]:
     """The rectangular hull of the stage-1 set at x, or EMPTY, from the
     rows that cut x's outer box B (module docstring), with the points that
@@ -371,19 +370,19 @@ def _stage12_hull(
             for _, h1, h2, alpha, norm1 in sides[at[y]:at[y + 1]]
         ]
         if BOX_SHARE * len(box_rows) < len(group.normals):
-            box: Optional[MaybeRect] = _hull_from_rows(box_rows, seed)
+            box: Optional[MaybeRect] = _hull_from_rows(box_rows)
             if isinstance(box, ExtRect):
                 ends = (-box.ix.lo, box.ix.hi, -box.iy.lo, box.iy.hi)
                 open_ends = [k for k in range(4) if ends[k] == INF]
                 if open_ends:
                     extra = group.bracket_rows(inst, l1, x, open_ends)
-                    box = None if extra is None else _hull_from_rows(box_rows + extra, seed)
+                    box = None if extra is None else _hull_from_rows(box_rows + extra)
             if isinstance(box, EmptySet):
                 return EMPTY, None
             if box is not None:
                 rows = _point_rows(inst, l1, x, box)
-                return _hull_from_rows(rows, seed), list(dict.fromkeys(row[3] for row in rows))
-    return _hull_from_rows(_point_rows(inst, l1, x), seed), None
+                return _hull_from_rows(rows), list(dict.fromkeys(row[3] for row in rows))
+    return _hull_from_rows(_point_rows(inst, l1, x)), None
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +481,7 @@ def step5_project(
     `points`, ascending, restricts the scan to their sides: stage 2 passes
     the points whose rows cut x's box B.  Any other row holds the square
     around B's center with a margin that covers the rounding of its
-    residual, taken on the row the LPs saw, and g is in B up to
+    residual, taken on the row stage 2 saw, and g is in B up to
     `_snap_ends`' tol/2, so the row is within tol of g and cannot change
     the result.
     """
@@ -526,8 +525,6 @@ def _check_lambdas(lambdas: Tuple[float, float]) -> LambdaPair:
 def run_projection_algorithm(
     inst: PolygonInstance,
     lambdas: Tuple[float, float],
-    *,
-    seed: int = 0,
 ) -> Outcome:
     """Run stages 1-5; Success carries the selection plus stage diagnostics.
 
@@ -541,7 +538,7 @@ def run_projection_algorithm(
     # A point's stage-1 rows, so all its results, depend only on its distance
     # row: a point with an earlier `twin` reuses the twin's results.  The
     # rows' normals depend only on which points are at finite distance, so
-    # boundedness verdicts are shared per such set, keyed by the infinitely
+    # their envelope is shared per such set, keyed by the infinitely
     # distant points (not per component: `solve` does not check the triangle
     # inequality).
     twin: List[int] = []
@@ -557,7 +554,7 @@ def run_projection_algorithm(
         key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
         if key not in groups:
             groups[key] = _Neighbours(inst, drow)
-        hull, kept[x] = _stage12_hull(inst, l1, x, seed, groups[key])
+        hull, kept[x] = _stage12_hull(inst, l1, x, groups[key])
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
         hulls.append(hull)
@@ -655,8 +652,6 @@ def wf_rect(
     x: int,
     xp: int,
     xpp: int,
-    *,
-    seed: int = 0,
 ) -> MaybeRect:
     """Rectangular hull of the intersection at x built from the sides of xp
     and xpp inflated by ltilde times their distances to x.  May be EMPTY;
@@ -668,11 +663,11 @@ def wf_rect(
         if (rho := inst.space.d[y][x]) != INF
         for _, h1, h2, alpha, norm1 in inst.sides[at[y]:at[y + 1]]
     ]
-    return _hull_from_rows(rows, seed)
+    return _hull_from_rows(rows)
 
 
 def check_wnew(
-    inst: PolygonInstance, ltilde: float, lam: float, *, seed: int = 0
+    inst: PolygonInstance, ltilde: float, lam: float
 ) -> Tuple[bool, Optional[Tuple[int, int, int, int, int, int]]]:
     """Whether every pair of triple-hulls meets within lam times the distance.
 
@@ -685,7 +680,7 @@ def check_wnew(
     if n > 8:
         raise ValueError("check_wnew is capped at 8 points")
     rects: List[List[List[MaybeRect]]] = [
-        [[wf_rect(inst, ltilde, x, xp, xpp, seed=seed) for xpp in range(n)] for xp in range(n)]
+        [[wf_rect(inst, ltilde, x, xp, xpp) for xpp in range(n)] for xp in range(n)]
         for x in range(n)
     ]
     for x in range(n):

@@ -21,7 +21,8 @@ l1·ρ·‖h‖₁ of a row dwarfs a point's box) and at --lambda1 1 --lambda2 1
 plain --seed 0 solve on such an instance is checked with `validate
 --result`.  The instances with n <= 4 get `sharp` at λ = 0, 1/2, 1, 2, 4,
 and `estimate` with --hi 64 --iters 8, with --lo 1/3 --hi 5 --iters 6 and
-with --hi 1/1024 (exit 4 where that λ is infeasible, exit 2 on polygons):
+with --hi 1/1024 (exit 4 where that --hi is infeasible or that --lo is
+feasible, exit 2 on polygons):
 7,215 runs in all, 324 of them `estimate`.
 The standard library and the test generators are all it needs; pytest does
 not collect it.

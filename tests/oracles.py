@@ -5,7 +5,8 @@ solver: distances and projections by grid search, shortest paths by
 exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
 multiple of it; `lp_exact_optimum` is the exact optimum of a two-variable LP
-by enumeration in `Fraction`s.  Four exceptions: `refinement_constraints`
+by enumeration in `Fraction`s, and `hull_reference` the exact rectangular
+hull of a set of rows the same way.  Four exceptions: `refinement_constraints`
 lists stage-1 constraints with the public geometry primitives, which the
 grid searches check, so that the public LP can be run on them;
 `build_sharp_lp_reference` is the sharp system as the dense `Fraction` rows
@@ -187,6 +188,48 @@ def lp_exact_optimum(constraints, c):
         for u1, u2 in cands
         if all(a * u1 + b * u2 + al <= 0 for a, b, al in rows)
     )
+
+
+def _integer_row(a, b, alpha):
+    """(A, B, L) in the ratio of the floats a, b, alpha, exactly."""
+    ratios = [x.as_integer_ratio() for x in (a, b, alpha)]
+    q = math.lcm(*(d for _, d in ratios))
+    return tuple(p * (q // d) for p, d in ratios)
+
+
+def hull_reference(rows):
+    """The rectangular hull of the rows (a, b, alpha, _), meaning
+    a*x + b*y + alpha <= 0, exactly: None when their intersection is empty,
+    else (lo1, hi1, lo2, hi2) as stage 2 writes it.  Each end is the
+    correctly rounded maximum of an axis objective, a lower end negated (so
+    a zero lower end is -0.0), and infinite when the objective improves
+    along a recession direction: the objective itself, a normal turned a
+    quarter either way, or a normal reversed, which covers every extreme
+    ray of the recession cone.  Emptiness and maxima come from the feasible
+    points among every pairwise boundary crossing and every boundary's point
+    nearest the origin, as in `lp_exact_optimum`, here as integer triples
+    (X, Y, D) for the point (X / D, Y / D) with D > 0."""
+    exact = [_integer_row(a, b, al) for a, b, al, _ in rows]
+    cands = [(-l * a, -l * b, a * a + b * b) for a, b, l in exact]
+    for (a1, b1, l1), (a2, b2, l2) in itertools.combinations(exact, 2):
+        det = a1 * b2 - b1 * a2
+        if det:
+            s = 1 if det > 0 else -1
+            cands.append((s * (l2 * b1 - l1 * b2), s * (l1 * a2 - l2 * a1), s * det))
+    feasible = [(X, Y, D) for X, Y, D in cands if all(a * X + b * Y + l * D <= 0 for a, b, l in exact)]
+    if exact and not feasible:
+        return None
+    dirs = [d for a, b, _ in exact for d in ((-b, a), (b, -a), (-a, -b))]
+    ends = []
+    for cx, cy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        if any(
+            cx * dx + cy * dy > 0 and all(a * dx + b * dy <= 0 for a, b, _ in exact)
+            for dx, dy in [(cx, cy)] + dirs
+        ):
+            ends.append(INF)
+        else:
+            ends.append(float(max(Fraction(cx * X + cy * Y, D) for X, Y, D in feasible)))
+    return -ends[0], ends[1], -ends[2], ends[3]
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,25 @@ def test_solve_output_is_byte_stable(tmp_path, capsys):
     assert first == second
 
 
+def test_solve_seed_is_ignored(tmp_path, capsys, monkeypatch):
+    """`--seed` reaches nothing: on a planted n = 5 draw whose open hull
+    sets go to the exact envelope, --seed 0 and --seed 977 print the same
+    bytes, plain and with --trace."""
+    envelope, calls = lipsel.selection._envelope, []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return envelope(rows)
+
+    monkeypatch.setattr(lipsel.selection, "_envelope", spy)
+    path = write(tmp_path, instance_doc(planted_instance(random.Random(1), 5)))
+    for trace in ([], ["--trace"]):
+        first = run(capsys, "solve", path, "--lambda", "1", "--seed", "0", *trace)
+        second = run(capsys, "solve", path, "--lambda", "1", "--seed", "977", *trace)
+        assert first[0] == 0 and first[1] == second[1], (first, second)
+    assert calls, "no hull reached the exact envelope"
+
+
 def test_solve_flag_validation(tmp_path, capsys):
     path = write(tmp_path, SEP4)
     for argv in (
@@ -532,6 +551,17 @@ def test_estimate_rejects_a_negative_lo(tmp_path, capsys):
     for doc in (apart, alone):
         got = run(capsys, "estimate", write(tmp_path, doc), "--lo", "-1", "--hi", "64")
         assert got == (2, "", "error: --lo must be >= 0\n")
+
+
+def test_estimate_rejects_a_feasible_lo(tmp_path, capsys):
+    # x <= 0 alone has optimum 0, so --lo 1/3 is feasible and a bracket
+    # from it would leave the optimum out; --lo 0 brackets it
+    doc = {"n": 1, "metric": {"matrix": [[0]]}, "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}]}}
+    alone = write(tmp_path, doc)
+    got = run(capsys, "estimate", alone, "--lo", "1/3", "--hi", "5", "--iters", "6")
+    assert got == (4, "", "error: --lo is feasible; lower it\n")
+    code, out, _ = run(capsys, "estimate", alone, "--lo", "0", "--hi", "5", "--iters", "6")
+    assert code == 0 and json.loads(out)["lo"] == "0"
 
 
 def test_estimate_rejects_polygons(tmp_path, capsys):

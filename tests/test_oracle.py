@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from generators import mixed_instance, planted_instance, random_instance, random_polygon_instance
 from lipsel.geometry import HalfPlane, Point2, halfplane
+from lipsel.lp2d import _Empty, _envelope
 from lipsel import oracle
 from lipsel.metric import PseudometricSpace, validate_pseudometric
 from lipsel.oracle import (
@@ -18,8 +19,6 @@ from lipsel.oracle import (
     FmFeasible,
     FmInfeasible,
     RationalLinearSystem,
-    _Empty,
-    _envelope,
     build_sharp_lp,
     build_sharp_lp_polygon,
     estimate_min_seminorm,
@@ -353,11 +352,14 @@ def test_pair_envelopes_on_hand_built_systems():
 
 def _implied_by(row, rows):
     """Whether a*x + b*y <= c holds on the nonempty polygon of `rows`: by
-    Farkas' lemma, and since a basic solution has two nonzeros, iff
-    (a, b) = l1*n1 + l2*n2 with l1, l2 >= 0 for two of the rows and
-    l1*c1 + l2*c2 <= c."""
+    Farkas' lemma, with a basic solution (one row, or two with independent
+    normals), iff (a, b) = l1*n1 with l1 >= 0 and l1*c1 <= c for one of
+    the rows, or (a, b) = l1*n1 + l2*n2 with l1, l2 >= 0 and
+    l1*c1 + l2*c2 <= c for two of them."""
     a, b, c, _ = row
     for i, (a1, b1, c1, _) in enumerate(rows):
+        if a * b1 == b * a1 and a * a1 + b * b1 > 0 and F(a * a1 + b * b1, a1 * a1 + b1 * b1) * c1 <= c:
+            return True
         for a2, b2, c2, _ in rows[i + 1:]:
             det = a1 * b2 - b1 * a2
             if det:
@@ -371,43 +373,65 @@ def _pair_rows(rng, kind):
     """Rows a*x + b*y <= c with a, b nonzero and pairwise different
     directions: small integers, which make strips of width 0 and concurrent
     rows common; normals only in one half-plane; or normals of about 2**55
-    around one direction, whose angles a float cannot tell apart."""
+    around one direction, whose angles a float cannot tell apart.  Besides
+    the pair rows of the oracle: "axis" sets, where half of the normals
+    have a = 0 or b = 0; "repeated" sets, whose directions repeat at other
+    lengths and offsets; and sets of "one" row or of "two", mostly
+    antiparallel."""
     rows, seen = [], set()
     px, py = rng.randint(-3, 3), rng.randint(-3, 3)
     base = [rng.choice((-1, 1)) * rng.randint(2**54, 2**55) for _ in range(2)]
     m = rng.randint(3, 10)
+    m = {"one": 1, "two": 2}.get(kind, m)
     while len(rows) < m:
         if kind == "near" and rng.random() < 0.7:
             a, b = base[0] + rng.randint(-2, 2), base[1] + rng.randint(-2, 2)
+        elif kind in ("repeated", "two") and rows and rng.random() < 0.8:
+            f = rng.randint(1, 3) * (-1 if kind == "two" else 1)
+            a, b = f * rows[-1][0], f * rows[-1][1]
+            rows.append((a, b, a * px + b * py + rng.randint(-2, 3), len(rows)))
+            continue
         else:
             a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
             if kind == "open":
                 b = abs(b)
+            if kind == "axis" and rng.random() < 0.5:
+                a, b = (0, b) if rng.random() < 0.5 else (a, 0)
         g = math.gcd(a, b)
-        if (a // g, b // g) not in seen:
+        if kind in ("repeated", "one", "two") or (a // g, b // g) not in seen:
             seen.add((a // g, b // g))
             rows.append((a, b, a * px + b * py + rng.randint(-2, 3), len(rows)))
     return rows
 
 
+def _pair_system(rows):
+    return DenseSystem(["x", "y"], [((F(a), F(b)), F(c)) for a, b, c, _ in rows])
+
+
 def test_pair_envelope_keeps_exactly_the_rows_not_implied():
+    """`lp2d._envelope` keeps exactly the rows that the kept rows do not
+    imply, or reports 2 or 3 rows that are infeasible by themselves, a
+    disjoint pair where it names two."""
     rng = random.Random("envelopes")
-    empty = 0
-    for kind in ("small", "open", "near") * 200:
+    empty = {}
+    for kind in ("small", "open", "near") * 200 + ("axis", "repeated", "one", "two") * 150:
         rows = _pair_rows(rng, kind)
-        system = DenseSystem(["x", "y"], [((F(a), F(b)), F(c)) for a, b, c, _ in rows])
-        feasible = isinstance(fm_feasible_reference(system), FmFeasible)
+        feasible = isinstance(fm_feasible_reference(_pair_system(rows)), FmFeasible)
         try:
             kept = list(_envelope(list(rows)))
-        except _Empty:
+        except _Empty as exc:
             assert not feasible, rows
-            empty += 1
+            assert len(exc.args) in (2, 3) and all(r in rows for r in exc.args), (rows, exc.args)
+            assert isinstance(fm_feasible_reference(_pair_system(exc.args)), FmInfeasible), (rows, exc.args)
+            empty[kind] = empty.get(kind, 0) + 1
             continue
         assert feasible, rows
         for row in rows:
             others = [k for k in kept if k is not row]
             assert (row in kept) != _implied_by(row, others), (rows, kept, row)
-    assert 100 < empty < 500, empty
+    assert 100 < sum(empty.get(kind, 0) for kind in ("small", "open", "near")) < 500, empty
+    assert all(10 <= empty.get(kind, 0) < 130 for kind in ("axis", "repeated", "two")), empty
+    assert "one" not in empty, empty
 
 
 def test_tail_systems_at_seven_and_eight_points_finish_and_agree_with_simplex():
@@ -447,6 +471,17 @@ def test_estimate_rejects_a_negative_lo_before_any_elimination(monkeypatch):
         with pytest.raises(ValueError, match="lo must be >= 0"):
             estimate_min_seminorm(inst, -1, 64, 8)
     assert calls == []
+
+
+def test_estimate_rejects_a_feasible_lo():
+    # x <= 0 alone has optimum 0: a positive lo is feasible and no bracket
+    # from it holds the optimum; on _sep(4), lo = 3 is infeasible and kept
+    one = HalfPlaneInstance(validate_pseudometric([[0.0]]), [halfplane(1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="lo must be 0 or infeasible"):
+        estimate_min_seminorm(one, F(1, 3), 5, 6)
+    assert estimate_min_seminorm(one, 0, 5, 6) == (0, F(5, 64))
+    lo, hi = estimate_min_seminorm(_sep(4), 3, 8, 6)
+    assert lo <= 4 <= hi and hi - lo == F(5, 64)
 
 
 def test_estimate_validates_inputs():

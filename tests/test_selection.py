@@ -14,7 +14,7 @@ from generators import (
     random_instance,
     random_polygon_instance,
 )
-from oracles import refinement_constraints, step3_refine_rects_reference
+from oracles import hull_reference, refinement_constraints, step3_refine_rects_reference
 from lipsel.geometry import (
     DEFAULT_TOL,
     EMPTY,
@@ -39,7 +39,6 @@ from lipsel.selection import (
     SelectionReport,
     Success,
     _hull_from_rows,
-    _snap_ends,
     check_wnew,
     lipschitz_seminorm,
     run_projection_algorithm,
@@ -332,30 +331,6 @@ def test_success_is_monotone_in_lambda(seed):
         assert isinstance(bigger, Success)
 
 
-def _ends_close(u, v, tol=1e-9):
-    if math.isinf(u) or math.isinf(v):
-        return u == v
-    return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_outcome_does_not_depend_on_solver_seed(seed):
-    """The inner LP visits vertices in a seed-dependent order, which can move
-    results by an ulp, but the outcome kind and values are stable."""
-    rng = random.Random(seed)
-    inst = planted_instance(rng, rng.randint(1, 5))
-    a = run_projection_algorithm(inst, (1.0, 1.0), seed=0)
-    b = run_projection_algorithm(inst, (1.0, 1.0), seed=977)
-    assert isinstance(a, Success) and isinstance(b, Success)
-    for ra, rb in zip(a.hulls, b.hulls):
-        for u, v in ((ra.ix.lo, rb.ix.lo), (ra.ix.hi, rb.ix.hi),
-                     (ra.iy.lo, rb.iy.lo), (ra.iy.hi, rb.iy.hi)):
-            assert _ends_close(u, v)
-    for pa, pb in zip(a.f, b.f):
-        assert _ends_close(pa.x1, pb.x1) and _ends_close(pa.x2, pb.x2)
-
-
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_zero_distance_points_share_values(seed):
@@ -457,12 +432,12 @@ def _nontransitive_space(rng, n, dup_chance=0.4):
     return PseudometricSpace(n, d)
 
 
-def _public_ends(inst, l1, x, seed):
+def _public_ends(inst, l1, x):
     """Hull ends at x from `lp2d_optimize`, or None when the set is empty."""
     cons = refinement_constraints(inst, l1, x)
     ends = []
     for c in ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)):
-        got = lp2d_optimize(cons, c, "max", seed=seed)
+        got = lp2d_optimize(cons, c, "max")
         if isinstance(got, Infeasible):
             return None
         ends.append(INF if isinstance(got, Unbounded) else got.value)
@@ -471,7 +446,7 @@ def _public_ends(inst, l1, x, seed):
 
 @pytest.mark.parametrize("kind", ["repeated", "blocks", "nontransitive"])
 def test_shared_plans_and_reused_hulls_match_public_lp(kind):
-    """Boundedness verdicts shared per set of finite neighbours and hulls
+    """The normals' envelope shared per set of finite neighbours and hulls
     reused between equal distance rows give exactly the hulls of
     independent public LPs."""
     rng = random.Random(f"plans/{kind}")
@@ -488,17 +463,16 @@ def test_shared_plans_and_reused_hulls_match_public_lp(kind):
             )
         d = inst.space.d
         zero_pairs = [(x, y) for x in range(n) for y in range(x) if d[x][y] == 0.0]
-        seed = 977 if draw % 2 else 0
         for lam in (0.25, 1.0, 4.0):
             empty = [
                 x for x in range(n)
                 if isinstance(
-                    lp2d_optimize(refinement_constraints(inst, lam, x), (0.0, 0.0), seed=seed),
+                    lp2d_optimize(refinement_constraints(inst, lam, x), (0.0, 0.0)),
                     Infeasible,
                 )
             ]
             try:
-                got = run_projection_algorithm(inst, (lam, lam), seed=seed)
+                got = run_projection_algorithm(inst, (lam, lam))
             except RuntimeError as exc:
                 # without the triangle inequality the l1 + 2*l2 bound can
                 # fail; stages 1-3 passed, so no stage-1 set is empty
@@ -514,9 +488,7 @@ def test_shared_plans_and_reused_hulls_match_public_lp(kind):
                 continue
             for x in range(n):
                 hull = got.hulls[x]
-                assert (hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi) == _public_ends(
-                    inst, lam, x, seed
-                )
+                assert (hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi) == _public_ends(inst, lam, x)
             assert got.seminorm == lipschitz_seminorm(got.f, inst.space)
             seen["success"] += 1
             seen["equal_rows"] += sum(d[x] == d[y] for x, y in zero_pairs)
@@ -585,9 +557,9 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
             runs += [(inst, lam) for lam in (4.0, 16.0)]
     successes = 0
     for inst, lam in runs:
-        ends = [_public_ends(inst, lam, x, 0) for x in range(inst.n)]
+        ends = [_public_ends(inst, lam, x) for x in range(inst.n)]
         # with l2 this large stage 3 cannot stop the run
-        got = run_projection_algorithm(inst, (lam, 2.0**40), seed=5)
+        got = run_projection_algorithm(inst, (lam, 2.0**40))
         if isinstance(got, NoGo):
             assert got == NoGo(1, ends.index(None))
             continue
@@ -677,7 +649,7 @@ def test_stage3_folds_first_equal_the_pairwise_scan_first(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stage-2 hulls from one sweep against four public LPs
+# stage-2 hulls against the exact Fraction reference
 
 
 def _sweep_rows(rng, kind, k):
@@ -736,28 +708,30 @@ def _sweep_rows(rng, kind, k):
     return [(a, b, s * al, i) for i, (a, b, al, _) in enumerate(rows)]
 
 
-def _four_lp_hull(rows, seed):
-    """The hull from four public LPs with its ends snapped as stage 2 snaps
-    them: a tuple of ends, EMPTY, or the text of an AssertionError."""
-    cons = [HalfPlane(Point2(a, b), al) for a, b, al, _ in rows]
-    ends = []
-    try:
-        for c in lipsel.selection.HULL_DIRECTIONS:
-            got = lp2d_optimize(cons, c, "max", seed=seed)
-            if isinstance(got, Infeasible):
-                return EMPTY
-            ends.append(INF if isinstance(got, Unbounded) else got.value)
-        return _snap_ends(-ends[0], ends[1], DEFAULT_TOL) + _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
-    except AssertionError as exc:
-        return str(exc)
+def _hull(rows):
+    """`_hull_from_rows` as `hull_reference` writes it."""
+    got = _hull_from_rows(rows)
+    return None if got is EMPTY else (got.ix.lo, got.ix.hi, got.iy.lo, got.iy.hi)
 
 
-def test_hulls_from_one_sweep_equal_four_public_lps(monkeypatch):
-    """`_hull_from_rows` equals four `lp2d_optimize` calls, bit for bit
-    (signed zeros too), or both are EMPTY or raise alike, on random row sets
-    with empty and open sets, parallel rows, strips of zero width,
-    concurrent rows and pinched sets, at scales 1 and 2^±40; and the sweep,
-    not the LPs, decides most bounded sets at scale 1 and 2^40."""
+def _stream_draw(name, index):
+    """The rows of draw `index` of the `_sweep_rows` stream on
+    `random.Random(name)`, in the kind and scale the test gives it."""
+    kinds = ("around", "mixed", "open", "strip", "parallel", "concurrent", "pinched")
+    rng = random.Random(name)
+    for draw in range(index + 1):
+        rows = _sweep_rows(rng, kinds[draw % len(kinds)], (0, 40, -40)[draw // len(kinds) % 3])
+    return rows
+
+
+def test_hulls_from_rows_equal_the_fraction_reference(monkeypatch):
+    """`_hull_from_rows` equals `hull_reference`, bit for bit (signed zeros
+    too): both EMPTY, or the same infinite and correctly rounded finite
+    ends, on random row sets with empty and open sets, parallel rows, strips
+    of zero width, concurrent rows and pinched sets, at scales 1 and 2^±40;
+    and the sweep, not the exact envelope, decides most bounded sets at
+    scale 1 and 2^40.  Three draws of other streams, where the randomized
+    LPs that stage 2 once used went wrong, are pinned."""
     sweep = lipsel.selection._sweep_ends
     decided = []
 
@@ -774,25 +748,31 @@ def test_hulls_from_one_sweep_equal_four_public_lps(monkeypatch):
     for draw in range(4200):
         kind, k = kinds[draw % len(kinds)], (0, 40, -40)[draw // len(kinds) % 3]
         rows = _sweep_rows(rng, kind, k)
-        want = _four_lp_hull(rows, draw % 3)
+        want = hull_reference(rows)
         decided.clear()
-        try:
-            got = _hull_from_rows(rows, draw % 3)
-            if isinstance(got, ExtRect):
-                got = (got.ix.lo, got.ix.hi, got.iy.lo, got.iy.hi)
-        except AssertionError as exc:
-            got = str(exc)
-        assert repr(got) == repr(want), (kind, k, rows)
-        if isinstance(want, tuple) and INF not in map(abs, want):
+        assert repr(_hull(rows)) == repr(want), (draw, kind, k, rows)
+        if want is None:
+            seen[kind, k][0] += 1
+        elif INF in map(abs, want):
+            seen[kind, k][1] += 1
+        else:
             seen[kind, k][2] += 1
             bounded[kind, k].append(decided[0])
-        elif not isinstance(want, str):
-            seen[kind, k][0 if want is EMPTY else 1] += 1
+        if draw == 553:  # the LPs called it empty for two of three seeds
+            assert want is not None and kind == "around" and k == 40
     assert seen["mixed", 0][0] >= 20 and seen["strip", 0][0] >= 20, seen
     assert all(seen[kind, k][1] >= 50 for kind in ("open", "pinched") for k in (0, 40, -40)), seen
     assert all(seen[kind, k][2] >= 30 for kind in kinds if kind != "open" for k in (0, 40, -40)), seen
     # at 2^-40 tol is not small against the data, and a pinched set has
-    # close calls, so the LPs decide those; the sweep most others
+    # close calls, so the envelope decides those; the sweep most others
     share = {key: sum(v) / len(v) for key, v in bounded.items() if v}
     assert all(share[kind, k] >= 0.7 for kind in ("around", "mixed") for k in (0, 40)), share
     assert all(share[kind, -40] == 0.0 for kind in kinds if kind != "open") and share["pinched", 0] == 0.0, share
+    # the LPs raised on "d" 2300 (2^40), and gave two infinite ends on "b"
+    # 3406 (scale 1), where float cross products took nearly antiparallel
+    # normals for parallel
+    rows = _stream_draw("d", 2300)
+    assert repr(_hull(rows)) == repr(hull_reference(rows))
+    rows = _stream_draw("b", 3406)
+    want = hull_reference(rows)
+    assert repr(_hull(rows)) == repr(want) and want[1] == 7205759403792781.0 and INF not in map(abs, want)
