@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from lipsel.lp2d import PairRow, _Empty, _envelope
 from lipsel.selection import PolygonInstance
@@ -73,6 +73,15 @@ def _ratio(v, what: str, *where) -> Tuple[int, int]:
     raise ValueError(f"{what.format(*where)} must be rational, got {type(v).__name__}")
 
 
+def _finite_pairs(inst: PolygonInstance) -> Iterator[Tuple[int, int, int, int]]:
+    """(i, j, p, q) for each pair i < j at a finite distance p / q."""
+    for i, d in enumerate(inst.space.d):
+        for j in range(i + 1, inst.n):
+            rho = d[j]
+            if not (isinstance(rho, float) and rho == math.inf):
+                yield (i, j, *_ratio(rho, "distance ({},{})", i, j))
+
+
 def build_sharp_lp(inst: PolygonInstance, lam) -> RationalLinearSystem:
     """Membership plus coupling rows, as sparse integer rows.
 
@@ -96,18 +105,13 @@ def build_sharp_lp(inst: PolygonInstance, lam) -> RationalLinearSystem:
             scale = math.lcm(qa, q1, q2)  # a zero has denominator 1
             terms = tuple([(m, p * (scale // q)) for m, p, q in ((2 * i, p1, q1), (2 * i + 1, p2, q2)) if p])
             rows.append((terms, -pa * (scale // qa)))
-    for i, d in enumerate(inst.space.d):
-        for j in range(i + 1, n):
-            rho = d[j]
-            if isinstance(rho, float) and rho == math.inf:
-                continue
-            rp, rq = _ratio(rho, "distance ({},{})", i, j)
-            p, q = lp * rp, lq * rq
-            g = math.gcd(p, q)
-            p, q = p // g, q // g  # cap = lam * rho = p / q in lowest terms
-            for a, b in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):  # u then v
-                rows.append((((a, q), (b, -q)), p))
-                rows.append((((a, -q), (b, q)), p))
+    for i, j, rp, rq in _finite_pairs(inst):
+        p, q = lp * rp, lq * rq
+        g = math.gcd(p, q)
+        p, q = p // g, q // g  # cap = lam * rho = p / q in lowest terms
+        for a, b in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):  # u then v
+            rows.append((((a, q), (b, -q)), p))
+            rows.append((((a, -q), (b, q)), p))
     return RationalLinearSystem(names, rows)
 
 
@@ -236,14 +240,29 @@ def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
     return FmFeasible(witness)
 
 
+def _seminorm(inst: PolygonInstance, witness: List[Fraction]) -> Fraction:
+    """The Lipschitz seminorm of a witness: its largest coordinate gap over
+    the distance, over the finite pairs at positive distance (0 if none)."""
+    best = Fraction(0)
+    for i, j, p, q in _finite_pairs(inst):
+        if p:
+            gap = max(abs(witness[2 * i] - witness[2 * j]), abs(witness[2 * i + 1] - witness[2 * j + 1]))
+            best = max(best, gap * q / p)
+    return best
+
+
 def estimate_min_seminorm(
     inst: PolygonInstance, lo, hi, iterations: int
 ) -> Tuple[Fraction, Fraction]:
     """Bisect the optimal seminorm into an exact bracket.
 
     `hi` must be feasible, and `lo` >= 0 must be 0 or infeasible, so that
-    the optimum is in [lo, hi]; one elimination checks each.  Returns (a, b)
-    with the optimum in [a, b] and b - a = (hi - lo) / 2**iterations.
+    the optimum is in [lo, hi].  Returns (a, b) with the optimum in [a, b]
+    and b - a = (hi - lo) / 2**iterations.  A witness feasible at some
+    lambda is feasible at every lambda at or above its own seminorm, since
+    only the coupling caps lambda * rho depend on lambda.  So a point at or
+    above the smallest witness seminorm so far is feasible with no
+    elimination, and only the others get one; every verdict is exact.
     """
     lo_r, hi_r = Fraction(*_ratio(lo, "lo")), Fraction(*_ratio(hi, "hi"))
     if lo_r < 0:
@@ -252,13 +271,25 @@ def estimate_min_seminorm(
         raise ValueError("need lo < hi")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    if isinstance(fm_feasible(build_sharp_lp(inst, hi_r)), FmInfeasible):
+    settled = math.inf  # the smallest seminorm of a witness so far
+
+    def feasible(lam: Fraction) -> bool:
+        nonlocal settled
+        if lam >= settled:
+            return True
+        got = fm_feasible(build_sharp_lp(inst, lam))
+        if isinstance(got, FmInfeasible):
+            return False
+        settled = _seminorm(inst, got.witness)  # <= lam < the old one
+        return True
+
+    if not feasible(hi_r):
         raise ValueError("hi must be feasible")
-    if lo_r > 0 and isinstance(fm_feasible(build_sharp_lp(inst, lo_r)), FmFeasible):
+    if feasible(lo_r) and lo_r > 0:
         raise ValueError("lo must be 0 or infeasible")
     for _ in range(iterations):
         mid = (lo_r + hi_r) / 2
-        if isinstance(fm_feasible(build_sharp_lp(inst, mid)), FmFeasible):
+        if feasible(mid):
             hi_r = mid
         else:
             lo_r = mid

@@ -102,6 +102,9 @@ class PolygonInstance:
         for i, poly in enumerate(self.polygons):
             if not poly:
                 raise ValueError(f"polygon {i} has no half-planes")
+            for k, hp in enumerate(poly):
+                if hp.h.x1 == 0 and hp.h.x2 == 0:
+                    raise ValueError(f"point {i}, side {k}: half-plane normal must be nonzero")
 
     @property
     def n(self) -> int:

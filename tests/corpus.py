@@ -20,10 +20,10 @@ l1·ρ·‖h‖₁ of a row dwarfs a point's box) and at --lambda1 1 --lambda2 1
 --trace.  Every instance with n <= 100 is validated, and every success of a
 plain --seed 0 solve on such an instance is checked with `validate
 --result`.  The instances with n <= 4 get `sharp` at λ = 0, 1/2, 1, 2, 4,
-and `estimate` with --hi 64 --iters 8, with --lo 1/3 --hi 5 --iters 6 and
-with --hi 1/1024 (exit 4 where that --hi is infeasible or that --lo is
-feasible, exit 2 on polygons):
-7,215 runs in all, 324 of them `estimate`.
+and `estimate` with --hi 64 --iters 8, with --hi 64 at the default --iters
+20 (the deepest brackets), with --lo 1/3 --hi 5 --iters 6 and with --hi
+1/1024 (exit 4 where that --hi is infeasible or that --lo is feasible,
+exit 2 on polygons): 7,323 runs in all, 432 of them `estimate`.
 The standard library and the test generators are all it needs; pytest does
 not collect it.
 """
@@ -54,7 +54,12 @@ from lipsel.cli import main  # noqa: E402
 LAMBDAS = ("1/2", "1", "2", "4", "1048576")
 SEEDS = ("0", "977")
 SHARP_LAMBDAS = ("0", "1/2", "1", "2", "4")
-ESTIMATES = (["--hi", "64", "--iters", "8"], ["--lo", "1/3", "--hi", "5", "--iters", "6"], ["--hi", "1/1024"])
+ESTIMATES = (
+    ["--hi", "64", "--iters", "8"],
+    ["--hi", "64"],
+    ["--lo", "1/3", "--hi", "5", "--iters", "6"],
+    ["--hi", "1/1024"],
+)
 
 
 def polygon_doc(inst) -> dict:

@@ -16,9 +16,13 @@ integer rows can be checked against the dense ones and hand-built dense
 systems can be handed to the oracle; `fm_feasible_reference` is the
 `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before it
 moved to integer rows, kept as the reference its verdicts and witnesses
-must equal exactly; and `step3_refine_rects_reference` is stage 3 as it
+must equal exactly; `step3_refine_rects_reference` is stage 3 as it
 was before it ran its folds first, with the pairwise scan always first,
-kept as the reference its NoGos and rectangles must equal exactly.
+kept as the reference its NoGos and rectangles must equal exactly; and
+`estimate_reference` is the plain bisection that
+`lipsel.oracle.estimate_min_seminorm` ran before it settled points from
+witness seminorms, one elimination per point, kept as the reference its
+brackets and errors must equal exactly.
 """
 
 import itertools
@@ -31,7 +35,15 @@ from operator import add, gt, sub
 import numpy as np
 
 from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, WholePlane, inflate_halfplane, inflation_radius
-from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible, RationalLinearSystem
+from lipsel.oracle import (
+    FM_VAR_CAP,
+    FmFeasible,
+    FmInfeasible,
+    RationalLinearSystem,
+    _ratio,
+    build_sharp_lp,
+    fm_feasible,
+)
 from lipsel.selection import NoGo, _radii, _snap_ends
 
 INF = math.inf
@@ -507,3 +519,30 @@ def fm_feasible_reference(system):
         if total > rhs:
             raise AssertionError("witness violates an original row")
     return FmFeasible(witness)
+
+
+# ---------------------------------------------------------------------------
+# bisection with one elimination per point
+
+
+def estimate_reference(inst, lo, hi, iterations):
+    """`lipsel.oracle.estimate_min_seminorm` by plain bisection: one
+    elimination at `hi`, one at a positive `lo`, and one per midpoint."""
+    lo_r, hi_r = Fraction(*_ratio(lo, "lo")), Fraction(*_ratio(hi, "hi"))
+    if lo_r < 0:
+        raise ValueError("lo must be >= 0")
+    if not lo_r < hi_r:
+        raise ValueError("need lo < hi")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if isinstance(fm_feasible(build_sharp_lp(inst, hi_r)), FmInfeasible):
+        raise ValueError("hi must be feasible")
+    if lo_r > 0 and isinstance(fm_feasible(build_sharp_lp(inst, lo_r)), FmFeasible):
+        raise ValueError("lo must be 0 or infeasible")
+    for _ in range(iterations):
+        mid = (lo_r + hi_r) / 2
+        if isinstance(fm_feasible(build_sharp_lp(inst, mid)), FmFeasible):
+            hi_r = mid
+        else:
+            lo_r = mid
+    return (lo_r, hi_r)

@@ -29,6 +29,7 @@ from lipsel.selection import HalfPlaneInstance
 from oracles import (
     DenseSystem,
     build_sharp_lp_reference,
+    estimate_reference,
     fm_feasible_reference,
     int_row,
     int_system,
@@ -492,6 +493,90 @@ def test_estimate_validates_inputs():
         estimate_min_seminorm(inst, 0, 8, -1)
     with pytest.raises(ValueError):
         estimate_min_seminorm(inst, 0, 2, 4)  # hi below the optimum
+
+
+def _estimate_outcome(estimate, inst, lo, hi, iters):
+    try:
+        return estimate(inst, lo, hi, iters)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_estimate_matches_plain_bisection():
+    # brackets and errors equal those of one elimination per point, on the
+    # mix of criterion 1 and on polygons of 1 to 3 sides, with data as
+    # floats, Fractions and ints
+    rng = random.Random("estimate/reference")
+    his = [F(1, 1024), F(1, 8), F(1), F(3), F(8), F(64)]
+    los = [F(1, 1024), F(1, 64), F(1, 8), F(1, 3), F(1, 2), F(3, 2)]
+    seen = dict.fromkeys(["hi must be feasible", "lo must be 0 or infeasible", "lo = 0", "lo > 0",
+                          "blocks", "zero distance", "polygon"], 0)
+    for k in range(240):
+        n = rng.randint(1, 6)
+        if k % 3 == 2:
+            inst = random_polygon_instance(rng, n, rng.randint(1, 3), planted=rng.random() < 0.5)
+            seen["polygon"] += 1
+        else:
+            inst = mixed_instance(rng, n)
+        d = [inst.space.d[i][j] for i in range(n) for j in range(i + 1, n)]
+        seen["blocks"] += INF in d
+        seen["zero distance"] += 0 in d
+        form = ("float", "fraction", "int")[k // 3 % 3]
+        inst = _renumbered(inst, 0, form)
+        hi = rng.choice(his)
+        lo = rng.choice([F(0), *(v for v in los if v < hi)])
+        if form == "float":
+            lo, hi = float(lo), float(hi)
+        iters = rng.choice([0, 1, 4, 8, 20])
+        want = _estimate_outcome(estimate_reference, inst, lo, hi, iters)
+        assert _estimate_outcome(estimate_min_seminorm, inst, lo, hi, iters) == want, (k, lo, hi, iters)
+        seen[want if isinstance(want, str) else "lo = 0" if lo == 0 else "lo > 0"] += 1
+    assert all(count >= 15 for count in seen.values()), seen
+
+
+def _counting(monkeypatch):
+    calls = []
+
+    def spy(system):
+        calls.append(system)
+        return fm_feasible(system)
+
+    monkeypatch.setattr(oracle, "fm_feasible", spy)
+    return calls
+
+
+@pytest.mark.parametrize("iters", [0, 1, 4, 8, 20])
+def test_estimate_eliminates_at_most_twice_where_the_optimum_is_zero(monkeypatch, iters):
+    # every set holds the origin, at positive distances: a constant selection
+    rng = random.Random("estimate/zero")
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        sp = PseudometricSpace(n, [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)])
+        inst = HalfPlaneInstance(sp, [halfplane(float(rng.choice([-1, 1])), float(rng.randint(-3, 3)),
+                                                -rng.randint(0, 8) / 4) for _ in range(n)])
+        want = estimate_reference(inst, 0, 64, iters)
+        calls = _counting(monkeypatch)
+        assert estimate_min_seminorm(inst, 0, 64, iters) == want == (0, F(64, 2**iters))
+        assert len(calls) <= 2
+        monkeypatch.undo()
+
+
+def test_estimate_on_one_point_eliminates_once(monkeypatch):
+    calls = _counting(monkeypatch)
+    one = HalfPlaneInstance(validate_pseudometric([[0.0]]), [halfplane(1.0, -2.0, 3.0)])
+    assert estimate_min_seminorm(one, 0, 64, 20) == (0, F(64, 2**20))
+    assert len(calls) == 1
+
+
+def test_estimate_refuses_a_lo_settled_by_the_hi_witness_after_one_elimination(monkeypatch):
+    inst = _sep(4)
+    s = oracle._seminorm(inst, fm_feasible(build_sharp_lp(inst, 8)).witness)
+    assert 4 <= s < 8
+    calls = _counting(monkeypatch)
+    for lo in (s, (s + 8) / 2):
+        with pytest.raises(ValueError, match="lo must be 0 or infeasible"):
+            estimate_min_seminorm(inst, lo, 8, 6)
+    assert len(calls) == 2  # one per call, at hi
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_polygon_instance
-from lipsel.geometry import Point2, halfplane, uniform_norm
+from lipsel.geometry import HalfPlane, Point2, halfplane, uniform_norm
 from lipsel.metric import validate_pseudometric
 from lipsel.polygon import PolygonInstance, reduce_to_halfplanes, solve_polygon
 from lipsel.selection import (
@@ -68,6 +68,19 @@ def test_large_lambda_success():
     assert len(got.f) == 2
     assert got.f[0] == Point2(1.0, 0.0)
     assert got.f[1] == Point2(5.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_a_zero_normal_is_rejected_when_the_instance_is_built(alpha):
+    # 0*x + 0*y + alpha <= 0 used to reach stage 2 and divide by zero there
+    sp = validate_pseudometric([[0.0, 1.0], [1.0, 0.0]])
+    zero = HalfPlane(Point2(0.0, 0.0), alpha)
+    with pytest.raises(ValueError, match="point 0, side 0: half-plane normal must be nonzero"):
+        PolygonInstance(sp, [[zero], [halfplane(1.0, 0.0, 0.0)]])
+    with pytest.raises(ValueError, match="point 1, side 1: half-plane normal must be nonzero"):
+        PolygonInstance(sp, [[halfplane(1.0, 0.0, 0.0)], [halfplane(1.0, 0.0, 0.0), zero]])
+    with pytest.raises(ValueError, match="point 0, side 0"):
+        HalfPlaneInstance(sp, [zero, halfplane(1.0, 0.0, 0.0)])
 
 
 def test_lambda_validation():
