@@ -10,17 +10,20 @@ Instance files are JSON documents:
     }
 
 Numeric values may be JSON numbers or the strings "inf", "-inf", a decimal
-like "0.1", or a ratio like "1/3"; string forms are parsed exactly and the
-`sharp`/`estimate` commands keep them as rationals.  A "pre_metric" is closed
-to its shortest-path pseudometric before solving.
+like "0.1", or a ratio like "1/3"; string forms are parsed exactly.  The
+exact instance of the `sharp`/`estimate` commands holds each JSON number as
+read, since an int or a float is already an exact rational, and each string
+as a `Fraction`.  A "pre_metric" is closed to its shortest-path pseudometric
+before solving, in `Fraction`s for the exact instance.
 
 Result documents are emitted with 17 significant digits and fixed key order,
 and no step draws random numbers, so reruns print byte-identical output;
 `solve --seed` is accepted and ignored.  Exit codes: 0 success / feasible /
 valid, 1 no-go / infeasible / failed verification, 2 parse or flag errors
-(including oracle caps), 3 metric axiom violations, 4 an infeasible --hi or
-a feasible --lo in `estimate`, 5 internal error: the traceback goes to
-stderr and stdout carries {"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
+(including oracle caps, checked as soon as `n` is read), 3 metric axiom
+violations, 4 an infeasible --hi or a feasible --lo in `estimate`, 5
+internal error: the traceback goes to stderr and stdout carries
+{"outcome": "error", "reason": "<Type>: <message>"}.  A reader that
 closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
 called repeatedly in one process: it builds its parser on the first call only.
 
@@ -82,9 +85,10 @@ class CliError(Exception):
 
 def _parse_number(
     tok: Any, what: str, allow_inf: bool, want_exact: bool
-) -> Tuple[float, Optional[Fraction]]:
-    """(float value, exact rational or None).  The rational is only materialized
-    when `want_exact` (and the value is finite)."""
+) -> Tuple[float, Any]:
+    """(float value, exact rational or None).  The rational is only given
+    when `want_exact` and the value is finite: a JSON number as read, a
+    string as a `Fraction`."""
     if isinstance(tok, bool):
         raise CliError(2, f"{what}: expected a number, got a boolean")
     if isinstance(tok, (int, float)):
@@ -98,7 +102,7 @@ def _parse_number(
             if not allow_inf:
                 raise CliError(2, f"{what}: must be finite")
             return val, None
-        return val, (Fraction(tok) if want_exact else None)
+        return val, (tok if want_exact else None)
     if isinstance(tok, str):
         s = tok.strip()
         if s in ("inf", "+inf"):
@@ -168,7 +172,7 @@ class LoadedInstance:
     kind: str  # "halfplanes" | "polygons"
     space: Optional[PseudometricSpace]  # float; closed when pre_metric; None on violation
     inst: Optional[PolygonInstance]  # None on violation
-    exact: Optional[PolygonInstance]  # Fraction-valued, for the oracle; None unless want_exact
+    exact: Optional[PolygonInstance]  # exact numbers, for the oracle; None unless want_exact
     violation: Optional[MetricViolation]
 
 
@@ -193,9 +197,9 @@ def _parse_matrix(
     raw: Any, n: int, what: str, want_exact: bool
 ) -> Tuple[List[List[float]], List[List[Any]]]:
     """Float rows, and exact ones when `want_exact`.  A row of plain JSON
-    numbers skips the per-entry parse; `_raise_first_nan` names a NaN in it
-    before any later error, as that parse would, once the validators' or a
-    later row's check fails."""
+    numbers skips the per-entry parse and is its own exact row;
+    `_raise_first_nan` names a NaN in it before any later error, as that
+    parse would, once the validators' or a later row's check fails."""
     if not isinstance(raw, list) or len(raw) != n:
         raise CliError(2, f"{what} must be an {n}x{n} array")
     floats: List[List[float]] = []
@@ -204,10 +208,10 @@ def _parse_matrix(
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise CliError(2, f"{what} row {i} must have {n} entries")
-            if not want_exact and (types := set(map(type, row))) <= _PLAIN_NUMBER_TYPES:
+            if (types := set(map(type, row))) <= _PLAIN_NUMBER_TYPES:
                 try:
                     floats.append(row if types == {float} else list(map(float, row)))
-                    exacts.append([])
+                    exacts.append(row)
                     continue
                 except OverflowError:  # reported by _parse_number below
                     pass
@@ -243,11 +247,11 @@ def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> Tuple[HalfPlane, 
         raise CliError(2, f"{what}.h must be a pair")
     nums = (h[0], h[1], d["alpha"])
     try:  # plain finite JSON numbers need no per-entry parse
-        fast = not want_exact and set(map(type, nums)) <= _PLAIN_NUMBER_TYPES and list(map(float, nums))
+        fast = set(map(type, nums)) <= _PLAIN_NUMBER_TYPES and list(map(float, nums))
     except OverflowError:  # reported by _parse_number below
         fast = False
     if fast and all(map(math.isfinite, fast)):
-        (h1, h2, al), e1, e2, ea = fast, None, None, None
+        (h1, h2, al), (e1, e2, ea) = fast, nums
     else:
         h1, e1 = _parse_number(h[0], f"{what}.h[0]", False, want_exact)
         h2, e2 = _parse_number(h[1], f"{what}.h[1]", False, want_exact)
@@ -260,7 +264,11 @@ def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> Tuple[HalfPlane, 
     return hp, exact
 
 
-def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = True) -> LoadedInstance:
+def load_instance(
+    path: str, *, want_exact: bool = False, full_triangle: bool = True, point_cap: Optional[int] = None
+) -> LoadedInstance:
+    """Parse and check an instance file.  An `n` above `point_cap` exits 2
+    as soon as it is read, before any entry is parsed or checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -274,6 +282,8 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
     n = doc["n"]
     if n < 1:
         raise CliError(2, "'n' must be >= 1")
+    if point_cap is not None and n > point_cap:
+        raise CliError(2, f"oracle commands are capped at {point_cap} points")
 
     metric = _expect_dict(doc.get("metric"), "'metric'")
     metric_kind = _exactly_one(metric, ("matrix", "pre_metric"), "'metric'")
@@ -298,8 +308,9 @@ def load_instance(path: str, *, want_exact: bool = False, full_triangle: bool = 
                 violation = pre
             else:
                 space = intrinsic_metric(pre)
-                if want_exact:
-                    exact_space = intrinsic_metric(PreMetric(n, exacts))
+                if want_exact:  # the closure's sums must stay exact
+                    rationals = [[v if v == math.inf else Fraction(v) for v in row] for row in exacts]
+                    exact_space = intrinsic_metric(PreMetric(n, rationals))
     except ValueError as exc:  # the validators' NaN / negative guards
         _raise_first_nan(floats, what)
         raise CliError(2, str(exc))
@@ -468,17 +479,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _exact_for_sharp(args: argparse.Namespace) -> LoadedInstance:
-    inst = load_instance(args.file, want_exact=True, full_triangle=True)
+    inst = load_instance(args.file, want_exact=True, full_triangle=True, point_cap=SHARP_POINT_CAP)
     _raise_on_violation(inst)
-    if inst.n > SHARP_POINT_CAP:
-        raise CliError(2, f"oracle commands are capped at {SHARP_POINT_CAP} points")
     assert inst.exact is not None
     return inst
 
 
 def cmd_sharp(args: argparse.Namespace) -> int:
-    lam_f, lam_fr = _parse_number(args.lam, "--lambda", False, True)
-    lam = lam_fr if lam_fr is not None else Fraction(lam_f)
+    _, lam = _parse_number(args.lam, "--lambda", False, True)  # a string: a Fraction
     if lam < 0:
         raise CliError(2, "--lambda must be >= 0")
     system = build_sharp_lp(_exact_for_sharp(args).exact, lam)
@@ -493,10 +501,8 @@ def cmd_sharp(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    lo_f, lo_fr = _parse_number(args.lo, "--lo", False, True)
-    hi_f, hi_fr = _parse_number(args.hi, "--hi", False, True)
-    lo = lo_fr if lo_fr is not None else Fraction(lo_f)
-    hi = hi_fr if hi_fr is not None else Fraction(hi_f)
+    _, lo = _parse_number(args.lo, "--lo", False, True)  # strings: Fractions
+    _, hi = _parse_number(args.hi, "--hi", False, True)
     if lo < 0:
         raise CliError(2, "--lo must be >= 0")
     if not lo < hi:

@@ -130,19 +130,26 @@ def _keep(levels: List[Tightest], terms: Terms, rhs: int) -> None:
     """Record `terms . x <= rhs` under its first variable if it is the
     tightest row so far for its primitive coefficient vector (the first row
     wins ties), divided by the gcd of its coefficients and rhs.  A constant
-    row raises `_Empty` if it is unsatisfiable and is dropped if not."""
-    if not terms:
+    row raises `_Empty` if it is unsatisfiable and is dropped if not.  Rows
+    of one or two terms, the only ones a sharp system makes, get their gcd
+    and key directly."""
+    if len(terms) == 2:
+        (m, c), (m2, c2) = terms
+        g = math.gcd(c, c2)  # > 0: math.gcd ignores signs
+        key: Terms = ((m, c // g), (m2, c2 // g))
+    elif len(terms) == 1:
+        (m, c), = terms
+        g = abs(c)
+        key = ((m, 1 if c > 0 else -1),)
+    elif terms:
+        g = math.gcd(*[c for _, c in terms])
+        key = tuple([(m, c // g) for m, c in terms])
+        m = terms[0][0]
+    else:
         if rhs < 0:
             raise _Empty
         return
-    if len(terms) == 1:
-        (m, c), = terms
-        g = abs(c)
-        key: Terms = ((m, 1 if c > 0 else -1),)
-    else:
-        g = math.gcd(*[c for _, c in terms])  # > 0: math.gcd ignores signs
-        key = tuple([(m, c // g) for m, c in terms])
-    best = levels[key[0][0]]
+    best = levels[m]
     old = best.get(key)
     # rhs / g < old_rhs / old_g, by cross-multiplication: both gcds are > 0
     if old is None or rhs * old[2] < old[1] * g:
@@ -155,11 +162,25 @@ def _keep(levels: List[Tightest], terms: Terms, rhs: int) -> None:
 
 
 def _combine(b: int, p: Terms, a: int, n: Terms) -> Terms:
-    """The terms of b*p + a*n, sorted by variable, zeros dropped."""
-    acc = {m: b * c for m, c in p}
-    for m, c in n:
-        acc[m] = acc.get(m, 0) + a * c
-    return tuple(sorted((m, c) for m, c in acc.items() if c))
+    """The terms of b*p + a*n, sorted by variable, zeros dropped.  Tails of
+    at most one term, all a sharp system has, merge without a dict."""
+    if len(p) > 1 or len(n) > 1:
+        acc = {m: b * c for m, c in p}
+        for m, c in n:
+            acc[m] = acc.get(m, 0) + a * c
+        return tuple(sorted((m, c) for m, c in acc.items() if c))
+    if not p:
+        return ((n[0][0], a * n[0][1]),) if n else ()
+    (mp, cp), = p
+    if not n:
+        return ((mp, b * cp),)
+    (mn, cn), = n
+    if mp < mn:
+        return ((mp, b * cp), (mn, a * cn))
+    if mn < mp:
+        return ((mn, a * cn), (mp, b * cp))
+    c = b * cp + a * cn
+    return ((mp, c),) if c else ()
 
 
 def _prune_pairs(level: Tightest) -> None:
@@ -186,7 +207,9 @@ def _over(rhs: int, terms: Terms, coords) -> Tuple[int, int]:
 def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
     """Eliminate variables lowest index first; on success, back-substitute an
     exact witness (midpoints of the final bounds, 0 for free variables) and
-    check it against the system's rows."""
+    check it against the system's rows.  Rows of one or two terms, all that
+    a sharp system and its eliminations hold, are merged and keyed directly;
+    wider rows take the general path of `_combine` and `_keep`."""
     nvars = system.num_vars
     if nvars > FM_VAR_CAP:
         raise ValueError(f"Fourier-Motzkin oracle is capped at {FM_VAR_CAP} variables")
@@ -198,15 +221,17 @@ def fm_feasible(system: RationalLinearSystem) -> FmOutcome:
             # Level k holds every row that mentions x_k, and no smaller one.  A
             # row with a > 0 and one with -b < 0 cancel x_k as b*p + a*n.
             _prune_pairs(level)
-            pos: List[IntRow] = []
-            neg: List[IntRow] = []
+            pos: List[Tuple[int, Terms, int]] = []  # (a, tail, rhs)
+            neg: List[Tuple[int, Terms, int]] = []  # (b, tail, rhs)
             for terms, rhs, _ in level.values():
-                (pos if terms[0][1] > 0 else neg).append((terms, rhs))
-            for pterms, prhs in pos:
-                a, ptail = pterms[0][1], pterms[1:]
-                for nterms, nrhs in neg:
-                    b = -nterms[0][1]
-                    _keep(levels, _combine(b, ptail, a, nterms[1:]), b * prhs + a * nrhs)
+                c = terms[0][1]
+                if c > 0:
+                    pos.append((c, terms[1:], rhs))
+                else:
+                    neg.append((-c, terms[1:], rhs))
+            for a, ptail, prhs in pos:
+                for b, ntail, nrhs in neg:
+                    _keep(levels, _combine(b, ptail, a, ntail), b * prhs + a * nrhs)
     except _Empty:
         return FmInfeasible()
 

@@ -353,6 +353,53 @@ def test_rows_mixing_numbers_and_strings_parse_exactly(tmp_path):
     assert exact.exact.space.d[0][1] == Fraction(1, 3)
 
 
+def test_exact_loads_equal_the_rationals_of_every_entry(tmp_path, monkeypatch):
+    # JSON numbers stay as read, strings become Fractions: the JSON float 0.1
+    # is the dyadic Fraction(0.1), the string "0.1" is 1/10
+    doc = {
+        "n": 5,
+        "metric": {"matrix": [
+            [0, 0.5, 0.1, "inf", 1],
+            [0.5, 0, "1/3", 2, 0.25],
+            [0.1, "1/3", 0.0, "0.1", 3],
+            ["inf", 2, "0.1", 0, 1.5],
+            [1, 0.25, 3, 1.5, 0],  # a row of plain numbers only
+        ]},
+        "sets": {"halfplanes": [{"h": [0.1, 3], "alpha": "1/3"}, {"h": [1, 0], "alpha": -0.75}]
+                 + [{"h": ["0.1", 2.5], "alpha": 0}] * 3},
+    }
+    F = Fraction
+    want_d = [
+        [F(0), F(1, 2), F(0.1), math.inf, F(1)],
+        [F(1, 2), F(0), F(1, 3), F(2), F(1, 4)],
+        [F(0.1), F(1, 3), F(0), F(1, 10), F(3)],
+        [math.inf, F(2), F(1, 10), F(0), F(3, 2)],
+        [F(1), F(1, 4), F(3), F(3, 2), F(0)],
+    ]
+    want_planes = [(F(0.1), F(3), F(1, 3)), (F(1), F(0), F(-3, 4))] + [(F(1, 10), F(5, 2), F(0))] * 3
+    path = write(tmp_path, doc)
+    for plain in (lipsel.cli._PLAIN_NUMBER_TYPES, set()):  # with and without the fast paths
+        monkeypatch.setattr(lipsel.cli, "_PLAIN_NUMBER_TYPES", plain)
+        got = load_instance(path, want_exact=True, full_triangle=False).exact
+        assert got.space.d == want_d
+        assert got.space.d[0][2] != F(1, 10)
+        assert [(hp.h.x1, hp.h.x2, hp.alpha) for hp, in got.polygons] == want_planes
+        assert got.polygons[0][0].h.x1 != F(1, 10)
+        assert type(got.space.d[1][2]) is type(got.space.d[2][3]) is type(got.polygons[0][0].alpha) is F
+
+
+def test_exact_pre_metric_closes_over_fractions(tmp_path):
+    doc = {
+        "n": 3,
+        "metric": {"pre_metric": [[0, 0.1, 1], [0.1, 0, 0.2], [1, 0.2, 0]]},
+        "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}] * 3},
+    }
+    d = load_instance(write(tmp_path, doc), want_exact=True).exact.space.d
+    assert d[0][2] == d[2][0] == Fraction(0.1) + Fraction(0.2)
+    assert d[0][2] != Fraction(0.1 + 0.2)
+    assert type(d[0][2]) is Fraction
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -495,14 +542,18 @@ def test_sharp_accepts_lambda_zero(tmp_path, capsys):
 
 
 def test_sharp_point_cap(tmp_path, capsys):
+    # the cap is checked as soon as n is read, before the metric: a matrix
+    # that breaks the triangle inequality (exit 3 if it were checked) exits 2
     n = 9
-    doc = {
-        "n": n,
-        "metric": {"matrix": [[0] * n for _ in range(n)]},
-        "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}] * n},
-    }
-    code, _, err = run(capsys, "sharp", write(tmp_path, doc), "--lambda", "1")
-    assert code == 2 and "capped" in err
+    broken = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    broken[0][1] = broken[1][0] = 5
+    for matrix in ([[0] * n for _ in range(n)], broken):
+        doc = {"n": n, "metric": {"matrix": matrix}, "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}] * n}}
+        path = write(tmp_path, doc)
+        for command in (["sharp", path, "--lambda", "1"], ["estimate", path, "--hi", "8"]):
+            code, out, err = run(capsys, *command)
+            assert (code, out, err) == (2, "", "error: oracle commands are capped at 8 points\n")
+    assert run(capsys, "validate", path)[0] == 3
 
 
 def test_sharp_rejects_triangle_violation(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact rational feasibility oracle tests."""
 
+import hashlib
 import math
 import random
 import time
@@ -451,6 +452,37 @@ def test_tail_systems_at_seven_and_eight_points_finish_and_agree_with_simplex():
         rows = [([float(c) for c in co], float(rhs)) for co, rhs in system.rows]
         other = linprog_feasible(rows, system.num_vars, margin=1e-7)
         assert other is None or other == feasible
+
+
+def _witness_digest():
+    """The sha256 of `fm_feasible`'s verdict and witness on each system of a
+    fixed stream past the reference's reach: at n = 5..8, four draws in the
+    mix of criterion 1 and one polygon draw of each of 1 to 4 sides, each at
+    lambda = 1/4, 1 and 3.  Also the number of feasible and of infeasible
+    systems."""
+    rng = random.Random("witness-digest")
+    digest, counts = hashlib.sha256(), {FmFeasible: 0, FmInfeasible: 0}
+    for n in range(5, 9):
+        insts = [mixed_instance(rng, n) for _ in range(4)]
+        insts += [random_polygon_instance(rng, n, sides, planted=rng.random() < 0.5) for sides in range(1, 5)]
+        for inst in insts:
+            for lam in (F(1, 4), F(1), F(3)):
+                got = fm_feasible(build_sharp_lp(inst, lam))
+                counts[type(got)] += 1
+                line = " ".join(map(str, got.witness)) if isinstance(got, FmFeasible) else "infeasible"
+                digest.update(line.encode() + b"\n")
+    return digest.hexdigest(), counts
+
+
+def test_verdicts_and_witnesses_past_the_reference_are_unchanged():
+    # The digest was taken with the general elimination path for every row,
+    # before rows of at most two terms had a path of their own.
+    digest, counts = _witness_digest()
+    assert min(counts.values()) >= 20, counts
+    assert digest == WITNESS_DIGEST
+
+
+WITNESS_DIGEST = "f07f09dca59188329687022a49f0ebfdc6bfcc48eb67fc86015813b7f08af2f7"
 
 
 # ---------------------------------------------------------------------------
