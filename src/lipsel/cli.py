@@ -36,7 +36,7 @@ a violation then exits 3 with the document `validate` prints.
 Both kinds of "sets" load into one `PolygonInstance`, half-planes as
 one-sided polygons, so every command makes the same library call for both.
 The kind matters only to the CLI contract: polygon instances take a single
-`--lambda`, and `estimate` handles half-plane instances only.
+`--lambda`.
 """
 
 from __future__ import annotations
@@ -208,9 +208,13 @@ def _parse_matrix(
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise CliError(2, f"{what} row {i} must have {n} entries")
-            if (types := set(map(type, row))) <= _PLAIN_NUMBER_TYPES:
+            if float in _PLAIN_NUMBER_TYPES and list(map(type, row)).count(float) == n:
+                floats.append(row)
+                exacts.append(row)
+                continue
+            if set(map(type, row)) <= _PLAIN_NUMBER_TYPES:
                 try:
-                    floats.append(row if types == {float} else list(map(float, row)))
+                    floats.append(list(map(float, row)))
                     exacts.append(row)
                     continue
                 except OverflowError:  # reported by _parse_number below
@@ -510,8 +514,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.iters < 0:
         raise CliError(2, "--iters must be >= 0")
     inst = _exact_for_sharp(args)
-    if inst.kind == "polygons":
-        raise CliError(2, "estimate currently handles half-plane instances only")
     try:
         a, b = estimate_min_seminorm(inst.exact, lo, hi, args.iters)
     except ValueError as exc:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, eq, le
+from operator import add, eq
 from typing import List, Optional, Union
 
 INF = math.inf
@@ -53,15 +52,16 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     """Raise on a matrix that is not square or holds NaN or a negative;
     else the first nonzero diagonal entry, else the first (i, j), j > i,
     with d[i][j] != d[j][i], else None.  The loops that name the first
-    fault run only where a C-level pass finds one: `0 <= v` fails exactly
-    for NaN and negatives, so no NaN reaches the row-against-column tuple
-    comparison, whose identity shortcut could hide one."""
+    fault run only where a C-level pass finds one: a row passes when its
+    `min` is >= 0 and its `sum` is not NaN (`min` may step over a NaN, a
+    sum cannot), so no NaN reaches the row-against-column tuple comparison,
+    whose identity shortcut could hide one."""
     n = len(d)
     for row in d:
         if len(row) != n:
             raise ValueError("distance matrix must be square")
     for row in d:
-        if all(map(le, repeat(0.0), row)):
+        if min(row) >= 0.0 and (total := sum(row)) == total:
             continue
         for v in row:
             if isinstance(v, float) and math.isnan(v):

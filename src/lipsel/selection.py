@@ -34,19 +34,34 @@ sides of the points that own those rows.
 Stage 3 folds each hull against its neighbours first and runs the pairwise
 test for NoGo only when some fold comes out empty or pinched: every pair the
 test flags leaves the fold of its smaller point so (`step3_refine_rects`).
+
+A point's stage-1 set and stage-2 hull, its stage-3 fold once every hull
+exists, its stage-5 projection, and a row of the seminorm's pairs depend on
+no other point's result in the same phase.  So a solve of at least
+SPLIT_MIN points runs each of these phases in two processes (`_split`): the
+lower points in this one, the upper points in a child made by `os.fork`.
+The pairwise NoGo test, `_snap_ends` and every error stay in this process
+in point order, and the results, NoGos and errors equal those of the
+serial run.  It forks only when `os.fork` and `os.sched_getaffinity`
+exist, the process has one thread, and its CPU affinity holds at least two
+CPUs; a child never outlives the phase that made it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import nsmallest
 from itertools import accumulate, compress, repeat
 from math import atan2
 from operator import add, gt, itemgetter, le, mul, sub, truediv
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
     DEFAULT_TOL,
@@ -78,6 +93,12 @@ VERIFY_TOL = 1e-7
 # on fewer rows the box does not pay (on planted half-planes it breaks even
 # near 100 rows; polygons with 4 sides at n = 100 gain from it)
 NEAREST, BOX_SHARE = 8, 6
+
+# a solve of at least SPLIT_MIN points runs its per-point phases in two
+# processes (`_split`): one fork and pipe round trip costs about 4 ms in a
+# 50 MB process and 7 ms in a 100 MB one, and the split breaks even near
+# n = 150 on planted half-planes (2-vCPU x86 machine)
+SPLIT_MIN = 200
 
 # the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
 HULL_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -420,18 +441,13 @@ def step3_refine_rects(
     n = space.n
     if len(hulls) != n:
         raise ValueError("one hull per point is required")
-    LO1 = [t.ix.lo for t in hulls]
-    HI1 = [t.ix.hi for t in hulls]
-    LO2 = [t.iy.lo for t in hulls]
-    HI2 = [t.iy.hi for t in hulls]
+    ends = _hull_ends(hulls)
     scanned = False
     refined: List[ExtRect] = []
     for x in range(n):
-        R = _radii(l2, space.d[x])
-        lo1, hi1 = max(map(sub, LO1, R)), min(map(add, HI1, R))
-        lo2, hi2 = max(map(sub, LO2, R)), min(map(add, HI2, R))
+        lo1, hi1, lo2, hi2 = _fold(ends, l2, space.d[x])
         if not scanned and (lo1 >= hi1 or lo2 >= hi2):
-            nogo = _first_far_pair(LO1, HI1, LO2, HI2, l2, space)
+            nogo = _first_far_pair(*ends, l2, space)
             if nogo is not None:
                 return nogo
             scanned = True
@@ -439,6 +455,24 @@ def step3_refine_rects(
         lo2, hi2 = _snap_ends(lo2, hi2, DEFAULT_TOL)
         refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
     return refined
+
+
+def _hull_ends(hulls: Sequence[ExtRect]) -> Tuple[List[float], List[float], List[float], List[float]]:
+    """The hulls' ends as the lists LO1, HI1, LO2, HI2."""
+    return (
+        [t.ix.lo for t in hulls],
+        [t.ix.hi for t in hulls],
+        [t.iy.lo for t in hulls],
+        [t.iy.hi for t in hulls],
+    )
+
+
+def _fold(ends: tuple, l2: float, drow: Sequence[float]) -> Tuple[float, float, float, float]:
+    """The shrunk ends (lo1, hi1, lo2, hi2) of the point with distance row
+    `drow`: per-axis max/min folds over the neighbours' inflated ends."""
+    LO1, HI1, LO2, HI2 = ends
+    R = _radii(l2, drow)
+    return max(map(sub, LO1, R)), min(map(add, HI1, R)), max(map(sub, LO2, R)), min(map(add, HI2, R))
 
 
 def _first_far_pair(LO1, HI1, LO2, HI2, l2: float, space: PseudometricSpace) -> Optional[NoGo]:
@@ -533,45 +567,146 @@ def run_projection_algorithm(
 
     The returned selection is re-verified internally (membership and the
     l1 + 2*l2 seminorm bound); a verification failure raises instead of
-    returning a bad Success.
+    returning a bad Success.  Stages 1-2, stages 3-5 and the seminorm may
+    each run in two processes (`_split`), with the same results.
     """
     l1, l2 = _check_lambdas(lambdas)
     n = inst.n
-    d = inst.space.d
-    # A point's stage-1 rows, so all its results, depend only on its distance
-    # row: a point with an earlier `twin` reuses the twin's results.  The
-    # rows' normals depend only on which points are at finite distance, so
-    # their envelope is shared per such set, keyed by the infinitely
-    # distant points (not per component: `solve` does not check the triangle
-    # inequality).
+    space = inst.space
+    inst.sides, inst.offsets  # made once, before any fork
     twin: List[int] = []
-    groups: Dict[Tuple[int, ...], _Neighbours] = {}
     hulls: List[ExtRect] = []
-    kept: Dict[int, Optional[List[int]]] = {}
+    kept: List[Optional[List[int]]] = []
+    for part in _split(partial(_stage12, inst, l1), n, n // 2):
+        if isinstance(part, NoGo):
+            return part
+        for t, hull, points in part:
+            twin.append(t)
+            hulls.append(hull if t < 0 else hulls[t])
+            kept.append(points)
+    try:
+        parts = _split(partial(_stage345, inst, l1, l2, _hull_ends(hulls), twin, kept), n, n // 2)
+    except Exception:  # the serial stages below raise it again, or stop at a NoGo first
+        parts = [None]
+    if any(part is None for part in parts):
+        refined = step3_refine_rects(hulls, l2, space)
+        if isinstance(refined, NoGo):
+            return refined
+        g = step4_centers(refined)
+        f = [None if twin[x] >= 0 else step5_project(inst, l1, x, g[x], points=kept[x]) for x in range(n)]
+    else:
+        refined, g, f = ([v for part in parts for v in part[k]] for k in range(3))
     for x in range(n):
-        twin.append(_earlier_twin(d, x))
         if twin[x] >= 0:
-            hulls.append(hulls[twin[x]])
+            f[x] = f[twin[x]]
+    report = verify_selection(inst, f, l1 + 2.0 * l2)
+    if not report.ok:
+        raise RuntimeError(f"internal verification failed: {report}")
+    return Success(f, g, hulls, refined, report.seminorm)
+
+
+def _stage12(inst: PolygonInstance, l1: float, lo: int, hi: int) -> Union[NoGo, list]:
+    """Stages 1-2 at the points lo..hi-1, as (twin, hull, points) per point,
+    or NoGo(1, x) at the first x whose stage-1 set is empty.  A point's
+    stage-1 rows, so all its results, depend only on its distance row: a
+    point with an earlier `twin` reuses the twin's results, and gets
+    (twin, None, None).  Any other point gets (-1, its hull, the points
+    whose rows cut its box) from `_stage12_hull`.  The rows' normals depend
+    only on which points are at finite distance, so their envelope is shared
+    per such set, keyed by the infinitely distant points (not per component:
+    `solve` does not check the triangle inequality)."""
+    n, d = inst.n, inst.space.d
+    groups: Dict[Tuple[int, ...], _Neighbours] = {}
+    out: list = []
+    for x in range(lo, hi):
+        twin = _earlier_twin(d, x)
+        if twin >= 0:
+            out.append((twin, None, None))
             continue
         drow = d[x]
         key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
         if key not in groups:
             groups[key] = _Neighbours(inst, drow)
-        hull, kept[x] = _stage12_hull(inst, l1, x, groups[key])
+        hull, points = _stage12_hull(inst, l1, x, groups[key])
         if isinstance(hull, EmptySet):
             return NoGo(1, x)
-        hulls.append(hull)
-    refined = step3_refine_rects(hulls, l2, inst.space)
-    if isinstance(refined, NoGo):
-        return refined
+        out.append((-1, hull, points))
+    return out
+
+
+def _stage345(
+    inst: PolygonInstance, l1: float, l2: float, ends: tuple, twin: List[int],
+    kept: List[Optional[List[int]]], lo: int, hi: int,
+) -> Optional[Tuple[List[ExtRect], List[Point2], List[Optional[Point2]]]]:
+    """Stages 3-5 at the points lo..hi-1: (refined, g, f), with f None at a
+    twin; None when some fold trips, which leaves the NoGo test and the
+    pinched ends to `step3_refine_rects`.  A fold that does not trip needs
+    no `_snap_ends`."""
+    folds = []
+    for x in range(lo, hi):
+        lo1, hi1, lo2, hi2 = fold = _fold(ends, l2, inst.space.d[x])
+        if lo1 >= hi1 or lo2 >= hi2:
+            return None
+        folds.append(fold)
+    refined = [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in folds]
     g = step4_centers(refined)
-    f: List[Point2] = []
-    for x in range(n):
-        f.append(f[twin[x]] if twin[x] >= 0 else step5_project(inst, l1, x, g[x], points=kept[x]))
-    report = verify_selection(inst, f, l1 + 2.0 * l2)
-    if not report.ok:
-        raise RuntimeError(f"internal verification failed: {report}")
-    return Success(f, g, hulls, refined, report.seminorm)
+    f = [
+        None if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x])
+        for x, gx in zip(range(lo, hi), g)
+    ]
+    return refined, g, f
+
+
+def _split(phase: Callable[[int, int], Any], n: int, cut: int) -> list:
+    """The parts of a per-point phase: [phase(0, n)], or [phase(0, cut),
+    phase(cut, n)], the upper part computed by a forked child while this
+    process computes the lower one.  It splits when n is at least SPLIT_MIN
+    and this process can fork (it has one thread) onto at least two CPUs.
+    A lower part that is None or a NoGo settles the phase: the child is
+    killed, and [lower] is returned.  The child sends its part back pickled
+    over a pipe and leaves through `os._exit`, writing nothing to stdout or
+    stderr.  When the child fails, this process computes the upper part
+    itself, and when the fork fails, the whole phase; so the parts, and any
+    exception, are those of the serial run.  No child outlives the call."""
+    if not (
+        n >= SPLIT_MIN
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+        and len(os.sched_getaffinity(0)) >= 2
+    ):
+        return [phase(0, n)]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return [phase(0, n)]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            data = pickle.dumps(phase(cut, n), pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as src:
+        data = None
+        try:
+            low = phase(0, cut)
+            if not (low is None or isinstance(low, NoGo)):
+                data = src.read()
+        finally:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if data is None:
+        return [low]
+    return [low, pickle.loads(data) if status == 0 else phase(cut, n)]
 
 
 def _earlier_twin(d: Sequence[Sequence[float]], x: int) -> int:
@@ -597,8 +732,14 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
         raise ValueError("one value per point is required")
     X = [p.x1 for p in f]
     Y = [p.x2 for p in f]
+    # row i holds n - 1 - i pairs, so the rows from n - n/sqrt(2) on hold half
+    return max(_split(partial(_row_ratios, X, Y, space), n, n - int(n / math.sqrt(2))))
+
+
+def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int) -> float:
+    """The largest ratio over the pairs (i, j > i) with lo <= i < hi, or 0."""
     out = 0.0
-    for i in range(n - 1):
+    for i in range(lo, min(hi, space.n - 1)):
         # max(|dx|, |dy|) / rho is max(|dx| / rho, |dy| / rho): both
         # divisions are correctly rounded, so monotone
         rest = space.d[i][i + 1:]

@@ -22,8 +22,8 @@ plain --seed 0 solve on such an instance is checked with `validate
 --result`.  The instances with n <= 4 get `sharp` at λ = 0, 1/2, 1, 2, 4,
 and `estimate` with --hi 64 --iters 8, with --hi 64 at the default --iters
 20 (the deepest brackets), with --lo 1/3 --hi 5 --iters 6 and with --hi
-1/1024 (exit 4 where that --hi is infeasible or that --lo is feasible,
-exit 2 on polygons): 7,323 runs in all, 432 of them `estimate`.
+1/1024 (exit 4 where that --hi is infeasible or that --lo is feasible):
+7,323 runs in all, 432 of them `estimate`.
 The standard library and the test generators are all it needs; pytest does
 not collect it.
 """

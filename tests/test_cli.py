@@ -23,6 +23,7 @@ import pytest
 import lipsel
 from generators import instance_doc, planted_instance
 from lipsel.cli import load_instance, main
+from lipsel.oracle import estimate_min_seminorm
 
 SEP4 = {
     "n": 2,
@@ -615,10 +616,15 @@ def test_estimate_rejects_a_feasible_lo(tmp_path, capsys):
     assert code == 0 and json.loads(out)["lo"] == "0"
 
 
-def test_estimate_rejects_polygons(tmp_path, capsys):
+def test_estimate_brackets_polygons(tmp_path, capsys):
     path = write(tmp_path, TWO_SQUARES)
-    code, _, err = run(capsys, "estimate", path, "--hi", "8")
-    assert code == 2 and "half-plane" in err
+    code, out, _ = run(capsys, "estimate", path, "--hi", "8", "--iters", "10")
+    assert code == 0
+    exact = load_instance(path, want_exact=True).exact
+    lo, hi = estimate_min_seminorm(exact, Fraction(0), Fraction(8), 10)
+    got = json.loads(out)
+    assert (Fraction(got["lo"]), Fraction(got["hi"])) == (lo, hi)
+    assert lo < 4 <= hi  # the squares are 4 apart at distance 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for the five-stage selection pipeline and the triple-hull condition."""
 
 import math
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -776,3 +778,158 @@ def test_hulls_from_rows_equal_the_fraction_reference(monkeypatch):
     rows = _stream_draw("b", 3406)
     want = hull_reference(rows)
     assert repr(_hull(rows)) == repr(want) and want[1] == 7205759403792781.0 and INF not in map(abs, want)
+
+
+# ---------------------------------------------------------------------------
+# solves in two processes
+
+
+def _outcome(inst, lambdas):
+    """The solve's outcome, or the type and text of what it raised."""
+    try:
+        return run_projection_algorithm(inst, lambdas)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per `os.fork` call made from now on."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _serial_and_split(monkeypatch, forks, inst, lambdas):
+    """The outcome of the serial run and that of the split run, which forks
+    and leaves no child behind."""
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", inst.n + 1)
+    serial = _outcome(inst, lambdas)
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
+    before = len(forks)
+    split = _outcome(inst, lambdas)
+    assert len(forks) > before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return serial, split
+
+
+def _split_draw(rng, kind, n):
+    if kind == "planted":
+        return planted_instance(rng, n)
+    if kind == "polygon":
+        return random_polygon_instance(rng, n, 4, planted=rng.random() < 0.5)
+    if kind == "blocks":
+        return random_instance(rng, n, inf_blocks=True)
+    if kind == "twins":
+        return random_instance(rng, n, dup_chance=0.6)
+    return _scaled(planted_instance(rng, n), int(kind))
+
+
+def test_split_solves_equal_serial_solves(monkeypatch, forks):
+    """Stages 1-2, stages 3-5 and the seminorm computed in two processes
+    give the serial outcome, or raise the serial error: NoGos at stage 1 in
+    either half, at stage 3, Successes through a trip the pairwise scan
+    clears, and the RuntimeError of some solves at 2^40."""
+    step3 = lipsel.selection.step3_refine_rects
+    scans = []
+
+    def spy(*args):
+        scans.append(1)
+        return step3(*args)
+
+    monkeypatch.setattr(lipsel.selection, "step3_refine_rects", spy)
+    rng = random.Random("split-solves")
+    seen = dict.fromkeys(["stage1-lower", "stage1-upper", "stage3", "cleared", "success", "error"], 0)
+    for kind in ("planted", "polygon", "blocks", "twins", "40", "-40"):
+        for draw in range(16):
+            inst = _split_draw(rng, kind, 2 + draw % 9 if kind.isalpha() else 10 + draw)
+            lam = rng.choice([0.125, 0.5, 1.0, 2.0] if kind.isalpha() else [1.0, 2.0])
+            lambdas = (lam, rng.choice([0.0, lam / 4, lam]))
+            del scans[:]
+            serial, split = _serial_and_split(monkeypatch, forks, inst, lambdas)
+            assert split == serial, (kind, draw, lambdas)
+            if isinstance(split, NoGo) and split.stage == 1:
+                seen["stage1-upper" if split.witness >= inst.n // 2 else "stage1-lower"] += 1
+            elif isinstance(split, NoGo):
+                seen["stage3"] += 1
+            elif isinstance(split, Success):
+                seen["cleared" if len(scans) == 2 else "success"] += 1
+            else:
+                seen["error"] += 1
+    assert min(seen.values()) >= 2, seen
+
+
+@pytest.mark.parametrize("where", ["_stage12_hull", "step5_project"])
+def test_split_solves_raise_the_serial_error(monkeypatch, forks, capfd, where):
+    """A phase that raises for a point in the upper half raises there in the
+    child, which writes nothing, and the parent raises the same error
+    computing that half itself; one that raises in the lower half too
+    raises there first."""
+    phase = getattr(lipsel.selection, where)
+    inst = planted_instance(random.Random("split-raise"), 12)
+    for bad in ({11}, {9, 3}):
+        def failing(inst, l1, x, *args, **kwargs):
+            if x in bad:
+                raise ValueError(f"point {x}")
+            return phase(inst, l1, x, *args, **kwargs)
+
+        monkeypatch.setattr(lipsel.selection, where, failing)
+        serial, split = _serial_and_split(monkeypatch, forks, inst, (1.0, 1.0))
+        assert split == serial == (ValueError, f"point {min(bad)}")
+        assert capfd.readouterr() == ("", "")
+
+
+def test_split_stage3_nogo_wins_over_a_stage5_error(monkeypatch, forks):
+    """Serially, stage 5 never runs after a stage-3 NoGo.  Split, the lower
+    half reaches stage 5 here while the upper half trips; the error there
+    sends stages 3-5 back to the serial run, which finds the NoGo."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("stage 5")
+
+    # two blocks at infinite distance: points 2 and 3 are 10 apart in x at
+    # distance 1, which l1 = 20 lets through stage 1 and l2 = 1/4 does not
+    space = validate_pseudometric([[0, 1, INF, INF], [1, 0, INF, INF], [INF, INF, 0, 1], [INF, INF, 1, 0]])
+    inst = HalfPlaneInstance(space, [halfplane(1.0, 0.0, 0.0)] * 3 + [halfplane(-1.0, 0.0, 10.0)])
+    monkeypatch.setattr(lipsel.selection, "step5_project", failing)
+    serial, split = _serial_and_split(monkeypatch, forks, inst, (20.0, 0.25))
+    assert split == serial == NoGo(3, 2) and calls
+
+
+def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks):
+    """A fork that raises, an affinity of one CPU or a second thread gives
+    the serial run, in this process."""
+    inst = planted_instance(random.Random("split-off"), 40)
+    want = run_projection_algorithm(inst, (1.0, 1.0))
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
+    assert run_projection_algorithm(inst, (1.0, 1.0)) == want and forks
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", no_fork)
+        assert run_projection_algorithm(inst, (1.0, 1.0)) == want
+    del forks[:]
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_projection_algorithm(inst, (1.0, 1.0)) == want
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        assert run_projection_algorithm(inst, (1.0, 1.0)) == want
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and not forks
