@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, eq
+from operator import add, itemgetter
 from typing import List, Optional, Union
 
 INF = math.inf
@@ -54,8 +54,9 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     with d[i][j] != d[j][i], else None.  The loops that name the first
     fault run only where a C-level pass finds one: a row passes when its
     `min` is >= 0 and its `sum` is not NaN (`min` may step over a NaN, a
-    sum cannot), so no NaN reaches the row-against-column tuple comparison,
-    whose identity shortcut could hide one."""
+    sum cannot), so no NaN reaches the comparison of each row right of the
+    diagonal with its column below it, whose identity shortcut could hide
+    one."""
     n = len(d)
     for row in d:
         if len(row) != n:
@@ -71,7 +72,7 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     for i in range(n):
         if d[i][i] != 0:
             return MetricViolation("diagonal", i, i, i)
-    if all(map(eq, map(tuple, d), zip(*d))):
+    if all(d[i][i + 1:] == list(map(itemgetter(i), d[i + 1:])) for i in range(n)):
         return None
     for i in range(n):
         for j in range(i + 1, n):

@@ -37,19 +37,26 @@ test flags leaves the fold of its smaller point so (`step3_refine_rects`).
 
 A point's stage-1 set and stage-2 hull, its stage-3 fold once every hull
 exists, its stage-5 projection, and a row of the seminorm's pairs depend on
-no other point's result in the same phase.  So a solve of at least
-SPLIT_MIN points runs each of these phases in two processes (`_split`): the
-lower points in this one, the upper points in a child made by `os.fork`.
-The pairwise NoGo test, `_snap_ends` and every error stay in this process
-in point order, and the results, NoGos and errors equal those of the
-serial run.  It forks only when `os.fork` and `os.sched_getaffinity`
-exist, the process has one thread, and its CPU affinity holds at least two
-CPUs; a child never outlives the phase that made it.
+no other point's result in the same phase.  So once point 0's stage-1 set
+is known not to be empty, a solve of at least SPLIT_MIN points runs in two
+processes (`_lockstep`): this one and one child made by `os.fork`, which
+keeps its own rows, kept points and rectangles and exchanges only flat
+lists of numbers with this process after each phase.  In stages 1-2 this
+process takes the points upward and the child downward until they meet;
+stage 3's folds split the points at the middle, stages 4-5 follow stage
+2's split, and the seminorm's rows split by their count of pairs, as in
+`lipschitz_seminorm`.
+When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
+processes; each error is raised in point order, and the results, NoGos and
+errors equal those of the serial run.  It forks only when `os.fork` and
+`os.sched_getaffinity` exist, the process has one thread, and its CPU
+affinity holds at least two CPUs; the child never outlives the call.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -58,10 +65,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import nsmallest
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import atan2
 from operator import add, gt, itemgetter, le, mul, sub, truediv
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
     DEFAULT_TOL,
@@ -94,10 +101,10 @@ VERIFY_TOL = 1e-7
 # near 100 rows; polygons with 4 sides at n = 100 gain from it)
 NEAREST, BOX_SHARE = 8, 6
 
-# a solve of at least SPLIT_MIN points runs its per-point phases in two
-# processes (`_split`): one fork and pipe round trip costs about 4 ms in a
-# 50 MB process and 7 ms in a 100 MB one, and the split breaks even near
-# n = 150 on planted half-planes (2-vCPU x86 machine)
+# a solve of at least SPLIT_MIN points runs in two processes (`_lockstep`):
+# its one fork, exit and wait cost about 6 ms in a 70 MB process, and a
+# split that forked once per phase broke even near n = 150 on planted
+# half-planes in `python -m lipsel solve` (2-vCPU x86 machine)
 SPLIT_MIN = 200
 
 # the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
@@ -441,7 +448,7 @@ def step3_refine_rects(
     n = space.n
     if len(hulls) != n:
         raise ValueError("one hull per point is required")
-    ends = _hull_ends(hulls)
+    ends = ([t.ix.lo for t in hulls], [t.ix.hi for t in hulls], [t.iy.lo for t in hulls], [t.iy.hi for t in hulls])
     scanned = False
     refined: List[ExtRect] = []
     for x in range(n):
@@ -455,16 +462,6 @@ def step3_refine_rects(
         lo2, hi2 = _snap_ends(lo2, hi2, DEFAULT_TOL)
         refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
     return refined
-
-
-def _hull_ends(hulls: Sequence[ExtRect]) -> Tuple[List[float], List[float], List[float], List[float]]:
-    """The hulls' ends as the lists LO1, HI1, LO2, HI2."""
-    return (
-        [t.ix.lo for t in hulls],
-        [t.ix.hi for t in hulls],
-        [t.iy.lo for t in hulls],
-        [t.iy.hi for t in hulls],
-    )
 
 
 def _fold(ends: tuple, l2: float, drow: Sequence[float]) -> Tuple[float, float, float, float]:
@@ -567,146 +564,293 @@ def run_projection_algorithm(
 
     The returned selection is re-verified internally (membership and the
     l1 + 2*l2 seminorm bound); a verification failure raises instead of
-    returning a bad Success.  Stages 1-2, stages 3-5 and the seminorm may
-    each run in two processes (`_split`), with the same results.
+    returning a bad Success.  Point 0's stages 1-2 run first, so a NoGo
+    there returns at once; the rest (`_solve`) may run in two processes
+    (`_lockstep`), with the same results.
     """
     l1, l2 = _check_lambdas(lambdas)
-    n = inst.n
-    space = inst.space
     inst.sides, inst.offsets  # made once, before any fork
-    twin: List[int] = []
-    hulls: List[ExtRect] = []
-    kept: List[Optional[List[int]]] = []
-    for part in _split(partial(_stage12, inst, l1), n, n // 2):
-        if isinstance(part, NoGo):
-            return part
-        for t, hull, points in part:
-            twin.append(t)
-            hulls.append(hull if t < 0 else hulls[t])
-            kept.append(points)
-    try:
-        parts = _split(partial(_stage345, inst, l1, l2, _hull_ends(hulls), twin, kept), n, n // 2)
-    except Exception:  # the serial stages below raise it again, or stop at a NoGo first
-        parts = [None]
-    if any(part is None for part in parts):
-        refined = step3_refine_rects(hulls, l2, space)
-        if isinstance(refined, NoGo):
-            return refined
-        g = step4_centers(refined)
-        f = [None if twin[x] >= 0 else step5_project(inst, l1, x, g[x], points=kept[x]) for x in range(n)]
-    else:
-        refined, g, f = ([v for part in parts for v in part[k]] for k in range(3))
-    for x in range(n):
-        if twin[x] >= 0:
-            f[x] = f[twin[x]]
-    report = verify_selection(inst, f, l1 + 2.0 * l2)
+    groups: Dict[Tuple[int, ...], _Neighbours] = {}
+    head = _stage12(inst, l1, groups, 0) if inst.n else None
+    if isinstance(head, NoGo):
+        return head
+    # the lower half's next point and the upper half's last one (`_solve`)
+    meet = memoryview(mmap.mmap(-1, 16)).cast("q") if inst.n >= SPLIT_MIN else [0, 0]
+    meet[0], meet[1] = min(1, inst.n), inst.n
+    got = _lockstep(partial(_solve, inst, l1, l2, groups, head, meet), inst.n)
+    if isinstance(got, NoGo):
+        return got
+    f, g, hulls, refined, seminorm = got
+    report = _report(inst, f, l1 + 2.0 * l2, seminorm, VERIFY_TOL)
     if not report.ok:
         raise RuntimeError(f"internal verification failed: {report}")
     return Success(f, g, hulls, refined, report.seminorm)
 
 
-def _stage12(inst: PolygonInstance, l1: float, lo: int, hi: int) -> Union[NoGo, list]:
-    """Stages 1-2 at the points lo..hi-1, as (twin, hull, points) per point,
-    or NoGo(1, x) at the first x whose stage-1 set is empty.  A point's
-    stage-1 rows, so all its results, depend only on its distance row: a
-    point with an earlier `twin` reuses the twin's results, and gets
-    (twin, None, None).  Any other point gets (-1, its hull, the points
-    whose rows cut its box) from `_stage12_hull`.  The rows' normals depend
-    only on which points are at finite distance, so their envelope is shared
-    per such set, keyed by the infinitely distant points (not per component:
-    `solve` does not check the triangle inequality)."""
-    n, d = inst.n, inst.space.d
-    groups: Dict[Tuple[int, ...], _Neighbours] = {}
-    out: list = []
+def _stage12(
+    inst: PolygonInstance, l1: float, groups: Dict[Tuple[int, ...], _Neighbours], x: int
+) -> Union[NoGo, Tuple[tuple, Optional[List[int]], Optional[ExtRect]]]:
+    """Stages 1-2 at x: (twin, lo1, hi1, lo2, hi2), the points whose rows
+    cut x's box and the hull, or NoGo(1, x) when x's stage-1 set is empty.
+    x's stage-1 rows, so all its results, depend only on its distance row:
+    with an earlier `twin`, x reuses the twin's results and gets (twin,
+    0.0, 0.0, 0.0, 0.0), None and None; else -1 and its hull's ends, and
+    its points and hull from `_stage12_hull`.  The rows' normals depend only on which points are at
+    finite distance, so their envelope is shared per such set in `groups`,
+    keyed by the infinitely distant points (not per component: `solve`
+    does not check the triangle inequality)."""
+    d = inst.space.d
+    twin = _earlier_twin(d, x)
+    if twin >= 0:
+        return (twin, 0.0, 0.0, 0.0, 0.0), None, None
+    drow = d[x]
+    key = () if INF not in drow else tuple(y for y in range(inst.n) if drow[y] == INF)
+    if key not in groups:
+        groups[key] = _Neighbours(inst, drow)
+    hull, points = _stage12_hull(inst, l1, x, groups[key])
+    if isinstance(hull, EmptySet):
+        return NoGo(1, x)
+    return (-1, hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi), points, hull
+
+
+def _solve(
+    inst: PolygonInstance, l1: float, l2: float, groups: Dict[Tuple[int, ...], _Neighbours],
+    head: Optional[tuple], meet: Any, lo: int, hi: int,
+) -> Generator[Any, Sequence[Any], Union[NoGo, tuple]]:
+    """The solve as one half of a `_lockstep` call: a NoGo, or the columns
+    (LO1, HI1, LO2, HI2) of the hulls and of the refined rectangles, the
+    centers (X, Y), the selection (X, Y) and its seminorm.  Each phase
+    yields the half's part as a flat list and merges the parts of all
+    halves in point order; a twin takes its source's ends and value at the
+    merges.  The phases:
+
+      1. stages 1-2.  The half that starts at 0 takes the points upward
+         from 1 (point 0's results are `head`) and the other half takes
+         them downward from n - 1, until they meet: `meet` holds the lower
+         half's next point and the upper half's last one, where both
+         processes see it, so neither waits long for the other.  A point
+         that both take gets equal results in both.  The lower half returns
+         its first NoGo at once, as no other can come first; the upper half
+         goes on down past a NoGo and yields the lowest it meets.  An
+         error ends the upper half at its point, so the lower half goes on
+         up to that point and meets any NoGo or error below it first.  Each
+         half owns the points on its side of the lower half's last point,
+         and keeps their kept points;
+      2. the folds of the points lo..hi-1, or None when one trips.  If one
+         trips anywhere, every half runs `step3_refine_rects`, so its NoGo
+         and errors come in point order, and before any stage-5 error;
+      3. stages 4-5 at the points the half owns: the centers and values;
+      4. the largest ratio over the half's rows of the seminorm."""
+    n, space, d = inst.n, inst.space, inst.space.d
+    if lo == 0:
+        flat, kept, hulls = ([*head[0]], [head[1]], [head[2]]) if head else ([], [], [])
+        while meet[0] < meet[1]:
+            x = meet[0]
+            part = _stage12(inst, l1, groups, x)
+            if isinstance(part, NoGo):
+                return part
+            flat += part[0]
+            kept.append(part[1])
+            hulls.append(part[2])
+            meet[0] = x + 1
+        parts = yield flat
+    else:
+        done: list = []
+        nogo = None
+        x = n
+        while x - 1 >= meet[0]:
+            x -= 1
+            meet[1] = x
+            part = _stage12(inst, l1, groups, x)
+            if isinstance(part, NoGo):
+                nogo = part
+            else:
+                done.append(part)
+        if nogo is not None:
+            parts = yield nogo
+        else:
+            done.reverse()
+            kept = [points for _, points, _ in done]
+            parts = yield x, [v for ends, _, _ in done for v in ends]
+    if isinstance(parts[-1], NoGo):  # the lower half returns its NoGo instead
+        return parts[-1]
+    cut = len(parts[0]) // 5
+    if len(parts) > 1:
+        start, upper = parts[1]
+        parts = (parts[0], upper[(cut - start) * 5:])
+        if lo:
+            kept = kept[cut - start:]
+    own = range(0, cut) if lo == 0 else range(cut, n)
+    twin, *ends = _columns(parts, 5)
+    _fill_twins(twin, ends)
+
+    folds: Optional[list] = []
     for x in range(lo, hi):
-        twin = _earlier_twin(d, x)
-        if twin >= 0:
-            out.append((twin, None, None))
-            continue
-        drow = d[x]
-        key = () if INF not in drow else tuple(y for y in range(n) if drow[y] == INF)
-        if key not in groups:
-            groups[key] = _Neighbours(inst, drow)
-        hull, points = _stage12_hull(inst, l1, x, groups[key])
-        if isinstance(hull, EmptySet):
-            return NoGo(1, x)
-        out.append((-1, hull, points))
-    return out
+        fold = _fold(ends, l2, d[x])
+        if fold[0] >= fold[1] or fold[2] >= fold[3]:
+            folds = None
+            break
+        folds += fold
+    parts = yield folds
+    if None in parts:
+        refined = step3_refine_rects(_rects(zip(*ends)), l2, space)
+        if isinstance(refined, NoGo):
+            return refined
+        rects = refined[own.start:own.stop]
+    else:
+        R = _columns(parts, 4)
+        rects = _rects(zip(*(column[own.start:own.stop] for column in R)))
+        refined = None
+
+    g = step4_centers(rects)
+    f, flat = [], []
+    for x, gx in zip(own, g):
+        p = gx if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x - own.start])
+        f.append(p)
+        flat += (*gx, *p)
+    GX, GY, X, Y = _columns((yield flat), 4)
+    _fill_twins(twin, (X, Y))
+
+    seminorm = yield from _seminorm(X, Y, space, lo, hi)
+    if lo:
+        return None  # the lower half's result is the call's
+    if cut < n:  # the other half's values and rectangles, from their numbers
+        f += map(Point2, X[cut:], Y[cut:])
+        g += map(Point2, GX[cut:], GY[cut:])
+        hulls += _rects(zip(*(column[cut:] for column in ends)))
+        if refined is None:
+            rects += _rects(zip(*(column[cut:] for column in R)))
+    _fill_twins(twin, (f, hulls))
+    return f, g, hulls, rects if refined is None else refined, seminorm
 
 
-def _stage345(
-    inst: PolygonInstance, l1: float, l2: float, ends: tuple, twin: List[int],
-    kept: List[Optional[List[int]]], lo: int, hi: int,
-) -> Optional[Tuple[List[ExtRect], List[Point2], List[Optional[Point2]]]]:
-    """Stages 3-5 at the points lo..hi-1: (refined, g, f), with f None at a
-    twin; None when some fold trips, which leaves the NoGo test and the
-    pinched ends to `step3_refine_rects`.  A fold that does not trip needs
-    no `_snap_ends`."""
-    folds = []
-    for x in range(lo, hi):
-        lo1, hi1, lo2, hi2 = fold = _fold(ends, l2, inst.space.d[x])
-        if lo1 >= hi1 or lo2 >= hi2:
-            return None
-        folds.append(fold)
-    refined = [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in folds]
-    g = step4_centers(refined)
-    f = [
-        None if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x])
-        for x, gx in zip(range(lo, hi), g)
-    ]
-    return refined, g, f
+def _columns(parts: Sequence[list], k: int) -> List[list]:
+    """The k columns of the halves' flat parts, in point order."""
+    flat = list(chain.from_iterable(parts))
+    return [flat[i::k] for i in range(k)]
 
 
-def _split(phase: Callable[[int, int], Any], n: int, cut: int) -> list:
-    """The parts of a per-point phase: [phase(0, n)], or [phase(0, cut),
-    phase(cut, n)], the upper part computed by a forked child while this
-    process computes the lower one.  It splits when n is at least SPLIT_MIN
-    and this process can fork (it has one thread) onto at least two CPUs.
-    A lower part that is None or a NoGo settles the phase: the child is
-    killed, and [lower] is returned.  The child sends its part back pickled
-    over a pipe and leaves through `os._exit`, writing nothing to stdout or
-    stderr.  When the child fails, this process computes the upper part
-    itself, and when the fork fails, the whole phase; so the parts, and any
-    exception, are those of the serial run.  No child outlives the call."""
-    if not (
-        n >= SPLIT_MIN
+def _fill_twins(twin: List[int], columns: Sequence[list]) -> None:
+    """Give each point with a twin the twin's entries in the columns."""
+    for x, t in enumerate(twin):
+        if t >= 0:
+            for column in columns:
+                column[x] = column[t]
+
+
+def _rects(ends: Iterable[Tuple[float, float, float, float]]) -> List[ExtRect]:
+    """The rectangles with the ends (lo1, hi1, lo2, hi2)."""
+    return [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in ends]
+
+
+def _lockstep(make: Callable[[int, int], Generator[Any, Sequence[Any], Any]], n: int) -> Any:
+    """What the generator make(0, n) returns, computed by make(0, n // 2)
+    here and make(n // 2, n) in one forked worker when n is at least
+    SPLIT_MIN (and 2) and this process can fork (it has one thread) onto at
+    least two CPUs.
+
+    Each half yields its part of a phase and is sent the parts of all
+    halves in point order; the lower half's return value is the result,
+    and it may return before the upper half's part arrives.  The halves
+    are written so that every one of them ends a phase in the same state,
+    so the result, and any exception, are those of the one half 0..n-1.
+    The worker is killed and reaped before this returns."""
+    split = (
+        n >= max(SPLIT_MIN, 2)
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and threading.active_count() == 1
         and len(os.sched_getaffinity(0)) >= 2
-    ):
-        return [phase(0, n)]
-    r, w = os.pipe()
+    )
+    cut = n // 2 if split else n
+    low = make(0, cut)
+    worker = _Worker(make, cut, n) if cut < n else None
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return [phase(0, n)]
-    if pid == 0:
-        status = 1
+        part = next(low)
+        while True:
+            part = low.send((part,) if worker is None else (part, worker.exchange(part)))
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+class _Worker:
+    """The upper half make(lo, hi) of a `_lockstep` call, in a forked child
+    while it lasts.  The child sends its parts pickled over one pipe and
+    reads the lower half's over another, so both sides exchange only flat
+    lists of numbers (and a NoGo); it writes nothing to stdout or stderr
+    and leaves through `os._exit`.  A fork that fails, or a child that
+    fails or dies, leaves the half to this process: it replays the half
+    from the lower parts it sent, then runs it in step."""
+
+    def __init__(self, make: Callable[[int, int], Generator], lo: int, hi: int):
+        self.make, self.lo, self.hi = make, lo, hi
+        self.sent: list = []  # the lower half's parts, for a replay
+        self.half: Optional[Generator] = None  # the half, once it runs here
+        self.pid: Optional[int] = None
+        self.got: Any = None  # the half's last part, once it runs here
+        up_r, up_w = os.pipe()
+        down_r, down_w = os.pipe()
         try:
-            os.close(r)
-            data = pickle.dumps(phase(cut, n), pickle.HIGHEST_PROTOCOL)
-            with open(w, "wb") as out:
-                out.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    with open(r, "rb") as src:
-        data = None
+            pid = os.fork()
+        except OSError:
+            for fd in (up_r, up_w, down_r, down_w):
+                os.close(fd)
+            return
+        if pid == 0:
+            try:
+                os.close(up_r)
+                os.close(down_w)
+                out, inp = open(up_w, "wb"), open(down_r, "rb")
+                half = make(lo, hi)
+                part = next(half)
+                while True:
+                    pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+                    part = half.send((pickle.load(inp), part))
+            finally:  # an error, the end of the pipe, or the last part
+                os._exit(1)
+        os.close(up_w)
+        os.close(down_r)
+        self.pid = pid
+        self.inp, self.out = open(up_r, "rb"), open(down_w, "wb")
+
+    def exchange(self, part: Any) -> Any:
+        """The upper half's part of the phase whose lower part is `part`."""
+        if self.pid is not None:
+            try:
+                got = pickle.load(self.inp)
+                pickle.dump(part, self.out, pickle.HIGHEST_PROTOCOL)
+                self.out.flush()
+            except (EOFError, OSError, pickle.UnpicklingError):
+                self.close()
+            else:
+                self.sent.append(part)
+                return got
+        if self.half is None:
+            self.half = self.make(self.lo, self.hi)
+            self.got = next(self.half)
+            for sent in self.sent:
+                self.got = self.half.send((sent, self.got))
+        else:
+            self.got = self.half.send((self.sent[-1], self.got))
+        self.sent.append(part)
+        return self.got
+
+    def close(self) -> None:
+        """End the child, if any, and reap it."""
+        if self.pid is None:
+            return
+        self.inp.close()
         try:
-            low = phase(0, cut)
-            if not (low is None or isinstance(low, NoGo)):
-                data = src.read()
-        finally:
-            if data is None:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if data is None:
-        return [low]
-    return [low, pickle.loads(data) if status == 0 else phase(cut, n)]
+            self.out.close()
+        except OSError:  # what was left to write, to a child that is gone
+            pass
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
 
 
 def _earlier_twin(d: Sequence[Sequence[float]], x: int) -> int:
@@ -732,8 +876,23 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
         raise ValueError("one value per point is required")
     X = [p.x1 for p in f]
     Y = [p.x2 for p in f]
-    # row i holds n - 1 - i pairs, so the rows from n - n/sqrt(2) on hold half
-    return max(_split(partial(_row_ratios, X, Y, space), n, n - int(n / math.sqrt(2))))
+    return _lockstep(partial(_seminorm, X, Y, space), n)
+
+
+def _seminorm(
+    X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int
+) -> Generator[float, Sequence[float], float]:
+    """The seminorm as one half of a `_lockstep` call: the largest ratio
+    over the rows `_row_cut(lo)` to `_row_cut(hi)`, then over all halves."""
+    n = space.n
+    ratios = yield _row_ratios(X, Y, space, _row_cut(lo, n), _row_cut(hi, n))
+    return max(ratios)
+
+
+def _row_cut(k: int, n: int) -> int:
+    """The seminorm row where the half that starts at point k starts: row i
+    holds n - 1 - i pairs, so the rows before it hold about k / n of them."""
+    return n - int(n * math.sqrt(1.0 - k / n)) if n else 0
 
 
 def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int) -> float:
@@ -764,10 +923,16 @@ def verify_selection(
     The first failure (membership in point order, then the lexicographically
     first bad pair) is reported; the seminorm field is always filled in.
     """
-    n = inst.n
-    if len(f) != n:
+    if len(f) != inst.n:
         raise ValueError("one value per point is required")
-    seminorm = lipschitz_seminorm(f, inst.space)
+    return _report(inst, f, bound, lipschitz_seminorm(f, inst.space), tol)
+
+
+def _report(
+    inst: PolygonInstance, f: Sequence[Point2], bound: float, seminorm: float, tol: float
+) -> SelectionReport:
+    """`verify_selection` with f's seminorm given."""
+    n = inst.n
     for i, h1, h2, alpha, _ in inst.sides:
         if h1 * f[i].x1 + h2 * f[i].x2 + alpha > tol:
             return SelectionReport(

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -544,7 +545,7 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
         # (the scale fault of ROADMAP item 1); this test is about the hulls
         # and stage 5, which run before the verification
         monkeypatch.setattr(
-            lipsel.selection, "verify_selection", lambda inst, f, bound: SelectionReport(True, math.nan, bound)
+            lipsel.selection, "_report", lambda inst, f, bound, seminorm, tol: SelectionReport(True, math.nan, bound)
         )
     else:
         runs = []
@@ -807,14 +808,16 @@ def forks(monkeypatch):
 
 
 def _serial_and_split(monkeypatch, forks, inst, lambdas):
-    """The outcome of the serial run and that of the split run, which forks
-    and leaves no child behind."""
+    """The outcome of the serial run, which does not fork, and that of the
+    split run, which forks once, or not at all when point 0 settles the
+    solve, and leaves no child behind."""
     monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", inst.n + 1)
-    serial = _outcome(inst, lambdas)
-    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
     before = len(forks)
+    serial = _outcome(inst, lambdas)
+    assert len(forks) == before
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
     split = _outcome(inst, lambdas)
-    assert len(forks) > before
+    assert len(forks) - before == (split != NoGo(1, 0)), (split, len(forks) - before)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return serial, split
@@ -868,28 +871,36 @@ def test_split_solves_equal_serial_solves(monkeypatch, forks):
 
 @pytest.mark.parametrize("where", ["_stage12_hull", "step5_project"])
 def test_split_solves_raise_the_serial_error(monkeypatch, forks, capfd, where):
-    """A phase that raises for a point in the upper half raises there in the
-    child, which writes nothing, and the parent raises the same error
-    computing that half itself; one that raises in the lower half too
-    raises there first."""
+    """A phase that raises at some points, and stage 2 when it also finds
+    empty sets at others, gives the serial outcome: the first error or NoGo
+    in point order, whichever process meets it, in whatever order.  A child
+    that raises writes nothing and leaves, and the parent raises the same
+    error computing that half itself."""
     phase = getattr(lipsel.selection, where)
-    inst = planted_instance(random.Random("split-raise"), 12)
-    for bad in ({11}, {9, 3}):
+    inst = planted_instance(random.Random("split-raise"), 200)
+    cases = [({199}, set()), ({150, 3}, set()), ({120, 180}, set())]
+    if where == "_stage12_hull":
+        cases += [({110}, {170}), ({170}, {110}), ({130, 190}, {160}), ({140}, {2}), ({5}, {140})]
+    for bad, empty in cases:
         def failing(inst, l1, x, *args, **kwargs):
             if x in bad:
                 raise ValueError(f"point {x}")
+            if x in empty:
+                return EMPTY, None
             return phase(inst, l1, x, *args, **kwargs)
 
         monkeypatch.setattr(lipsel.selection, where, failing)
         serial, split = _serial_and_split(monkeypatch, forks, inst, (1.0, 1.0))
-        assert split == serial == (ValueError, f"point {min(bad)}")
+        want = NoGo(1, min(empty)) if min(empty, default=INF) < min(bad) else (ValueError, f"point {min(bad)}")
+        assert split == serial == want, (bad, empty)
         assert capfd.readouterr() == ("", "")
 
 
 def test_split_stage3_nogo_wins_over_a_stage5_error(monkeypatch, forks):
     """Serially, stage 5 never runs after a stage-3 NoGo.  Split, the lower
-    half reaches stage 5 here while the upper half trips; the error there
-    sends stages 3-5 back to the serial run, which finds the NoGo."""
+    half's folds hold here while the upper half trips; no half starts stage
+    5 before it knows of every trip, so both run the pairwise test, which
+    finds the NoGo, and the failing stage 5 never runs."""
     calls = []
 
     def failing(*args, **kwargs):
@@ -902,7 +913,75 @@ def test_split_stage3_nogo_wins_over_a_stage5_error(monkeypatch, forks):
     inst = HalfPlaneInstance(space, [halfplane(1.0, 0.0, 0.0)] * 3 + [halfplane(-1.0, 0.0, 10.0)])
     monkeypatch.setattr(lipsel.selection, "step5_project", failing)
     serial, split = _serial_and_split(monkeypatch, forks, inst, (20.0, 0.25))
-    assert split == serial == NoGo(3, 2) and calls
+    assert split == serial == NoGo(3, 2) and not calls
+
+
+def test_split_solve_decides_point_0_before_forking(monkeypatch, forks):
+    """A stage-1 NoGo at point 0 returns the serial NoGo without a fork."""
+    inst = planted_instance(random.Random("t8"), 40)
+    for lam in (0.125, 0.5):
+        serial, split = _serial_and_split(monkeypatch, forks, inst, (lam, lam))
+        assert split == serial == NoGo(1, 0)
+    assert not forks
+
+
+def test_split_stages_1_2_share_the_point_where_they_meet(monkeypatch, forks, tmp_path):
+    """This process stalls at point 20, so the child, taking points
+    downward, takes it too: both compute it, and the solve equals the
+    serial one."""
+    inst = planted_instance(random.Random("split-meet"), 200)
+    hull = lipsel.selection._stage12_hull
+    parent = os.getpid()
+    log = tmp_path / "took"
+
+    def stalling(inst, l1, x, group):
+        if x == 20:
+            if os.getpid() == parent and lipsel.selection.SPLIT_MIN == 1:
+                time.sleep(1.0)
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, b"parent\n" if os.getpid() == parent else b"child\n")
+            os.close(fd)
+        return hull(inst, l1, x, group)
+
+    monkeypatch.setattr(lipsel.selection, "_stage12_hull", stalling)
+    serial, split = _serial_and_split(monkeypatch, forks, inst, (2.0, 2.0))
+    assert isinstance(split, Success) and split == serial
+    assert sorted(log.read_text().split()) == ["child", "parent", "parent"]  # serially, then both
+
+
+@pytest.mark.parametrize("fault", ["worker dies in stages 1-2", "worker dies after stages 1-2", "parent raises"])
+def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
+    """The worker dies at its first stage-2 hull, or after stages 1-2 at
+    its first fold (it exits at once, as a killed child would), or this
+    process's own half raises at point 3's fold.  The outcome is the serial
+    one: a dead worker's half is replayed here, and an error in this
+    process's half is raised after the worker is reaped.  Neither process
+    writes to stdout or stderr."""
+    inst = planted_instance(random.Random("split-fault"), 200)
+    where = "_stage12_hull" if fault == "worker dies in stages 1-2" else "_fold"
+    phase = getattr(lipsel.selection, where)
+    parent = os.getpid()
+    here = []
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        x = args[2] if where == "_stage12_hull" else next(x for x in range(inst.n) if inst.space.d[x] is args[2])
+        if fault == "parent raises" and x == 3:
+            raise ValueError("point 3")
+        here.append(x)
+        return phase(*args)
+
+    monkeypatch.setattr(lipsel.selection, where, faulty)
+    for lam in (1.0, 2.0):
+        del here[:]
+        serial, split = _serial_and_split(monkeypatch, forks, inst, (lam, lam))
+        if fault == "parent raises":
+            assert split == serial == (ValueError, "point 3")
+        else:
+            assert isinstance(split, Success) and split == serial
+            assert here.count(inst.n - 1) == 2  # serially, then in the replay here
+        assert capfd.readouterr() == ("", "")
 
 
 def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks):
