@@ -196,21 +196,24 @@ def sign_vector(h: Point2) -> Point2:
 
 
 def dist_to_halfplane(g: Point2, hp: HalfPlane) -> float:
-    """Uniform-norm distance from g to the half-plane (0 when g is inside)."""
+    """Uniform-norm distance from g to the half-plane (0 exactly when g is
+    inside)."""
     residual = hp.h.x1 * g.x1 + hp.h.x2 * g.x2 + hp.alpha
-    return plus_part(residual) / one_norm(hp.h)
+    if residual > 0.0:  # a quotient that underflows to 0 is the least float
+        return residual / one_norm(hp.h) or math.ulp(0.0)
+    return 0.0
 
 
-def project_to_halfplane(g: Point2, hp: HalfPlane, tol: float = DEFAULT_TOL) -> Point2:
+def project_to_halfplane(g: Point2, hp: HalfPlane) -> Point2:
     """Nearest point of the half-plane in the uniform norm.
 
-    Inside points (up to tol) map to themselves.  For an outside point the
-    nearest point is unique exactly when neither normal coordinate vanishes;
-    an axis-parallel boundary has a whole segment of nearest points, which we
-    refuse to pick from.
+    Inside points (up to DEFAULT_TOL) map to themselves.  For an outside
+    point the nearest point is unique exactly when neither normal coordinate
+    vanishes; an axis-parallel boundary has a whole segment of nearest
+    points, which we refuse to pick from.
     """
     residual = hp.h.x1 * g.x1 + hp.h.x2 * g.x2 + hp.alpha
-    if residual <= tol:
+    if residual <= DEFAULT_TOL:
         return g
     if hp.h.x1 == 0.0 or hp.h.x2 == 0.0:
         raise ValueError(

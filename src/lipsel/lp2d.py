@@ -340,7 +340,6 @@ def lp2d_brute_force(
     constraints: Sequence[HalfPlane | WholePlane],
     c: Point2 | tuple[float, float],
     sense: str = "max",
-    tol: float = DEFAULT_TOL,
 ) -> LpOutcome:
     """Quadratic-candidate solver with the same contract as lp2d_optimize.
 
@@ -376,7 +375,7 @@ def lp2d_brute_force(
                 )
 
     def inside(p: Point2) -> bool:
-        return all(a * p.x1 + b * p.x2 + alpha <= tol for a, b, alpha, _ in rows)
+        return all(a * p.x1 + b * p.x2 + alpha <= DEFAULT_TOL for a, b, alpha, _ in rows)
 
     feas = [p for p in cands if inside(p)]
     if not feas:
@@ -407,7 +406,7 @@ def lp2d_brute_force(
                                 )
                         if not any(
                             all(
-                                a * pt.x1 + b * pt.x2 + alpha <= tol
+                                a * pt.x1 + b * pt.x2 + alpha <= DEFAULT_TOL
                                 for a, b, alpha, _ in sub
                             )
                             for pt in sub_c

@@ -40,18 +40,20 @@ A point's stage-1 set and stage-2 hull, its stage-3 fold once every hull
 exists, its stage-5 projection, and a row of the seminorm's pairs depend on
 no other point's result in the same phase.  So once point 0's stage-1 set
 is known not to be empty, a solve of at least SPLIT_MIN points runs in two
-processes (`_lockstep`): this one and one child made by `os.fork`, which
-keeps its own rows, kept points and rectangles and exchanges only flat
-lists of numbers with this process after each phase.  In stages 1-2 this
-process takes the points upward and the child downward until they meet;
-stage 3's folds split the points at the middle, stages 4-5 follow stage
-2's split, and the seminorm's rows split by their count of pairs, as in
-`lipschitz_seminorm`.
+processes (`_in_two`): this one and one child made by `os.fork`, each
+running the one solve body (`_solve`) on its half of the points and
+exchanging only flat lists of numbers with the other after each phase.
+In stages 1-2 this process takes the points upward and the child downward
+until they meet; stage 3's folds split the points at the middle, stages
+4-5 follow stage 2's split, and the seminorm's rows split by their count
+of pairs, as in `lipschitz_seminorm`.
 When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
 processes; each error is raised in point order, and the results, NoGos and
-errors equal those of the serial run.  It forks only when `os.fork` and
-`os.sched_getaffinity` exist, the process has one thread, and its CPU
-affinity holds at least two CPUs; the child never outlives the call.
+errors equal those of the serial run.  A fork that fails, or a child that
+fails or dies, ends the split, and the solve runs again, serially, in this
+process.  It forks only when `os.fork` and `os.sched_getaffinity` exist,
+the process has one thread, and its CPU affinity holds at least two CPUs;
+the child never outlives the call.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from functools import cached_property, partial
 from heapq import nsmallest
 from itertools import accumulate, chain, compress, repeat
 from operator import add, gt, le, mul, sub, truediv
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
     DEFAULT_TOL,
@@ -100,7 +102,7 @@ VERIFY_TOL = 1e-7
 # near 100 rows; polygons with 4 sides at n = 100 gain from it)
 NEAREST, BOX_SHARE = 8, 6
 
-# a solve of at least SPLIT_MIN points runs in two processes (`_lockstep`):
+# a solve of at least SPLIT_MIN points runs in two processes (`_in_two`):
 # its one fork, exit and wait cost about 6 ms in a 70 MB process, and a
 # split that forked once per phase broke even near n = 150 on planted
 # half-planes in `python -m lipsel solve` (2-vCPU x86 machine)
@@ -433,8 +435,7 @@ def step4_centers(refined: Sequence[ExtRect]) -> List[Point2]:
 
 
 def step5_project(
-    inst: PolygonInstance, l1: float, x: int, g: Point2, tol: float = DEFAULT_TOL,
-    points: Optional[Sequence[int]] = None,
+    inst: PolygonInstance, l1: float, x: int, g: Point2, points: Optional[Sequence[int]] = None
 ) -> Point2:
     """Nearest point of the stage-1 set at x from g.
 
@@ -447,8 +448,8 @@ def step5_project(
     the points whose rows cut x's box B.  Any other row holds the square
     around B's center with a margin that covers the rounding of its
     residual, taken on the row stage 2 saw, and g is in B up to
-    stage 3's `_snap_ends` tol/2, so the row is within tol of g and cannot
-    change the result.
+    stage 3's `_snap_ends` DEFAULT_TOL/2, so the row is within DEFAULT_TOL
+    of g and cannot change the result.
     """
     drow = inst.space.d[x]
     gx, gy = g
@@ -467,12 +468,12 @@ def step5_project(
             d = resid / norm1
             if d > best_d:
                 best_d, best = d, (y, h1, h2, alpha)
-    if best_d <= tol or best is None:
+    if best_d <= DEFAULT_TOL or best is None:
         return g
     y, h1, h2, alpha = best
     inflated = inflate_halfplane(HalfPlane(Point2(h1, h2), alpha), l1 * drow[y])
     assert isinstance(inflated, HalfPlane)
-    return project_to_halfplane(g, inflated, tol)
+    return project_to_halfplane(g, inflated)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +498,7 @@ def run_projection_algorithm(
     l1 + 2*l2 seminorm bound); a verification failure raises instead of
     returning a bad Success.  Point 0's stages 1-2 run first, so a NoGo
     there returns at once; the rest (`_solve`) may run in two processes
-    (`_lockstep`), with the same results.
+    (`_in_two`), with the same results.
     """
     l1, l2 = _check_lambdas(lambdas)
     inst.sides, inst.offsets, inst.rank, inst.by_angle  # made once, before any fork
@@ -508,11 +509,11 @@ def run_projection_algorithm(
     # the lower half's next point and the upper half's last one (`_solve`)
     meet = memoryview(mmap.mmap(-1, 16)).cast("q") if inst.n >= SPLIT_MIN else [0, 0]
     meet[0], meet[1] = min(1, inst.n), inst.n
-    got = _lockstep(partial(_solve, inst, l1, l2, groups, head, meet), inst.n)
+    got = _in_two(partial(_solve, inst, l1, l2, groups, head, meet), inst.n)
     if isinstance(got, NoGo):
         return got
     f, g, hulls, refined, seminorm = got
-    report = _report(inst, f, l1 + 2.0 * l2, seminorm, VERIFY_TOL)
+    report = _report(inst, f, l1 + 2.0 * l2, seminorm)
     if not report.ok:
         raise RuntimeError(f"internal verification failed: {report}")
     return Success(f, g, hulls, refined, report.seminorm)
@@ -520,20 +521,20 @@ def run_projection_algorithm(
 
 def _stage12(
     inst: PolygonInstance, l1: float, groups: Dict[Tuple[int, ...], _Neighbours], x: int
-) -> Union[NoGo, Tuple[tuple, Optional[List[int]], Optional[ExtRect]]]:
-    """Stages 1-2 at x: (twin, lo1, hi1, lo2, hi2), the points whose rows
-    cut x's box and the hull, or NoGo(1, x) when x's stage-1 set is empty.
-    x's stage-1 rows, so all its results, depend only on its distance row:
-    with an earlier `twin`, x reuses the twin's results and gets (twin,
-    0.0, 0.0, 0.0, 0.0), None and None; else -1 and its hull's ends, and
-    its points and hull from `_stage12_hull`.  The rows' normals depend only on which points are at
-    finite distance, so their envelope is shared per such set in `groups`,
-    keyed by the infinitely distant points (not per component: `solve`
-    does not check the triangle inequality)."""
+) -> Union[NoGo, Tuple[tuple, Optional[List[int]]]]:
+    """Stages 1-2 at x: (twin, lo1, hi1, lo2, hi2) and the points whose
+    rows cut x's box, or NoGo(1, x) when x's stage-1 set is empty.  x's
+    stage-1 rows, so all its results, depend only on its distance row: with
+    an earlier `twin`, x reuses the twin's results and gets (twin, 0.0,
+    0.0, 0.0, 0.0) and None; else -1 and its hull's ends, and its points
+    from `_stage12_hull`.  The rows' normals depend only on which points are
+    at finite distance, so their envelope is shared per such set in
+    `groups`, keyed by the infinitely distant points (not per component:
+    `solve` does not check the triangle inequality)."""
     d = inst.space.d
     twin = _earlier_twin(d, x)
     if twin >= 0:
-        return (twin, 0.0, 0.0, 0.0, 0.0), None, None
+        return (twin, 0.0, 0.0, 0.0, 0.0), None
     drow = d[x]
     key = () if INF not in drow else tuple(y for y in range(inst.n) if drow[y] == INF)
     if key not in groups:
@@ -541,19 +542,19 @@ def _stage12(
     hull, points = _stage12_hull(inst, l1, x, groups[key])
     if isinstance(hull, EmptySet):
         return NoGo(1, x)
-    return (-1, hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi), points, hull
+    return (-1, hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi), points
 
 
 def _solve(
     inst: PolygonInstance, l1: float, l2: float, groups: Dict[Tuple[int, ...], _Neighbours],
-    head: Optional[tuple], meet: Any, lo: int, hi: int,
-) -> Generator[Any, Sequence[Any], Union[NoGo, tuple]]:
-    """The solve as one half of a `_lockstep` call: a NoGo, or the columns
-    (LO1, HI1, LO2, HI2) of the hulls and of the refined rectangles, the
-    centers (X, Y), the selection (X, Y) and its seminorm.  Each phase
-    yields the half's part as a flat list and merges the parts of all
-    halves in point order; a twin takes its source's ends and value at the
-    merges.  The phases:
+    head: Optional[tuple], meet: Any, lo: int, hi: int, exchange: Callable[[Any], Sequence[Any]],
+) -> Union[NoGo, tuple]:
+    """The solve as the body of an `_in_two` call: a NoGo, or the
+    selection, the centers, the hulls, the refined rectangles and the
+    seminorm.  Each phase hands the half's part, a flat list, to `exchange`
+    and merges the parts of all halves in point order; a twin takes its
+    source's ends and values at the merges.  Each half so ends with every
+    column whole, and builds the results from the columns.  The phases:
 
       1. stages 1-2.  The half that starts at 0 takes the points upward
          from 1 (point 0's results are `head`) and the other half takes
@@ -562,7 +563,7 @@ def _solve(
          processes see it, so neither waits long for the other.  A point
          that both take gets equal results in both.  The lower half returns
          its first NoGo at once, as no other can come first; the upper half
-         goes on down past a NoGo and yields the lowest it meets.  An
+         goes on down past a NoGo and hands on the lowest it meets.  An
          error ends the upper half at its point, so the lower half goes on
          up to that point and meets any NoGo or error below it first.  Each
          half owns the points on its side of the lower half's last point,
@@ -573,8 +574,10 @@ def _solve(
       3. stages 4-5 at the points the half owns: the centers and values;
       4. the largest ratio over the half's rows of the seminorm."""
     n, space, d = inst.n, inst.space, inst.space.d
+    if hi - lo == n:  # alone: a lost split may have moved `meet`
+        meet[0], meet[1] = min(1, n), n
     if lo == 0:
-        flat, kept, hulls = ([*head[0]], [head[1]], [head[2]]) if head else ([], [], [])
+        flat, kept = ([*head[0]], [head[1]]) if head else ([], [])
         while meet[0] < meet[1]:
             x = meet[0]
             part = _stage12(inst, l1, groups, x)
@@ -582,9 +585,8 @@ def _solve(
                 return part
             flat += part[0]
             kept.append(part[1])
-            hulls.append(part[2])
             meet[0] = x + 1
-        parts = yield flat
+        parts = exchange(flat)
     else:
         done: list = []
         nogo = None
@@ -598,11 +600,11 @@ def _solve(
             else:
                 done.append(part)
         if nogo is not None:
-            parts = yield nogo
+            parts = exchange(nogo)
         else:
             done.reverse()
-            kept = [points for _, points, _ in done]
-            parts = yield x, [v for ends, _, _ in done for v in ends]
+            kept = [points for _, points in done]
+            parts = exchange((x, [v for ends, _ in done for v in ends]))
     if isinstance(parts[-1], NoGo):  # the lower half returns its NoGo instead
         return parts[-1]
     cut = len(parts[0]) // 5
@@ -614,6 +616,7 @@ def _solve(
     own = range(0, cut) if lo == 0 else range(cut, n)
     twin, *ends = _columns(parts, 5)
     _fill_twins(twin, ends)
+    hulls = _rects(zip(*ends))
 
     folds: Optional[list] = []
     for x in range(lo, hi):
@@ -622,37 +625,19 @@ def _solve(
             folds = None
             break
         folds += fold
-    parts = yield folds
-    if None in parts:
-        refined = step3_refine_rects(_rects(zip(*ends)), l2, space)
-        if isinstance(refined, NoGo):
-            return refined
-        rects = refined[own.start:own.stop]
-    else:
-        R = _columns(parts, 4)
-        rects = _rects(zip(*(column[own.start:own.stop] for column in R)))
-        refined = None
+    parts = exchange(folds)
+    refined = step3_refine_rects(hulls, l2, space) if None in parts else _rects(zip(*_columns(parts, 4)))
+    if isinstance(refined, NoGo):
+        return refined
 
-    g = step4_centers(rects)
-    f, flat = [], []
-    for x, gx in zip(own, g):
+    flat = []
+    for x, gx in zip(own, step4_centers(refined[own.start:own.stop])):
         p = gx if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x - own.start])
-        f.append(p)
         flat += (*gx, *p)
-    GX, GY, X, Y = _columns((yield flat), 4)
+    GX, GY, X, Y = _columns(exchange(flat), 4)
     _fill_twins(twin, (X, Y))
-
-    seminorm = yield from _seminorm(X, Y, space, lo, hi)
-    if lo:
-        return None  # the lower half's result is the call's
-    if cut < n:  # the other half's values and rectangles, from their numbers
-        f += map(Point2, X[cut:], Y[cut:])
-        g += map(Point2, GX[cut:], GY[cut:])
-        hulls += _rects(zip(*(column[cut:] for column in ends)))
-        if refined is None:
-            rects += _rects(zip(*(column[cut:] for column in R)))
-    _fill_twins(twin, (f, hulls))
-    return f, g, hulls, rects if refined is None else refined, seminorm
+    seminorm = _seminorm(X, Y, space, lo, hi, exchange)
+    return list(map(Point2, X, Y)), list(map(Point2, GX, GY)), hulls, refined, seminorm
 
 
 def _columns(parts: Sequence[list], k: int) -> List[list]:
@@ -674,114 +659,87 @@ def _rects(ends: Iterable[Tuple[float, float, float, float]]) -> List[ExtRect]:
     return [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in ends]
 
 
-def _lockstep(make: Callable[[int, int], Generator[Any, Sequence[Any], Any]], n: int) -> Any:
-    """What the generator make(0, n) returns, computed by make(0, n // 2)
-    here and make(n // 2, n) in one forked worker when n is at least
+class _Lost(Exception):
+    """The child of an `_in_two` split failed, died or closed its pipe."""
+
+
+def _alone(part: Any) -> Tuple[Any]:
+    """The `exchange` of a body that runs alone: its part is all parts."""
+    return (part,)
+
+
+def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: int) -> Any:
+    """body(0, n, _alone), computed as body(0, n // 2, exchange) here and
+    body(n // 2, n, exchange) in one forked child when n is at least
     SPLIT_MIN (and 2) and this process can fork (it has one thread) onto at
     least two CPUs.
 
-    Each half yields its part of a phase and is sent the parts of all
-    halves in point order; the lower half's return value is the result,
-    and it may return before the upper half's part arrives.  The halves
-    are written so that every one of them ends a phase in the same state,
-    so the result, and any exception, are those of the one half 0..n-1.
-    The worker is killed and reaped before this returns."""
-    split = (
+    exchange(part) hands the half's part of a phase to the other half,
+    pickled over a pipe, and returns the parts of both halves in point
+    order.  The bodies are written so that both halves end a phase in the
+    state of the one body 0..n-1, so the lower half's return value, or its
+    exception, is the call's; it may return before the child's part
+    arrives.  The child writes nothing to stdout or stderr and leaves
+    through `os._exit`.  A fork that fails, or a child that fails, dies or
+    closes its pipe (`_Lost`), ends the split, and body(0, n, _alone) runs
+    here once.  The child is killed and reaped before that, and before this
+    returns or raises."""
+    if not (
         n >= max(SPLIT_MIN, 2)
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and threading.active_count() == 1
         and len(os.sched_getaffinity(0)) >= 2
-    )
-    cut = n // 2 if split else n
-    low = make(0, cut)
-    worker = _Worker(make, cut, n) if cut < n else None
+    ):
+        return body(0, n, _alone)
+    up_r, up_w = os.pipe()
+    down_r, down_w = os.pipe()
     try:
-        part = next(low)
-        while True:
-            part = low.send((part,) if worker is None else (part, worker.exchange(part)))
-    except StopIteration as stop:
-        return stop.value
+        pid = os.fork()
+    except OSError:
+        for fd in (up_r, up_w, down_r, down_w):
+            os.close(fd)
+        return body(0, n, _alone)
+    if pid == 0:
+        try:
+            os.close(up_r)
+            os.close(down_w)
+            up, down = open(up_w, "wb"), open(down_r, "rb")
+
+            def upper(part: Any) -> Tuple[Any, Any]:
+                pickle.dump(part, up, pickle.HIGHEST_PROTOCOL)
+                up.flush()
+                return pickle.load(down), part
+
+            body(n // 2, n, upper)
+        finally:  # an error, the end of the pipe, or the last part
+            os._exit(1)
+    os.close(up_w)
+    os.close(down_r)
+    up, down = open(up_r, "rb"), open(down_w, "wb")
+
+    def lower(part: Any) -> Tuple[Any, Any]:
+        try:
+            got = pickle.load(up)
+            pickle.dump(part, down, pickle.HIGHEST_PROTOCOL)
+            down.flush()
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise _Lost from None
+        return part, got
+
+    try:
+        return body(0, n // 2, lower)
+    except _Lost:
+        pass
     finally:
-        if worker is not None:
-            worker.close()
-
-
-class _Worker:
-    """The upper half make(lo, hi) of a `_lockstep` call, in a forked child
-    while it lasts.  The child sends its parts pickled over one pipe and
-    reads the lower half's over another, so both sides exchange only flat
-    lists of numbers (and a NoGo); it writes nothing to stdout or stderr
-    and leaves through `os._exit`.  A fork that fails, or a child that
-    fails or dies, leaves the half to this process: it replays the half
-    from the lower parts it sent, then runs it in step."""
-
-    def __init__(self, make: Callable[[int, int], Generator], lo: int, hi: int):
-        self.make, self.lo, self.hi = make, lo, hi
-        self.sent: list = []  # the lower half's parts, for a replay
-        self.half: Optional[Generator] = None  # the half, once it runs here
-        self.pid: Optional[int] = None
-        self.got: Any = None  # the half's last part, once it runs here
-        up_r, up_w = os.pipe()
-        down_r, down_w = os.pipe()
+        up.close()
         try:
-            pid = os.fork()
-        except OSError:
-            for fd in (up_r, up_w, down_r, down_w):
-                os.close(fd)
-            return
-        if pid == 0:
-            try:
-                os.close(up_r)
-                os.close(down_w)
-                out, inp = open(up_w, "wb"), open(down_r, "rb")
-                half = make(lo, hi)
-                part = next(half)
-                while True:
-                    pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
-                    out.flush()
-                    part = half.send((pickle.load(inp), part))
-            finally:  # an error, the end of the pipe, or the last part
-                os._exit(1)
-        os.close(up_w)
-        os.close(down_r)
-        self.pid = pid
-        self.inp, self.out = open(up_r, "rb"), open(down_w, "wb")
-
-    def exchange(self, part: Any) -> Any:
-        """The upper half's part of the phase whose lower part is `part`."""
-        if self.pid is not None:
-            try:
-                got = pickle.load(self.inp)
-                pickle.dump(part, self.out, pickle.HIGHEST_PROTOCOL)
-                self.out.flush()
-            except (EOFError, OSError, pickle.UnpicklingError):
-                self.close()
-            else:
-                self.sent.append(part)
-                return got
-        if self.half is None:
-            self.half = self.make(self.lo, self.hi)
-            self.got = next(self.half)
-            for sent in self.sent:
-                self.got = self.half.send((sent, self.got))
-        else:
-            self.got = self.half.send((self.sent[-1], self.got))
-        self.sent.append(part)
-        return self.got
-
-    def close(self) -> None:
-        """End the child, if any, and reap it."""
-        if self.pid is None:
-            return
-        self.inp.close()
-        try:
-            self.out.close()
+            down.close()
         except OSError:  # what was left to write, to a child that is gone
             pass
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return body(0, n, _alone)
 
 
 def _earlier_twin(d: Sequence[Sequence[float]], x: int) -> int:
@@ -807,17 +765,17 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
         raise ValueError("one value per point is required")
     X = [p.x1 for p in f]
     Y = [p.x2 for p in f]
-    return _lockstep(partial(_seminorm, X, Y, space), n)
+    return _in_two(partial(_seminorm, X, Y, space), n)
 
 
 def _seminorm(
-    X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int
-) -> Generator[float, Sequence[float], float]:
-    """The seminorm as one half of a `_lockstep` call: the largest ratio
+    X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int,
+    exchange: Callable[[Any], Sequence[Any]],
+) -> float:
+    """The seminorm as the body of an `_in_two` call: the largest ratio
     over the rows `_row_cut(lo)` to `_row_cut(hi)`, then over all halves."""
     n = space.n
-    ratios = yield _row_ratios(X, Y, space, _row_cut(lo, n), _row_cut(hi, n))
-    return max(ratios)
+    return max(exchange(_row_ratios(X, Y, space, _row_cut(lo, n), _row_cut(hi, n))))
 
 
 def _row_cut(k: int, n: int) -> int:
@@ -843,34 +801,28 @@ def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: in
     return out
 
 
-def verify_selection(
-    inst: PolygonInstance,
-    f: Sequence[Point2],
-    bound: float,
-    tol: float = VERIFY_TOL,
-) -> SelectionReport:
-    """Check membership of every value and the seminorm bound.
+def verify_selection(inst: PolygonInstance, f: Sequence[Point2], bound: float) -> SelectionReport:
+    """Check membership of every value and the seminorm bound, each up to
+    VERIFY_TOL.
 
     The first failure (membership in point order, then the lexicographically
     first bad pair) is reported; the seminorm field is always filled in.
     """
     if len(f) != inst.n:
         raise ValueError("one value per point is required")
-    return _report(inst, f, bound, lipschitz_seminorm(f, inst.space), tol)
+    return _report(inst, f, bound, lipschitz_seminorm(f, inst.space))
 
 
-def _report(
-    inst: PolygonInstance, f: Sequence[Point2], bound: float, seminorm: float, tol: float
-) -> SelectionReport:
+def _report(inst: PolygonInstance, f: Sequence[Point2], bound: float, seminorm: float) -> SelectionReport:
     """`verify_selection` with f's seminorm given."""
     n = inst.n
     for i, h1, h2, alpha, _ in inst.sides:
-        if h1 * f[i].x1 + h2 * f[i].x2 + alpha > tol:
+        if h1 * f[i].x1 + h2 * f[i].x2 + alpha > VERIFY_TOL:
             return SelectionReport(
                 False, seminorm, bound, reason="membership", index=i
             )
-    if seminorm > bound + tol:
-        cap = (bound + tol)
+    if seminorm > bound + VERIFY_TOL:
+        cap = (bound + VERIFY_TOL)
         for i in range(n):
             for j in range(i + 1, n):
                 gap = uniform_norm(f[i] - f[j])

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipsel.geometry import (
@@ -253,6 +253,7 @@ def test_hausdorff_triangle(u1, u2, v1, v2, w1, w2):
 
 
 @given(small_int, small_int, coord, coord, coord)
+@example(a=0, b=-2, alpha=-5e-324, gx=0.0, gy=-5e-324)  # residual / 2 underflows to 0
 def test_dist_zero_iff_member(a, b, alpha, gx, gy):
     if a == 0 and b == 0:
         return

@@ -527,9 +527,9 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
 
     restricted = []
 
-    def spy5(inst, l1, x, g, tol=DEFAULT_TOL, points=None):
-        got = project(inst, l1, x, g, tol, points)
-        assert got == project(inst, l1, x, g, tol), (x, g, points)
+    def spy5(inst, l1, x, g, points=None):
+        got = project(inst, l1, x, g, points)
+        assert got == project(inst, l1, x, g), (x, g, points)
         restricted.append(points is not None)
         return got
 
@@ -547,7 +547,7 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
         # (the scale fault of ROADMAP item 1); this test is about the hulls
         # and stage 5, which run before the verification
         monkeypatch.setattr(
-            lipsel.selection, "_report", lambda inst, f, bound, seminorm, tol: SelectionReport(True, math.nan, bound)
+            lipsel.selection, "_report", lambda inst, f, bound, seminorm: SelectionReport(True, math.nan, bound)
         )
     else:
         runs = []
@@ -822,7 +822,7 @@ def test_instance_angular_order_breaks_ties_exactly(k, monkeypatch):
     # the hulls are exact; at 2^40 the absolute VERIFY_TOL rejects many of
     # these selections (the scale fault of ROADMAP item 1)
     monkeypatch.setattr(
-        lipsel.selection, "_report", lambda inst, f, bound, seminorm, tol: SelectionReport(True, math.nan, bound)
+        lipsel.selection, "_report", lambda inst, f, bound, seminorm: SelectionReport(True, math.nan, bound)
     )
     point_rows = lipsel.selection._point_rows
     boxed = []
@@ -879,19 +879,27 @@ def forks(monkeypatch):
     return calls
 
 
+def _open_fds():
+    """The number of this process's open file descriptors, where
+    /proc/self/fd lists them, else None."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def _serial_and_split(monkeypatch, forks, inst, lambdas):
     """The outcome of the serial run, which does not fork, and that of the
     split run, which forks once, or not at all when point 0 settles the
-    solve, and leaves no child behind."""
+    solve, and leaves no child and no pipe behind."""
     monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", inst.n + 1)
     before = len(forks)
     serial = _outcome(inst, lambdas)
     assert len(forks) == before
     monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
+    fds = _open_fds()
     split = _outcome(inst, lambdas)
     assert len(forks) - before == (split != NoGo(1, 0)), (split, len(forks) - before)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
     return serial, split
 
 
@@ -1021,16 +1029,25 @@ def test_split_stages_1_2_share_the_point_where_they_meet(monkeypatch, forks, tm
     assert sorted(log.read_text().split()) == ["child", "parent", "parent"]  # serially, then both
 
 
-@pytest.mark.parametrize("fault", ["worker dies in stages 1-2", "worker dies after stages 1-2", "parent raises"])
+FAULTS = {
+    "worker dies in stages 1-2": "_stage12_hull",
+    "worker dies after stages 1-2": "_fold",
+    "worker dies in the seminorm": "_row_ratios",
+    "parent raises": "_fold",
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
 def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
     """The worker dies at its first stage-2 hull, or after stages 1-2 at
-    its first fold (it exits at once, as a killed child would), or this
-    process's own half raises at point 3's fold.  The outcome is the serial
-    one: a dead worker's half is replayed here, and an error in this
-    process's half is raised after the worker is reaped.  Neither process
-    writes to stdout or stderr."""
+    its first fold, or in the seminorm at its rows (it exits at once, as a
+    killed child would), or this process's own half raises at point 3's
+    fold.  The outcome is the serial one: after a dead worker the solve is
+    solved again in this process, and an error in this process's half is
+    raised after the worker is reaped.  Neither process writes to stdout or
+    stderr."""
     inst = planted_instance(random.Random("split-fault"), 200)
-    where = "_stage12_hull" if fault == "worker dies in stages 1-2" else "_fold"
+    where = FAULTS[fault]
     phase = getattr(lipsel.selection, where)
     parent = os.getpid()
     here = []
@@ -1038,7 +1055,12 @@ def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
     def faulty(*args):
         if os.getpid() != parent:
             os._exit(1)
-        x = args[2] if where == "_stage12_hull" else next(x for x in range(inst.n) if inst.space.d[x] is args[2])
+        if where == "_stage12_hull":
+            x = args[2]
+        elif where == "_fold":
+            x = next(x for x in range(inst.n) if inst.space.d[x] is args[2])
+        else:  # the seminorm's rows lo..hi-1 stand as the last point they reach
+            x = args[4] - 1
         if fault == "parent raises" and x == 3:
             raise ValueError("point 3")
         here.append(x)
@@ -1052,8 +1074,49 @@ def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
             assert split == serial == (ValueError, "point 3")
         else:
             assert isinstance(split, Success) and split == serial
-            assert here.count(inst.n - 1) == 2  # serially, then in the replay here
+            assert here.count(inst.n - 1) == 2  # serially, then solved again in this process
         assert capfd.readouterr() == ("", "")
+
+
+def test_split_seminorm_equals_the_serial_one(monkeypatch, forks, capfd):
+    """`lipschitz_seminorm` on 200 points with zero-distance twins and
+    blocks at infinite distance gives the serial value split, with one
+    fork, and also when the child dies in its rows: then it is computed
+    again in this process, nothing is written and no child is left."""
+    rng = random.Random("split-seminorm")
+    row_ratios = lipsel.selection._row_ratios
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return row_ratios(*args)
+
+    upper = 0
+    for _ in range(4):
+        space = linf_space(rng, 200, dup_chance=0.3, inf_blocks=True)
+        f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(space.n)]
+        for x in range(space.n):  # twins take equal values, so 0/0 pairs count 0
+            if 0.0 in space.d[x][:x]:
+                f[x] = f[space.d[x].index(0.0)]
+        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", space.n + 1)
+        want = lipschitz_seminorm(f, space)
+        assert 0.0 < want < INF and not forks
+        X, Y, cut = [p.x1 for p in f], [p.x2 for p in f], lipsel.selection._row_cut(space.n // 2, space.n)
+        upper += row_ratios(X, Y, space, cut, space.n) == want
+        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
+        fds = _open_fds()
+        assert lipschitz_seminorm(f, space) == want and len(forks) == 1
+        del forks[:]
+        with monkeypatch.context() as m:
+            m.setattr(lipsel.selection, "_row_ratios", dying)
+            assert lipschitz_seminorm(f, space) == want and len(forks) == 1
+        del forks[:]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == fds
+        assert capfd.readouterr() == ("", "")
+    assert upper >= 1  # some largest ratio comes from the child's rows
 
 
 def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks):
