@@ -15,8 +15,6 @@ from lipsel.geometry import (
     ExtRect,
     HalfPlane,
     Point2,
-    WHOLE_PLANE,
-    WholePlane,
     halfplane,
 )
 from lipsel.lp2d import Infeasible, Optimal, Unbounded, lp2d_brute_force, lp2d_optimize
@@ -40,8 +38,6 @@ __all__ = [
     "ExtRect",
     "HalfPlane",
     "Point2",
-    "WHOLE_PLANE",
-    "WholePlane",
     "halfplane",
     "Infeasible",
     "Optimal",

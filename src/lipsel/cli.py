@@ -61,7 +61,7 @@ from lipsel.metric import (
     validate_premetric,
     validate_pseudometric,
 )
-from lipsel.oracle import FmFeasible, FmInfeasible, build_sharp_lp, estimate_min_seminorm, fm_feasible
+from lipsel.oracle import FM_VAR_CAP, FmFeasible, FmInfeasible, build_sharp_lp, estimate_min_seminorm, fm_feasible
 from lipsel.selection import (
     NoGo,
     PolygonInstance,
@@ -70,7 +70,8 @@ from lipsel.selection import (
     verify_selection,
 )
 
-SHARP_POINT_CAP = 8
+# the sharp system has two variables per point
+SHARP_POINT_CAP = FM_VAR_CAP // 2
 
 
 class CliError(Exception):
@@ -170,9 +171,7 @@ class LoadedInstance:
     n: int
     metric_kind: str  # "matrix" | "pre_metric"
     kind: str  # "halfplanes" | "polygons"
-    space: Optional[PseudometricSpace]  # float; closed when pre_metric; None on violation
-    inst: Optional[PolygonInstance]  # None on violation
-    exact: Optional[PolygonInstance]  # exact numbers, for the oracle; None unless want_exact
+    inst: Optional[PolygonInstance]  # exact numbers when want_exact, else floats; None on violation
     violation: Optional[MetricViolation]
 
 
@@ -208,6 +207,7 @@ def _parse_matrix(
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise CliError(2, f"{what} row {i} must have {n} entries")
+            # `float in` lets an empty set of plain types turn this path off too
             if float in _PLAIN_NUMBER_TYPES and list(map(type, row)).count(float) == n:
                 floats.append(row)
                 exacts.append(row)
@@ -296,25 +296,22 @@ def load_instance(
 
     violation: Optional[MetricViolation] = None
     space: Optional[PseudometricSpace] = None
-    exact_space: Optional[PseudometricSpace] = None
     try:
         if metric_kind == "matrix":
             got = validate_pseudometric(floats) if full_triangle else validate_premetric(floats)
             if isinstance(got, MetricViolation):
                 violation = got
             else:
-                space = PseudometricSpace(n, floats)
-                if want_exact:
-                    exact_space = PseudometricSpace(n, exacts)
+                space = PseudometricSpace(n, exacts if want_exact else floats)
         else:
             pre = validate_premetric(floats)
             if isinstance(pre, MetricViolation):
                 violation = pre
+            elif want_exact:  # the closure's sums must stay exact
+                rationals = [[v if v == math.inf else Fraction(v) for v in row] for row in exacts]
+                space = intrinsic_metric(PreMetric(n, rationals))
             else:
                 space = intrinsic_metric(pre)
-                if want_exact:  # the closure's sums must stay exact
-                    rationals = [[v if v == math.inf else Fraction(v) for v in row] for row in exacts]
-                    exact_space = intrinsic_metric(PreMetric(n, rationals))
     except ValueError as exc:  # the validators' NaN / negative guards
         _raise_first_nan(floats, what)
         raise CliError(2, str(exc))
@@ -325,7 +322,7 @@ def load_instance(
     if not isinstance(arr, list) or len(arr) != n:
         noun = "half-planes" if kind == "halfplanes" else "polygons"
         raise CliError(2, f"sets.{kind} must list {n} {noun}")
-    polys, epolys = [], []
+    polys = []
     for i, item in enumerate(arr):
         # a half-plane is read as a one-sided polygon
         if kind == "halfplanes":
@@ -334,25 +331,9 @@ def load_instance(
             raise CliError(2, f"polygons[{i}] must be a nonempty list")
         else:
             sides = [_parse_halfplane(raw, f"polygons[{i}][{j}]", want_exact) for j, raw in enumerate(item)]
-        polys.append([hp for hp, _ in sides])
-        epolys.append([ehp for _, ehp in sides])
-    inst = exact = None
-    if violation is None:
-        assert space is not None
-        inst = PolygonInstance(space, polys)
-        if want_exact:
-            assert exact_space is not None
-            exact = PolygonInstance(exact_space, epolys)
-
-    return LoadedInstance(
-        n=n,
-        metric_kind=metric_kind,
-        kind=kind,
-        space=space,
-        inst=inst,
-        exact=exact,
-        violation=violation,
-    )
+        polys.append([ehp if want_exact else hp for hp, ehp in sides])
+    inst = None if space is None else PolygonInstance(space, polys)
+    return LoadedInstance(n=n, metric_kind=metric_kind, kind=kind, inst=inst, violation=violation)
 
 
 def _raise_on_violation(inst: LoadedInstance) -> None:
@@ -453,7 +434,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # a failed verification is an input fault when the triangle
         # inequality does not hold; otherwise it is the program's
         if inst.metric_kind == "matrix":
-            got = validate_pseudometric(inst.space.d)
+            got = validate_pseudometric(inst.inst.space.d)
             if isinstance(got, MetricViolation):
                 return _print_violation(got)
         raise
@@ -482,18 +463,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exact_for_sharp(args: argparse.Namespace) -> LoadedInstance:
+def _exact_for_sharp(args: argparse.Namespace) -> PolygonInstance:
     inst = load_instance(args.file, want_exact=True, full_triangle=True, point_cap=SHARP_POINT_CAP)
     _raise_on_violation(inst)
-    assert inst.exact is not None
-    return inst
+    assert inst.inst is not None
+    return inst.inst
 
 
 def cmd_sharp(args: argparse.Namespace) -> int:
     _, lam = _parse_number(args.lam, "--lambda", False, True)  # a string: a Fraction
     if lam < 0:
         raise CliError(2, "--lambda must be >= 0")
-    system = build_sharp_lp(_exact_for_sharp(args).exact, lam)
+    system = build_sharp_lp(_exact_for_sharp(args), lam)
     got = fm_feasible(system)
     if isinstance(got, FmInfeasible):
         print(emit({"verdict": "infeasible", "lambda": lam}))
@@ -515,7 +496,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError(2, "--iters must be >= 0")
     inst = _exact_for_sharp(args)
     try:
-        a, b = estimate_min_seminorm(inst.exact, lo, hi, args.iters)
+        a, b = estimate_min_seminorm(inst, lo, hi, args.iters)
     except ValueError as exc:
         if "hi must be feasible" in str(exc):
             raise CliError(4, "--hi is infeasible; raise it")

@@ -81,7 +81,7 @@ def inflation_radius(lam: float, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sets: empty marker, whole plane marker, intervals, rectangles, half-planes
+# sets: empty marker, intervals, rectangles, half-planes
 
 
 class EmptySet:
@@ -99,23 +99,6 @@ class EmptySet:
 
 
 EMPTY = EmptySet()
-
-
-class WholePlane:
-    """Singleton marker for a constraint inflated by an infinite radius."""
-
-    _instance: "WholePlane | None" = None
-
-    def __new__(cls) -> "WholePlane":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "WholePlane"
-
-
-WHOLE_PLANE = WholePlane()
 
 
 @dataclass(frozen=True)
@@ -222,15 +205,6 @@ def project_to_halfplane(g: Point2, hp: HalfPlane) -> Point2:
     d = residual / one_norm(hp.h)
     sgn = sign_vector(hp.h)
     return Point2(g.x1 - d * sgn.x1, g.x2 - d * sgn.x2)
-
-
-def inflate_halfplane(hp: HalfPlane, r: float) -> HalfPlane | WholePlane:
-    """Minkowski sum with the square of radius r (same normal, relaxed offset)."""
-    if math.isnan(r) or r < 0.0:
-        raise ValueError("inflation radius must be >= 0")
-    if r == INF:
-        return WHOLE_PLANE
-    return HalfPlane(hp.h, hp.alpha - r * one_norm(hp.h))
 
 
 # ---------------------------------------------------------------------------

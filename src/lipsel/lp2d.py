@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Deque, List, Sequence, Tuple, Union
 
-from lipsel.geometry import DEFAULT_TOL, HalfPlane, Point2, WholePlane
+from lipsel.geometry import DEFAULT_TOL, HalfPlane, Point2
 
 INF = math.inf
 
@@ -67,13 +67,11 @@ class Infeasible:
 LpOutcome = Union[Optimal, Unbounded, Infeasible]
 
 
-def _rows_from(constraints: Sequence[HalfPlane | WholePlane]) -> list[Row]:
+def _rows_from(constraints: Sequence[HalfPlane]) -> list[Row]:
     rows: list[Row] = []
     for i, cst in enumerate(constraints):
-        if isinstance(cst, WholePlane):
-            continue  # vacuous
         if not isinstance(cst, HalfPlane):
-            raise ValueError(f"constraint {i} is not a HalfPlane or WholePlane")
+            raise ValueError(f"constraint {i} is not a HalfPlane")
         if cst.h.x1 == 0.0 and cst.h.x2 == 0.0:
             raise ValueError(f"constraint {i} has a zero normal")
         rows.append((cst.h.x1, cst.h.x2, cst.alpha, i))
@@ -258,7 +256,7 @@ def _check_sense(sense: str) -> None:
 
 
 def lp2d_optimize(
-    constraints: Sequence[HalfPlane | WholePlane],
+    constraints: Sequence[HalfPlane],
     c: Point2 | tuple[float, float],
     sense: str = "max",
     *,
@@ -337,7 +335,7 @@ def _pair_infeasible(r1: Row, r2: Row) -> bool:
 
 
 def lp2d_brute_force(
-    constraints: Sequence[HalfPlane | WholePlane],
+    constraints: Sequence[HalfPlane],
     c: Point2 | tuple[float, float],
     sense: str = "max",
 ) -> LpOutcome:

@@ -82,7 +82,6 @@ from lipsel.geometry import (
     Point2,
     ext_div,
     ext_sub,
-    inflate_halfplane,
     inflation_radius,
     project_to_halfplane,
     rect_project_origin_center,
@@ -110,6 +109,9 @@ SPLIT_MIN = 200
 
 # the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
 HULL_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+# a rectangle's ends (lo1, hi1, lo2, hi2)
+Ends = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -217,18 +219,18 @@ class SelectionReport:
 # stage 1: inflated intersections
 
 
-def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect] = None) -> List[Row]:
+def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = None) -> List[Row]:
     """The rows whose intersection is the stage-1 set at x: every side of
     every point y at finite distance, inflated by l1 times the distance (x's
     own sides with radius 0), in the instance's angular order
     (`PolygonInstance.by_angle`).  The row index is y.
 
-    Given a bounded `box` that contains the set, only the rows that can cut
-    it are kept: a row goes when its half-plane holds the square around the
-    box's center that holds the box, with a margin relative to the box's
-    coordinates that covers the rounding of the test and of the box's ends.
-    The test reads the row's own offset, so a side at infinite distance
-    (offset -inf, or nan when l1 = 0) fails it."""
+    Given the ends of a bounded `box` that contains the set, only the rows
+    that can cut it are kept: a row goes when its half-plane holds the
+    square around the box's center that holds the box, with a margin
+    relative to the box's coordinates that covers the rounding of the test
+    and of the box's ends.  The test reads the row's own offset, so a side
+    at infinite distance (offset -inf, or nan when l1 = 0) fails it."""
     drow = inst.space.d[x]
     if box is None:
         return [
@@ -236,7 +238,7 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect]
             for y, h1, h2, alpha, norm1 in inst.by_angle
             if (rho := drow[y]) != INF
         ]
-    (lo1, hi1), (lo2, hi2) = (box.ix.lo, box.ix.hi), (box.iy.lo, box.iy.hi)
+    lo1, hi1, lo2, hi2 = box
     c1, c2 = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0
     r = max(hi1 - lo1, hi2 - lo2) / 2.0 + DEFAULT_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
     return [
@@ -250,19 +252,20 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[ExtRect]
 # stage 2: rectangular hulls
 
 
-def _hull_from_rows(rows: List[Row]) -> MaybeRect:
-    """The rectangular hull of the rows' intersection, or EMPTY, from the
-    rows' exact envelope (`lp2d._envelope`); the rows must come in the
-    angular order of their normals, as stage 2 emits them.  Each end is
-    `_pair_bound` of the 1 or 2 kept rows that bracket its direction, which
-    attain the optimum, so it is correctly rounded and the ends cannot
-    invert; an open direction has none, and its end is infinite."""
+def _hull_from_rows(rows: List[Row]) -> Optional[Ends]:
+    """The ends (lo1, hi1, lo2, hi2) of the rectangular hull of the rows'
+    intersection, or None when it is empty, from the rows' exact envelope
+    (`lp2d._envelope`); the rows must come in the angular order of their
+    normals, as stage 2 emits them.  Each end is `_pair_bound` of the 1 or 2
+    kept rows that bracket its direction, which attain the optimum, so it is
+    correctly rounded and the ends cannot invert; an open direction has
+    none, and its end is infinite."""
     try:
         kept = _envelope([_exact(*row) for row in rows])
     except _Empty:
-        return EMPTY
+        return None
     ends = [_pair_bound(_bracket(kept, cx, cy), cx, cy, 1) + 0.0 for cx, cy in HULL_DIRECTIONS]
-    return ExtRect(ExtInterval(-ends[0], ends[1]), ExtInterval(-ends[2], ends[3]))
+    return -ends[0], ends[1], -ends[2], ends[3]
 
 
 def _side_rows(
@@ -304,14 +307,14 @@ class _Neighbours:
 
 def _stage12_hull(
     inst: PolygonInstance, l1: float, x: int, group: _Neighbours
-) -> Tuple[MaybeRect, Optional[List[int]]]:
-    """The rectangular hull of the stage-1 set at x, or EMPTY, from the
-    rows that cut x's outer box B (module docstring), with the points that
-    own those rows; or from all of x's rows, and None, when there are at
-    most NEAREST + 1 points, when B's rows would be 1/BOX_SHARE of x's rows,
-    or when B is unbounded.  B's rows are the sides of the points within
-    x's NEAREST-th smallest distance, picked through the side index and put
-    in angular order by their ranks."""
+) -> Tuple[Optional[Ends], Optional[List[int]]]:
+    """The ends of the rectangular hull of the stage-1 set at x, or None
+    when the set is empty, from the rows that cut x's outer box B (module
+    docstring), with the points that own those rows; or from all of x's
+    rows, and None, when there are at most NEAREST + 1 points, when B's rows
+    would be 1/BOX_SHARE of x's rows, or when B is unbounded.  B's rows are
+    the sides of the points within x's NEAREST-th smallest distance, picked
+    through the side index and put in angular order by their ranks."""
     drow = inst.space.d[x]
     if inst.n > NEAREST + 1:
         near = nsmallest(NEAREST + 1, drow)[-1]
@@ -322,18 +325,14 @@ def _stage12_hull(
             if drow[y] != INF
         ))
         if BOX_SHARE * len(positions) < len(group.normals):
-            box: Optional[MaybeRect] = _hull_from_rows(_side_rows(inst, l1, drow, positions))
-            if isinstance(box, ExtRect):
-                ends = (-box.ix.lo, box.ix.hi, -box.iy.lo, box.iy.hi)
-                open_ends = [k for k in range(4) if ends[k] == INF]
-                if open_ends:
-                    extra = group.bracket(open_ends)
-                    box = None if extra is None else _hull_from_rows(
-                        _side_rows(inst, l1, drow, sorted(positions + extra))
-                    )
-            if isinstance(box, EmptySet):
-                return EMPTY, None
-            if box is not None:
+            box = _hull_from_rows(_side_rows(inst, l1, drow, positions))
+            open_ends = [k for k in range(4) if box and math.isinf(box[k])]
+            extra = group.bracket(open_ends) if open_ends else []
+            if extra is not None:  # else B stays unbounded
+                if extra:
+                    box = _hull_from_rows(_side_rows(inst, l1, drow, sorted(positions + extra)))
+                if box is None:
+                    return None, None
                 rows = _point_rows(inst, l1, x, box)
                 return _hull_from_rows(rows), sorted({row[3] for row in rows})
     return _hull_from_rows(_point_rows(inst, l1, x)), None
@@ -463,17 +462,16 @@ def step5_project(
         rho = drow[y]
         if rho == INF:
             continue
-        resid = h1 * gx + h2 * gy + (alpha - l1 * rho * norm1)
+        offset = alpha - l1 * rho * norm1
+        resid = h1 * gx + h2 * gy + offset
         if resid > 0.0:
             d = resid / norm1
             if d > best_d:
-                best_d, best = d, (y, h1, h2, alpha)
+                best_d, best = d, (h1, h2, offset)
     if best_d <= DEFAULT_TOL or best is None:
         return g
-    y, h1, h2, alpha = best
-    inflated = inflate_halfplane(HalfPlane(Point2(h1, h2), alpha), l1 * drow[y])
-    assert isinstance(inflated, HalfPlane)
-    return project_to_halfplane(g, inflated)
+    h1, h2, offset = best
+    return project_to_halfplane(g, HalfPlane(Point2(h1, h2), offset))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +538,9 @@ def _stage12(
     if key not in groups:
         groups[key] = _Neighbours(inst, drow)
     hull, points = _stage12_hull(inst, l1, x, groups[key])
-    if isinstance(hull, EmptySet):
+    if hull is None:
         return NoGo(1, x)
-    return (-1, hull.ix.lo, hull.ix.hi, hull.iy.lo, hull.iy.hi), points
+    return (-1, *hull), points
 
 
 def _solve(
@@ -654,7 +652,7 @@ def _fill_twins(twin: List[int], columns: Sequence[list]) -> None:
                 column[x] = column[t]
 
 
-def _rects(ends: Iterable[Tuple[float, float, float, float]]) -> List[ExtRect]:
+def _rects(ends: Iterable[Ends]) -> List[ExtRect]:
     """The rectangles with the ends (lo1, hi1, lo2, hi2)."""
     return [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in ends]
 
@@ -851,7 +849,8 @@ def wf_rect(
     at, rank = inst.offsets, inst.rank
     rho = {y: inst.space.d[y][x] for y in (xp, xpp)}
     positions = sorted(chain.from_iterable(rank[at[y]:at[y + 1]] for y in rho if rho[y] != INF))
-    return _hull_from_rows(_side_rows(inst, ltilde, rho, positions))
+    hull = _hull_from_rows(_side_rows(inst, ltilde, rho, positions))
+    return EMPTY if hull is None else _rects([hull])[0]
 
 
 def check_wnew(

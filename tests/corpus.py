@@ -2,13 +2,17 @@
 
     PYTHONPATH=src python tests/corpus.py > corpus.txt
     PYTHONPATH=src python tests/corpus.py --fields > fields.txt
+    PYTHONPATH=src python tests/corpus.py --against OTHER/src
 
 Each line is one `lipsel` run, made in-process through `lipsel.cli.main`: its
 argv (instance and result files by base name), its exit code, and the sha256
 of its stdout and of its stderr.  With `--fields` the hashes give way to the
 `outcome`, `stage` and `witness` fields of the stdout document, so that runs
-whose floats moved by ulps still compare equal.  Run it against two
-checkouts (`PYTHONPATH=<checkout>/src`) and `diff` the outputs.
+whose floats moved by ulps still compare equal.  With `--against OTHER/src`
+it builds the corpus here and, at the same time, in a child process that
+imports `lipsel` from OTHER/src, prints only the lines that differ (`-` the
+other tree's, `+` this one's) and exits 1 if any do, else 0 (2 when the
+other tree has no `lipsel` or its run fails).
 
 The corpus: 216 instances, namely 4 planted polygon instances (n = 100,
 4 sides), 150 polygon draws (n = 1..8, 1-4 sides, planted and not), 60
@@ -34,9 +38,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -98,6 +104,7 @@ def run(argv):
 
 
 def report(argv, code, out, err, fields, workdir):
+    """The corpus line of one run."""
     shown = " ".join(os.path.relpath(a, workdir) if a.startswith(workdir) else a for a in argv)
     if fields:
         try:
@@ -109,10 +116,11 @@ def report(argv, code, out, err, fields, workdir):
         tail = json.dumps([doc.get("outcome"), doc.get("stage"), doc.get("witness")], sort_keys=True)
     else:
         tail = " ".join(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
-    print(f"{shown} | {code} | {tail}", flush=True)
+    return f"{shown} | {code} | {tail}"
 
 
-def main_corpus(fields: bool, workdir: str) -> None:
+def main_corpus(fields: bool, workdir: str):
+    """The corpus lines, one per run, in a fixed order."""
     for name, kind, inst in instances():
         path = os.path.join(workdir, f"{name}.json")
         doc = polygon_doc(inst) if kind == "polygons" else instance_doc(inst)
@@ -125,29 +133,62 @@ def main_corpus(fields: bool, workdir: str) -> None:
                 for trace in ([], ["--trace"]):
                     argv = ["solve", path, *config, "--seed", seed, *trace]
                     code, out, err = run(argv)
-                    report(argv, code, out, err, fields, workdir)
+                    yield report(argv, code, out, err, fields, workdir)
                     if code == 0 and seed == "0" and not trace and inst.n <= 100:
                         base = f"{name}-result{''.join(config)}.json".replace("/", "_")
                         result = os.path.join(workdir, base)
                         with open(result, "w", encoding="utf-8") as fh:
                             fh.write(out)
                         argv = ["validate", path, "--result", result]
-                        report(argv, *run(argv), fields, workdir)
+                        yield report(argv, *run(argv), fields, workdir)
         if inst.n <= 100:
             argv = ["validate", path]
-            report(argv, *run(argv), fields, workdir)
+            yield report(argv, *run(argv), fields, workdir)
         if inst.n <= 4:
             for lam in SHARP_LAMBDAS:
                 argv = ["sharp", path, "--lambda", lam]
-                report(argv, *run(argv), fields, workdir)
+                yield report(argv, *run(argv), fields, workdir)
             for flags in ESTIMATES:
                 argv = ["estimate", path, *flags]
-                report(argv, *run(argv), fields, workdir)
+                yield report(argv, *run(argv), fields, workdir)
+
+
+def against(other: str, fields: bool) -> int:
+    """Print the lines where the corpus of the `lipsel` under `other`
+    differs from this one's; 1 if any do, else 0, and 2 on a failure."""
+    if not os.path.isfile(os.path.join(other, "lipsel", "cli.py")):
+        print(f"corpus: no lipsel package under {other}", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [other, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, os.path.abspath(__file__)] + (["--fields"] if fields else [])
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as theirs:
+        child = subprocess.Popen(argv, stdout=theirs, env=env)
+        try:
+            with tempfile.TemporaryDirectory(prefix="lipsel-corpus-") as tmp:
+                ours = list(main_corpus(fields, tmp))
+        finally:
+            code = child.wait()
+        if code != 0:
+            print(f"corpus: the run on {other} exited {code}", file=sys.stderr)
+            return 2
+        theirs.seek(0)
+        differ = 0
+        for old, new in itertools.zip_longest(theirs.read().splitlines(), ours):
+            if old != new:
+                differ += 1
+                print(f"- {old}" if old is not None else "- (no line)")
+                print(f"+ {new}" if new is not None else "+ (no line)")
+    print(f"corpus: {differ} of {len(ours)} lines differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fields", action="store_true", help="print outcome, stage and witness instead of hashes")
+    parser.add_argument("--against", metavar="OTHER/src", help="print only the lines that differ from the corpus of the lipsel under OTHER/src")
     args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against, args.fields))
     with tempfile.TemporaryDirectory(prefix="lipsel-corpus-") as tmp:
-        main_corpus(args.fields, tmp)
+        for line in main_corpus(args.fields, tmp):
+            print(line, flush=True)

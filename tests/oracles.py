@@ -34,7 +34,7 @@ from operator import add, gt, sub
 
 import numpy as np
 
-from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, WholePlane, inflate_halfplane, inflation_radius
+from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, HalfPlane, inflation_radius
 from lipsel.oracle import (
     FM_VAR_CAP,
     FmFeasible,
@@ -251,15 +251,14 @@ def hull_reference(rows):
 def refinement_constraints(inst, l1, x):
     """Constraints whose intersection is the stage-1 set at point x: every
     side of every point inflated by l1 times its distance to x, the sides of
-    x itself with radius 0.  Infinitely distant points contribute nothing
-    and are omitted."""
+    x itself with radius 0: the same normal, the offset relaxed by the
+    radius times the normal's 1-norm.  Infinitely distant points contribute
+    nothing and are omitted."""
     out = []
     for y in range(inst.n):
         r = inflation_radius(l1, inst.space.d[x][y])
-        for hp in inst.polygons[y]:
-            inflated = inflate_halfplane(hp, r)
-            if not isinstance(inflated, WholePlane):
-                out.append(inflated)
+        if r != INF:
+            out += [HalfPlane(hp.h, hp.alpha - r * (abs(hp.h.x1) + abs(hp.h.x2))) for hp in inst.polygons[y]]
     return out
 
 

@@ -348,10 +348,10 @@ def test_rows_mixing_numbers_and_strings_parse_exactly(tmp_path):
     doc = json.loads(json.dumps(CHAIN_PRE))
     doc["metric"] = {"matrix": [[0, "1/3", "inf"], ["1/3", 0.0, 1], ["inf", 1, 0]]}
     inst = load_instance(write(tmp_path, doc), want_exact=False, full_triangle=False)
-    assert inst.space.d == [[0.0, 1 / 3, math.inf], [1 / 3, 0.0, 1.0], [math.inf, 1.0, 0.0]]
-    assert all(type(v) is float for row in inst.space.d for v in row)
+    assert inst.inst.space.d == [[0.0, 1 / 3, math.inf], [1 / 3, 0.0, 1.0], [math.inf, 1.0, 0.0]]
+    assert all(type(v) is float for row in inst.inst.space.d for v in row)
     exact = load_instance(write(tmp_path, doc), want_exact=True, full_triangle=False)
-    assert exact.exact.space.d[0][1] == Fraction(1, 3)
+    assert exact.inst.space.d[0][1] == Fraction(1, 3)
 
 
 def test_exact_loads_equal_the_rationals_of_every_entry(tmp_path, monkeypatch):
@@ -381,7 +381,7 @@ def test_exact_loads_equal_the_rationals_of_every_entry(tmp_path, monkeypatch):
     path = write(tmp_path, doc)
     for plain in (lipsel.cli._PLAIN_NUMBER_TYPES, set()):  # with and without the fast paths
         monkeypatch.setattr(lipsel.cli, "_PLAIN_NUMBER_TYPES", plain)
-        got = load_instance(path, want_exact=True, full_triangle=False).exact
+        got = load_instance(path, want_exact=True, full_triangle=False).inst
         assert got.space.d == want_d
         assert got.space.d[0][2] != F(1, 10)
         assert [(hp.h.x1, hp.h.x2, hp.alpha) for hp, in got.polygons] == want_planes
@@ -395,7 +395,7 @@ def test_exact_pre_metric_closes_over_fractions(tmp_path):
         "metric": {"pre_metric": [[0, 0.1, 1], [0.1, 0, 0.2], [1, 0.2, 0]]},
         "sets": {"halfplanes": [{"h": [1, 0], "alpha": 0}] * 3},
     }
-    d = load_instance(write(tmp_path, doc), want_exact=True).exact.space.d
+    d = load_instance(write(tmp_path, doc), want_exact=True).inst.space.d
     assert d[0][2] == d[2][0] == Fraction(0.1) + Fraction(0.2)
     assert d[0][2] != Fraction(0.1 + 0.2)
     assert type(d[0][2]) is Fraction
@@ -427,8 +427,8 @@ def _load_outcome(path, full_triangle):
         return ("error", exc.code, str(exc))
     if got.violation is not None:
         return ("violation", got.violation)
-    assert all(type(v) is float for row in got.space.d for v in row)
-    return repr(got.space.d), repr(got.inst.polygons)
+    assert all(type(v) is float for row in got.inst.space.d for v in row)
+    return repr(got.inst.space.d), repr(got.inst.polygons)
 
 
 def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch):
@@ -620,7 +620,7 @@ def test_estimate_brackets_polygons(tmp_path, capsys):
     path = write(tmp_path, TWO_SQUARES)
     code, out, _ = run(capsys, "estimate", path, "--hi", "8", "--iters", "10")
     assert code == 0
-    exact = load_instance(path, want_exact=True).exact
+    exact = load_instance(path, want_exact=True).inst
     lo, hi = estimate_min_seminorm(exact, Fraction(0), Fraction(8), 10)
     got = json.loads(out)
     assert (Fraction(got["lo"]), Fraction(got["hi"])) == (lo, hi)

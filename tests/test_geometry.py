@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from lipsel.geometry import (
     EMPTY,
-    WHOLE_PLANE,
     EmptySet,
     ExtInterval,
-    HalfPlane,
     Point2,
-    WholePlane,
     dist_to_halfplane,
     ext_div,
     ext_sub,
     halfplane,
-    inflate_halfplane,
     inflation_radius,
     interval,
     interval_hausdorff,
@@ -207,26 +203,6 @@ def test_project_axis_aligned_outside_raises():
         project_to_halfplane(Point2(1.0, 0.0), hp)
 
 
-def test_inflate_pinned():
-    hp = halfplane(1.0, 0.0, 0.0)
-    got = inflate_halfplane(hp, 2.0)
-    assert got == HalfPlane(Point2(1.0, 0.0), -2.0)  # u1 <= 2
-
-
-def test_inflate_infinite_radius():
-    assert inflate_halfplane(halfplane(1.0, 1.0, 0.0), INF) is WHOLE_PLANE
-
-
-def test_inflate_negative_raises():
-    with pytest.raises(ValueError):
-        inflate_halfplane(halfplane(1.0, 1.0, 0.0), -1.0)
-
-
-def test_inflate_zero_is_identity():
-    hp = halfplane(2.0, -1.0, 0.5)
-    assert inflate_halfplane(hp, 0.0) == hp
-
-
 # ---------------------------------------------------------------------------
 # properties
 
@@ -279,19 +255,6 @@ def test_projection_lands_on_boundary_at_distance(a, b, alpha, gx, gy):
     assert uniform_norm(f - g) <= d + 1e-7 * max(1.0, d)
 
 
-@given(small_int, small_int, coord, st.floats(min_value=0.0, max_value=50.0))
-def test_inflation_contains_and_shifts_linearly(a, b, alpha, r):
-    if a == 0 and b == 0:
-        return
-    hp = halfplane(float(a), float(b), alpha)
-    big = inflate_halfplane(hp, r)
-    assert isinstance(big, HalfPlane)
-    # inflation by r moves the offset by exactly r * |h|_1
-    assert big.alpha == alpha - r * (abs(a) + abs(b))
-    # and the original set is inside the inflated one
-    assert big.alpha <= hp.alpha
-
-
 @given(coord, coord, coord, coord)
 def test_rect_projection_point_is_inside_and_attains_distance(x1, x2, y1, y2):
     t = rect(
@@ -337,7 +300,6 @@ def test_grid_oracle_agrees_on_hausdorff():
 
 def test_singletons_are_singletons():
     assert EmptySet() is EMPTY
-    assert WholePlane() is WHOLE_PLANE
 
 
 def test_point_algebra():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_exact_optimum
-from lipsel.geometry import WHOLE_PLANE, Point2, halfplane
+from lipsel.geometry import Point2, halfplane
 from lipsel.lp2d import (
     Infeasible,
     Optimal,
@@ -71,11 +71,11 @@ def test_infeasible_witness_indices_refer_to_input_positions():
     assert got == Infeasible((1, 2))
 
 
-def test_whole_plane_constraints_are_skipped():
-    cons = [WHOLE_PLANE, hp(1, 0, -1), WHOLE_PLANE]
-    got = lp2d_optimize(cons, Point2(1.0, 0.0))
-    assert isinstance(got, Optimal)
-    assert got.value == 1.0
+@pytest.mark.parametrize("solve", [lp2d_optimize, lp2d_brute_force])
+@pytest.mark.parametrize("bad", [None, (1.0, 0.0, -1.0), ((1.0, 0.0), -1.0)])
+def test_a_constraint_that_is_not_a_half_plane_raises(solve, bad):
+    with pytest.raises(ValueError, match="constraint 1 is not a HalfPlane"):
+        solve([hp(0, 1, 0), bad], Point2(1.0, 0.0))
 
 
 def test_no_constraints_zero_objective():

@@ -22,7 +22,6 @@ from generators import (
 from oracles import hull_reference, refinement_constraints, step3_refine_rects_reference
 from lipsel.geometry import (
     DEFAULT_TOL,
-    EMPTY,
     EmptySet,
     ExtInterval,
     ExtRect,
@@ -716,8 +715,7 @@ def _sweep_rows(rng, kind, k):
 def _hull(rows):
     """`_hull_from_rows` on the rows in angular order (`lp2d._by_angle` on
     their exact forms), as `hull_reference` writes it."""
-    got = _hull_from_rows([row for *_, row in _by_angle([_exact(*row[:3], row) for row in rows])])
-    return None if got is EMPTY else (got.ix.lo, got.ix.hi, got.iy.lo, got.iy.hi)
+    return _hull_from_rows([row for *_, row in _by_angle([_exact(*row[:3], row) for row in rows])])
 
 
 def _stream_draw(name, index):
@@ -732,7 +730,7 @@ def _stream_draw(name, index):
 
 def test_hulls_from_rows_equal_the_fraction_reference():
     """`_hull_from_rows` equals `hull_reference`, bit for bit (signed zeros
-    too): both EMPTY, or the same infinite and correctly rounded finite
+    too): both None (empty), or the same infinite and correctly rounded finite
     ends, on random row sets with empty and open sets, parallel rows, strips
     of zero width, concurrent rows and pinched sets, at scales 1 and 2^±40.
     Three draws of other streams, where the randomized LPs that stage 2
@@ -966,7 +964,7 @@ def test_split_solves_raise_the_serial_error(monkeypatch, forks, capfd, where):
             if x in bad:
                 raise ValueError(f"point {x}")
             if x in empty:
-                return EMPTY, None
+                return None, None
             return phase(inst, l1, x, *args, **kwargs)
 
         monkeypatch.setattr(lipsel.selection, where, failing)
