@@ -12,11 +12,10 @@ The envelope takes its rows already in angular order.  One routine,
 first (`lp2d_optimize`, the pair envelopes of `oracle`), and stage 2 of
 `selection` emits its rows in an order sorted once per instance.
 
-On the kept rows, `_pair_bound` is the maximum of a linear objective,
-correctly rounded: the least bound that a row parallel to it, or a pair of
-rows whose normals hold it in their cone, gives by weak duality, which an
-optimal basis attains.  On an envelope the 1 or 2 kept rows that bracket
-the objective (`_bracket`) attain it.  The envelope serves the pair
+On an envelope the 1 or 2 kept rows that bracket a linear objective
+(`_bracket`: a row parallel to it, or two rows whose normals hold it in
+their cone) attain its maximum: weak duality bounds it by their vertex,
+and an optimal basis attains the bound.  The envelope serves the pair
 envelopes of `oracle`, every hull of `selection`'s stage 2 and the
 bracketing rows it shares per set of neighbours, and `lp2d_optimize`.
 
@@ -85,9 +84,25 @@ def _rows_from(constraints: Sequence[HalfPlane]) -> list[Row]:
 def _exact(a: float, b: float, alpha: float, tag: Any = None) -> PairRow:
     """The row a*x + b*y + alpha <= 0 as integers (A, B, C, tag), meaning
     A*x + B*y <= C."""
-    (pa, qa), (pb, qb), (pl, ql) = a.as_integer_ratio(), b.as_integer_ratio(), alpha.as_integer_ratio()
-    q = max(qa, qb, ql)  # powers of two, so q is their lcm
-    return pa * (q // qa), pb * (q // qb), -pl * (q // ql), tag
+    return _offset(_exact_normal(a, b), alpha, tag)
+
+
+def _exact_normal(a: float, b: float) -> Tuple[int, int, int]:
+    """The normal (a, b) as integers (A, B, q) = (q*a, q*b, q), q the least
+    power of two that makes both integers."""
+    (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+    q = max(qa, qb)  # powers of two, so q is their lcm
+    return pa * (q // qa), pb * (q // qb), q
+
+
+def _offset(normal: Sequence[int], alpha: float, tag: Any = None) -> PairRow:
+    """`_exact(a, b, alpha, tag)` from the exact normal (A, B, q, ...) of
+    (a, b) (`_exact_normal`): only alpha converts."""
+    A, B, q = normal[0], normal[1], normal[2]
+    p, r = alpha.as_integer_ratio()
+    if r <= q:  # powers of two, so the larger is their lcm
+        return A, B, -p * (q // r), tag
+    return A * (r // q), B * (r // q), -p, tag
 
 
 class _Empty(Exception):
@@ -191,28 +206,6 @@ def _envelope(rows: Sequence[PairRow]) -> List[PairRow]:
     if len(kept) == 2 and _disjoint(*kept):
         raise _Empty(*kept)
     return list(kept)
-
-
-def _pair_bound(rows: Sequence[PairRow], Cx: int, Cy: int, q: int) -> float:
-    """The least bound on the maximum of (Cx, Cy) / q that one of the rows
-    or a pair of them gives, correctly rounded; INF when none bounds it.
-
-    When c is in cone{h_i, h_j}, weak duality bounds the maximum by the
-    exact value at the vertex of rows i and j (or, for one row whose normal
-    is parallel to c, at its boundary), and an optimal basis attains the
-    bound.  Evaluated in integers, as `int / int` rounds correctly.
-    """
-    best = INF
-    for i, (A1, B1, C1, _) in enumerate(rows):
-        dot = Cx * A1 + Cy * B1
-        if Cx * B1 == Cy * A1 and dot > 0:
-            best = min(best, C1 * dot / (q * (A1 * A1 + B1 * B1)))
-        for A2, B2, C2, _ in rows[i + 1:]:
-            det = A1 * B2 - B1 * A2
-            mu, nu = Cx * B2 - Cy * A2, A1 * Cy - B1 * Cx  # c = (mu h1 + nu h2) / det
-            if det > 0 and mu >= 0 and nu >= 0 or det < 0 and mu <= 0 and nu <= 0:
-                best = min(best, (Cx * (C1 * B2 - B1 * C2) + Cy * (A1 * C2 - C1 * A2)) / (q * det))
-    return best
 
 
 def _bracket(kept: List[PairRow], Cx: int, Cy: int) -> Tuple[PairRow, ...]:

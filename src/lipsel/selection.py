@@ -20,14 +20,15 @@ Stages 1 and 3 test emptiness with a small bias toward success (strict
 comparison against +tol), so boundary parameter values succeed.
 
 Stage 2 takes every hull from the exact half-plane envelope of `lp2d`, in
-integers.  Each instance sorts its sides by the angle of their normals
-once (`PolygonInstance.rank`), and stage 2 emits every row set in that
-order, so no hull sorts.  A hull end is the correctly rounded exact
-optimum, so it is the same on any subset of the rows that has the same
-intersection.  Past a few points, stage 2 therefore first takes B, the
-hull of a few of x's rows: its own sides and the sides of its nearest
-points, plus, for a direction those leave unbounded, the rows that bound
-it for every point with the same finite neighbours.  B contains the
+integers.  Each instance converts its sides' normals to integers and sorts
+them by angle once (`PolygonInstance.normals`), and stage 2 emits every row
+set in that order, so no hull sorts and a row converts only its offset; one
+pass over the envelope finds all four ends.  A hull end is the correctly
+rounded exact optimum, so it is the same on any subset of the rows that has
+the same intersection.  Past a few points, stage 2 therefore first takes
+B, the hull of a few of x's rows: its own sides and the sides of its
+nearest points, plus, for a direction those leave unbounded, the rows that
+bound it for every point with the same finite neighbours.  B contains the
 stage-1 set, and a row whose half-plane holds B strictly cannot cut that
 set, so the hull is taken only on the rows that cut B, and stage 5 scans
 only the sides of the points that own those rows.
@@ -39,14 +40,15 @@ test flags leaves the fold of its smaller point so (`step3_refine_rects`).
 A point's stage-1 set and stage-2 hull, its stage-3 fold once every hull
 exists, its stage-5 projection, and a row of the seminorm's pairs depend on
 no other point's result in the same phase.  So once point 0's stage-1 set
-is known not to be empty, a solve of at least SPLIT_MIN points runs in two
-processes (`_in_two`): this one and one child made by `os.fork`, each
-running the one solve body (`_solve`) on its half of the points and
-exchanging only flat lists of numbers with the other after each phase.
+is known not to be empty, a solve whose stage 1 scans at least SPLIT_MIN
+rows (n times the number of sides) runs in two processes (`_in_two`): this
+one and one child made by `os.fork`, each running the one solve body
+(`_solve`) on its half of the points and exchanging only flat lists of
+numbers with the other after each phase.
 In stages 1-2 this process takes the points upward and the child downward
 until they meet; stage 3's folds split the points at the middle, stages
 4-5 follow stage 2's split, and the seminorm's rows split by their count
-of pairs, as in `lipschitz_seminorm`.
+of pairs, as in `lipschitz_seminorm`, which splits from about n = 300.
 When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
 processes; each error is raised in point order, and the results, NoGos and
 errors equal those of the serial run.  A fork that fails, or a child that
@@ -87,7 +89,7 @@ from lipsel.geometry import (
     rect_project_origin_center,
     uniform_norm,
 )
-from lipsel.lp2d import Row, _Empty, _bracket, _by_angle, _envelope, _exact, _pair_bound
+from lipsel.lp2d import PairRow, Row, _Empty, _bracket, _by_angle, _envelope, _exact_normal, _offset
 from lipsel.metric import PseudometricSpace
 
 INF = math.inf
@@ -101,11 +103,11 @@ VERIFY_TOL = 1e-7
 # near 100 rows; polygons with 4 sides at n = 100 gain from it)
 NEAREST, BOX_SHARE = 8, 6
 
-# a solve of at least SPLIT_MIN points runs in two processes (`_in_two`):
-# its one fork, exit and wait cost about 6 ms in a 70 MB process, and a
-# split that forked once per phase broke even near n = 150 on planted
-# half-planes in `python -m lipsel solve` (2-vCPU x86 machine)
-SPLIT_MIN = 200
+# a solve whose stage 1 scans at least SPLIT_MIN rows (n times the number
+# of sides) runs in two processes (`_in_two`): split solves broke even near
+# 5,000 rows, and from 10,000 on they were faster on half-planes and on 3-
+# and 4-sided polygons (`tests/split_times.py`, 2-vCPU x86 machine)
+SPLIT_MIN = 10_000
 
 # the objectives of the four hull ends: -lo1, hi1, -lo2, hi2
 HULL_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -152,23 +154,25 @@ class PolygonInstance:
         return list(accumulate(map(len, self.polygons), initial=0))
 
     @cached_property
+    def normals(self) -> List[Tuple[int, int, int, int]]:
+        """The exact normal (A, B, q, k) = (q*h1, q*h2, q, k) of each side k
+        of `sides` (`lp2d._exact_normal`), in the exact angular order of the
+        normals in [0, 2*pi) (`lp2d._by_angle`), sides of one direction in
+        (point, side) order: stage 2's row order."""
+        return _by_angle([(*_exact_normal(h1, h2), k) for k, (_, h1, h2, _, _) in enumerate(self.sides)])
+
+    @cached_property
     def rank(self) -> List[int]:
-        """The position of each side of `sides` in the exact angular order
-        of the normals in [0, 2*pi) (`lp2d._by_angle`), sides of one
-        direction in (point, side) order: the order of stage 2's rows."""
-        normals = [_exact(h1, h2, 0.0, k) for k, (_, h1, h2, _, _) in enumerate(self.sides)]
-        rank = [0] * len(normals)
-        for j, (*_, k) in enumerate(_by_angle(normals)):
+        """The position of each side of `sides` in that order."""
+        rank = [0] * len(self.normals)
+        for j, (*_, k) in enumerate(self.normals):
             rank[k] = j
         return rank
 
     @cached_property
     def by_angle(self) -> List[Tuple[int, float, float, float, float]]:
         """`sides` in that order: side k of `sides` is `by_angle[rank[k]]`."""
-        out = self.sides[:]
-        for side, j in zip(self.sides, self.rank):
-            out[j] = side
-        return out
+        return [self.sides[k] for *_, k in self.normals]
 
     @property
     def planes(self) -> List[HalfPlane]:
@@ -223,7 +227,7 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
     """The rows whose intersection is the stage-1 set at x: every side of
     every point y at finite distance, inflated by l1 times the distance (x's
     own sides with radius 0), in the instance's angular order
-    (`PolygonInstance.by_angle`).  The row index is y.
+    (`PolygonInstance.by_angle`).  A row's tag is its side's position there.
 
     Given the ends of a bounded `box` that contains the set, only the rows
     that can cut it are kept: a row goes when its half-plane holds the
@@ -234,16 +238,16 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
     drow = inst.space.d[x]
     if box is None:
         return [
-            (h1, h2, alpha - l1 * rho * norm1, y)
-            for y, h1, h2, alpha, norm1 in inst.by_angle
+            (h1, h2, alpha - l1 * rho * norm1, j)
+            for j, (y, h1, h2, alpha, norm1) in enumerate(inst.by_angle)
             if (rho := drow[y]) != INF
         ]
     lo1, hi1, lo2, hi2 = box
     c1, c2 = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0
     r = max(hi1 - lo1, hi2 - lo2) / 2.0 + DEFAULT_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
     return [
-        (h1, h2, a, y)
-        for y, h1, h2, alpha, norm1 in inst.by_angle
+        (h1, h2, a, j)
+        for j, (y, h1, h2, alpha, norm1) in enumerate(inst.by_angle)
         if (a := alpha - l1 * drow[y] * norm1) + h1 * c1 + h2 * c2 >= -r * norm1
     ]
 
@@ -252,30 +256,59 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
 # stage 2: rectangular hulls
 
 
-def _hull_from_rows(rows: List[Row]) -> Optional[Ends]:
+def _hull_from_rows(rows: List[Row], normals: List[PairRow]) -> Optional[Ends]:
     """The ends (lo1, hi1, lo2, hi2) of the rectangular hull of the rows'
-    intersection, or None when it is empty, from the rows' exact envelope
-    (`lp2d._envelope`); the rows must come in the angular order of their
-    normals, as stage 2 emits them.  Each end is `_pair_bound` of the 1 or 2
-    kept rows that bracket its direction, which attain the optimum, so it is
-    correctly rounded and the ends cannot invert; an open direction has
-    none, and its end is infinite."""
+    intersection, or None when it is empty, from their exact envelope
+    (`lp2d._envelope`): the rows come in stage 2's angular order, each
+    tagged with the index of its exact normal in `normals` (`_exact_rows`).
+    Each end is correctly rounded (`_ends`), so the ends cannot invert; an
+    open direction's end is infinite."""
     try:
-        kept = _envelope([_exact(*row) for row in rows])
+        kept = _envelope(_exact_rows(rows, normals))
     except _Empty:
         return None
-    ends = [_pair_bound(_bracket(kept, cx, cy), cx, cy, 1) + 0.0 for cx, cy in HULL_DIRECTIONS]
+    return _ends(kept)
+
+
+def _exact_rows(rows: List[Row], normals: List[PairRow]) -> List[PairRow]:
+    """`lp2d._exact(*row)` of each row, from the exact normal at its tag in
+    `normals`: only the offset converts (`lp2d._offset`)."""
+    return [_offset(normals[j], alpha, j) for _, _, alpha, j in rows]
+
+
+def _ends(kept: List[PairRow]) -> Ends:
+    """The ends (lo1, hi1, lo2, hi2) of the hull of an envelope's kept rows,
+    in one pass of sign tests: on an envelope an axis direction c has at
+    most one bracket (`lp2d._bracket`), a row parallel to c or two
+    consecutive rows less than pi apart around c, which attains the optimum.
+    The end is its exact bound, rounded once by `int / int`, or INF."""
+    ends = [INF] * 4  # the maxima of -x, x, -y, y
+    for (a, b, c, _), (e, f, g, _) in zip(kept, kept[1:] + kept[:1]):
+        if not b:
+            ends[a > 0] = c / abs(a)
+        elif not a:
+            ends[2 + (b > 0)] = c / abs(b)
+        det = a * f - b * e
+        if det > 0:
+            if b < 0 < f:
+                ends[1] = (c * f - b * g) / det
+            elif b > 0 > f:
+                ends[0] = (b * g - c * f) / det
+            if a < 0 < e:
+                ends[2] = (c * e - a * g) / det
+            elif a > 0 > e:
+                ends[3] = (a * g - c * e) / det
     return -ends[0], ends[1], -ends[2], ends[3]
 
 
 def _side_rows(
-    inst: PolygonInstance, l1: float, drow: Union[Sequence[float], Dict[int, float]], positions: Iterable[int]
+    inst: PolygonInstance, l1: float, drow: Union[Sequence[float], Dict[int, float]], positions: Sequence[int]
 ) -> List[Row]:
-    """The rows of the sides at the given positions of `inst.by_angle`,
-    inflated by l1 times drow[y] for their point y, in that order."""
+    """The rows of the sides at the given positions of `inst.by_angle`, in
+    that order, tagged with them and inflated by l1 times drow[y] for y."""
     return [
-        (h1, h2, alpha - l1 * drow[y] * norm1, y)
-        for y, h1, h2, alpha, norm1 in map(inst.by_angle.__getitem__, positions)
+        (h1, h2, alpha - l1 * drow[y] * norm1, j)
+        for j, (y, h1, h2, alpha, norm1) in zip(positions, map(inst.by_angle.__getitem__, positions))
     ]
 
 
@@ -285,8 +318,8 @@ class _Neighbours:
     `inst.by_angle`), and their exact envelope, made on first use."""
 
     def __init__(self, inst: PolygonInstance, drow: Sequence[float]):
-        self.normals: List[Row] = [
-            (h1, h2, 0.0, j) for j, (y, h1, h2, _, _) in enumerate(inst.by_angle) if drow[y] != INF
+        self.normals: List[PairRow] = [
+            (A, B, 0, j) for j, (A, B, _, k) in enumerate(inst.normals) if drow[inst.sides[k][0]] != INF
         ]
         self.kept: Optional[list] = None
 
@@ -295,7 +328,7 @@ class _Neighbours:
         bracket the given hull directions (`lp2d._bracket`), or None when
         one of them is unbounded."""
         if self.kept is None:
-            self.kept = _envelope([_exact(*row) for row in self.normals])
+            self.kept = _envelope(self.normals)
         out = []
         for k in directions:
             bracket = _bracket(self.kept, *HULL_DIRECTIONS[k])
@@ -325,17 +358,17 @@ def _stage12_hull(
             if drow[y] != INF
         ))
         if BOX_SHARE * len(positions) < len(group.normals):
-            box = _hull_from_rows(_side_rows(inst, l1, drow, positions))
+            box = _hull_from_rows(_side_rows(inst, l1, drow, positions), inst.normals)
             open_ends = [k for k in range(4) if box and math.isinf(box[k])]
             extra = group.bracket(open_ends) if open_ends else []
             if extra is not None:  # else B stays unbounded
                 if extra:
-                    box = _hull_from_rows(_side_rows(inst, l1, drow, sorted(positions + extra)))
+                    box = _hull_from_rows(_side_rows(inst, l1, drow, sorted(positions + extra)), inst.normals)
                 if box is None:
                     return None, None
                 rows = _point_rows(inst, l1, x, box)
-                return _hull_from_rows(rows), sorted({row[3] for row in rows})
-    return _hull_from_rows(_point_rows(inst, l1, x)), None
+                return _hull_from_rows(rows, inst.normals), sorted({inst.by_angle[j][0] for *_, j in rows})
+    return _hull_from_rows(_point_rows(inst, l1, x), inst.normals), None
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +532,16 @@ def run_projection_algorithm(
     (`_in_two`), with the same results.
     """
     l1, l2 = _check_lambdas(lambdas)
-    inst.sides, inst.offsets, inst.rank, inst.by_angle  # made once, before any fork
+    inst.sides, inst.offsets, inst.normals, inst.rank, inst.by_angle  # made once, before any fork
     groups: Dict[Tuple[int, ...], _Neighbours] = {}
     head = _stage12(inst, l1, groups, 0) if inst.n else None
     if isinstance(head, NoGo):
         return head
     # the lower half's next point and the upper half's last one (`_solve`)
-    meet = memoryview(mmap.mmap(-1, 16)).cast("q") if inst.n >= SPLIT_MIN else [0, 0]
+    work = inst.n * len(inst.sides)
+    meet = memoryview(mmap.mmap(-1, 16)).cast("q") if work >= SPLIT_MIN else [0, 0]
     meet[0], meet[1] = min(1, inst.n), inst.n
-    got = _in_two(partial(_solve, inst, l1, l2, groups, head, meet), inst.n)
+    got = _in_two(partial(_solve, inst, l1, l2, groups, head, meet), inst.n, work)
     if isinstance(got, NoGo):
         return got
     f, g, hulls, refined, seminorm = got
@@ -666,11 +700,11 @@ def _alone(part: Any) -> Tuple[Any]:
     return (part,)
 
 
-def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: int) -> Any:
+def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: int, work: int) -> Any:
     """body(0, n, _alone), computed as body(0, n // 2, exchange) here and
-    body(n // 2, n, exchange) in one forked child when n is at least
-    SPLIT_MIN (and 2) and this process can fork (it has one thread) onto at
-    least two CPUs.
+    body(n // 2, n, exchange) in one forked child when n is at least 2, its
+    `work`, in stage-1 rows, at least SPLIT_MIN, and this process can fork
+    (it has one thread) onto at least two CPUs.
 
     exchange(part) hands the half's part of a phase to the other half,
     pickled over a pipe, and returns the parts of both halves in point
@@ -683,7 +717,8 @@ def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: 
     here once.  The child is killed and reaped before that, and before this
     returns or raises."""
     if not (
-        n >= max(SPLIT_MIN, 2)
+        n >= 2
+        and work >= SPLIT_MIN
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and threading.active_count() == 1
@@ -763,7 +798,9 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
         raise ValueError("one value per point is required")
     X = [p.x1 for p in f]
     Y = [p.x2 for p in f]
-    return _in_two(partial(_seminorm, X, Y, space), n)
+    # its n * (n - 1) / 2 pairs in stage-1 rows: at n = 200-400 a pair took
+    # 0.27-0.42 us, about 1/4 of a serial solve's row (1.1-2.2 us; 2-vCPU x86)
+    return _in_two(partial(_seminorm, X, Y, space), n, n * (n - 1) // 8)
 
 
 def _seminorm(
@@ -849,7 +886,7 @@ def wf_rect(
     at, rank = inst.offsets, inst.rank
     rho = {y: inst.space.d[y][x] for y in (xp, xpp)}
     positions = sorted(chain.from_iterable(rank[at[y]:at[y + 1]] for y in rho if rho[y] != INF))
-    hull = _hull_from_rows(_side_rows(inst, ltilde, rho, positions))
+    hull = _hull_from_rows(_side_rows(inst, ltilde, rho, positions), inst.normals)
     return EMPTY if hull is None else _rects([hull])[0]
 
 

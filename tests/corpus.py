@@ -14,10 +14,14 @@ imports `lipsel` from OTHER/src, prints only the lines that differ (`-` the
 other tree's, `+` this one's) and exits 1 if any do, else 0 (2 when the
 other tree has no `lipsel` or its run fails).
 
-The corpus: 216 instances, namely 4 planted polygon instances (n = 100,
+The corpus: 219 instances, namely 4 planted polygon instances (n = 100,
 4 sides), 150 polygon draws (n = 1..8, 1-4 sides, planted and not), 60
 half-plane draws (n = 1..8: plain, with infinite-distance blocks, planted),
-and planted half-plane instances with n = 400 and n = 800.  Every instance
+planted half-plane instances with n = 400, 800 and 150, and two planted
+half-plane instances of 6 and 110 points, each with four more points at
+infinite distance (`with_gadget`) that stop a solve at --lambda 1 at
+stage 3, with witness 6 and 85: past point 3, and in the split solve of
+the larger one, in the half of the forked child.  Every instance
 is solved at --lambda 1/2, 1, 2, 4 and 1048576 (2^20, where the inflation
 l1·ρ·‖h‖₁ of a row dwarfs a point's box) and at --lambda1 1 --lambda2 1/4
 (1 and 1 on polygons, which exits 2), with --seed 0 and 977, plain and with
@@ -27,7 +31,7 @@ plain --seed 0 solve on such an instance is checked with `validate
 and `estimate` with --hi 64 --iters 8, with --hi 64 at the default --iters
 20 (the deepest brackets), with --lo 1/3 --hi 5 --iters 6 and with --hi
 1/1024 (exit 4 where that --hi is infeasible or that --lo is feasible):
-7,323 runs in all, 432 of them `estimate`.
+7,399 runs in all, 432 of them `estimate`.
 The standard library and the test generators are all it needs; pytest does
 not collect it.
 """
@@ -56,6 +60,11 @@ from generators import (  # noqa: E402
     random_polygon_instance,
 )
 from lipsel.cli import main  # noqa: E402
+from lipsel.geometry import HalfPlane, halfplane  # noqa: E402
+from lipsel.metric import PseudometricSpace  # noqa: E402
+from lipsel.selection import HalfPlaneInstance  # noqa: E402
+
+INF = float("inf")
 
 LAMBDAS = ("1/2", "1", "2", "4", "1048576")
 SEEDS = ("0", "977")
@@ -75,7 +84,7 @@ def polygon_doc(inst) -> dict:
 
 
 def instances():
-    """(name, kind, instance) for the 216 instances, in a fixed order."""
+    """(name, kind, instance) for the 219 instances, in a fixed order."""
     rng = random.Random("corpus/bench-polygons")
     for k in range(4):
         yield f"bench-polygon-{k}", "polygons", random_polygon_instance(rng, 100, 4)
@@ -94,6 +103,32 @@ def instances():
         yield f"halfplane-{k}", "halfplanes", inst
     for n in (400, 800):
         yield f"planted-{n}", "halfplanes", planted_instance(random.Random(f"corpus/planted/{n}"), n)
+    yield "planted-150", "halfplanes", planted_instance(random.Random("corpus/planted/150"), 150)
+    for n, at in ((6, (4, 6, 7, 9)), (110, (70, 85, 100, 112))):
+        base = planted_instance(random.Random(f"corpus/gadget/{n}"), n)
+        yield f"gadget-{n + 4}", "halfplanes", with_gadget(base, at)
+
+
+# four points whose solve at --lambda 1 stops at stage 3 with witness 1 (a
+# `random_instance` draw): their half-planes (h1, h2, alpha) and distances
+GADGET_PLANES = [(1.0, 0.0, 7.5), (-1.0, 1.0, 0.375), (2.0, 4.0, 3.875), (-4.0, -3.0, -4.25)]
+GADGET_D = [[0.0, 5.5, 3.625, 5.25], [5.5, 0.0, 2.75, 2.125], [3.625, 2.75, 0.0, 1.625], [5.25, 2.125, 1.625, 0.0]]
+
+
+def with_gadget(inst, at):
+    """The half-plane instance `inst` with the four GADGET points put at
+    the ascending positions `at`, at infinite distance from inst's points.
+    Where inst's own solve passes stage 3, the NoGo comes at at[1]."""
+    n = inst.n + len(at)
+    rest = [x for x in range(n) if x not in at]
+    d = [[INF] * n for _ in range(n)]
+    planes = [None] * n
+    for part, rows, sides in ((rest, inst.space.d, inst.planes), (at, GADGET_D, GADGET_PLANES)):
+        for x, row, side in zip(part, rows, sides):
+            planes[x] = side if isinstance(side, HalfPlane) else halfplane(*side)
+            for y, v in zip(part, row):
+                d[x][y] = v
+    return HalfPlaneInstance(PseudometricSpace(n, d), planes)
 
 
 def run(argv):

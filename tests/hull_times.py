@@ -9,9 +9,11 @@ It solves two planted half-plane instances with n = 800 at lambda (2, 2)
 polygon instances with n = 100 and 4 sides at lambda (1, 1)
 (`random_polygon_instance(random.Random(6000 + i), 100, 4)`, i = 0..3), the
 shapes of the planted-solve and polygon-solve benchmark workloads, in one
-process (`SPLIT_MIN` set above n), and keeps every row set that stage 2
-passes to `selection._hull_from_rows`.  Then it times `_hull_from_rows` over
-each workload's row sets, and building the angular order of each of its
+process (`SPLIT_MIN` set to infinity, above any solve's work), and keeps
+every row set that stage 2 passes to `selection._hull_from_rows`, with the
+arguments that come with it (a tree whose stage 2 converts rows from its
+instance's exact normals passes those).  Then it times `_hull_from_rows`
+over each workload's row sets, and building the angular order of each of its
 instances (`PolygonInstance.rank` and `.by_angle` on a fresh copy), as this
 process's CPU time (`time.process_time`), the best of the given number of
 rounds.  A tree without a per-instance order prints "-" for it.  Run it
@@ -23,6 +25,7 @@ collect it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -40,15 +43,16 @@ WORKLOADS = {
 
 
 def captured_rows(instances, lambdas):
-    """Every row set that stage 2 hulls in one serial solve of each instance."""
+    """Every row set that stage 2 hulls in one serial solve of each
+    instance, with the other arguments of its call."""
     hull, out = selection._hull_from_rows, []
 
-    def keep(rows):
-        out.append(list(rows))
-        return hull(rows)
+    def keep(rows, *args):
+        out.append((list(rows), *args))
+        return hull(rows, *args)
 
     split_min = selection.SPLIT_MIN
-    selection._hull_from_rows, selection.SPLIT_MIN = keep, 1 + max(inst.n for inst in instances)
+    selection._hull_from_rows, selection.SPLIT_MIN = keep, math.inf
     try:
         for inst in instances:
             selection.run_projection_algorithm(inst, lambdas)
@@ -62,8 +66,8 @@ def best_hull_time(sets, rounds: int) -> float:
     hull, best = selection._hull_from_rows, float("inf")
     for _ in range(rounds):
         start = time.process_time()
-        for rows in sets:
-            hull(rows)
+        for args in sets:
+            hull(*args)
         best = min(best, time.process_time() - start)
     return best
 
@@ -94,7 +98,7 @@ def main() -> None:
         sets = captured_rows(instances, lambdas)
         hull_ms = 1000 * best_hull_time(sets, args.rounds)
         order = f"{1000 * best_order_time(instances, args.rounds):.2f}" if has_order else "-"
-        print(f"{name}  {len(sets)}  {sum(map(len, sets))}  {hull_ms:.2f}  {order}", flush=True)
+        print(f"{name}  {len(sets)}  {sum(len(args[0]) for args in sets)}  {hull_ms:.2f}  {order}", flush=True)
 
 
 if __name__ == "__main__":

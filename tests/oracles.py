@@ -6,7 +6,7 @@ exhaustive simple-path enumeration, feasibility by an off-the-shelf LP.
 Grid answers come with their pitch so callers can set tolerances as a
 multiple of it; `lp_exact_optimum` is the exact optimum of a two-variable LP
 by enumeration in `Fraction`s, and `hull_reference` the exact rectangular
-hull of a set of rows the same way.  Four exceptions: `refinement_constraints`
+hull of a set of rows the same way.  Exceptions: `refinement_constraints`
 lists stage-1 constraints with the public geometry primitives, which the
 grid searches check, so that the public LP can be run on them;
 `build_sharp_lp_reference` is the sharp system as the dense `Fraction` rows
@@ -18,11 +18,14 @@ systems can be handed to the oracle; `fm_feasible_reference` is the
 moved to integer rows, kept as the reference its verdicts and witnesses
 must equal exactly; `step3_refine_rects_reference` is stage 3 as it
 was before it ran its folds first, with the pairwise scan always first,
-kept as the reference its NoGos and rectangles must equal exactly; and
+kept as the reference its NoGos and rectangles must equal exactly;
 `estimate_reference` is the plain bisection that
 `lipsel.oracle.estimate_min_seminorm` ran before it settled points from
 witness seminorms, one elimination per point, kept as the reference its
-brackets and errors must equal exactly.
+brackets and errors must equal exactly; and `pair_bound_reference` is the
+bound `lipsel.lp2d` took a hull end from, on the rows that bracket its
+direction, before stage 2 found all four ends in one pass, kept as the
+reference those ends must equal exactly.
 """
 
 import itertools
@@ -242,6 +245,27 @@ def hull_reference(rows):
         else:
             ends.append(float(max(Fraction(cx * X + cy * Y, D) for X, Y, D in feasible)))
     return -ends[0], ends[1], -ends[2], ends[3]
+
+
+def pair_bound_reference(rows, Cx, Cy):
+    """The least bound on the maximum of (Cx, Cy) over the integer rows
+    (A, B, C, _), meaning A*x + B*y <= C, that one of them or a pair of
+    them gives, correctly rounded; INF when none bounds it.  When c is in
+    cone{h_i, h_j}, weak duality bounds the maximum by the exact value at
+    the vertex of rows i and j (or, for one row whose normal is parallel
+    to c, at its boundary).  Evaluated in integers, as `int / int` rounds
+    correctly."""
+    best = math.inf
+    for i, (A1, B1, C1, _) in enumerate(rows):
+        dot = Cx * A1 + Cy * B1
+        if Cx * B1 == Cy * A1 and dot > 0:
+            best = min(best, C1 * dot / (A1 * A1 + B1 * B1))
+        for A2, B2, C2, _ in rows[i + 1:]:
+            det = A1 * B2 - B1 * A2
+            mu, nu = Cx * B2 - Cy * A2, A1 * Cy - B1 * Cx  # c = (mu h1 + nu h2) / det
+            if det > 0 and mu >= 0 and nu >= 0 or det < 0 and mu <= 0 and nu <= 0:
+                best = min(best, (Cx * (C1 * B2 - B1 * C2) + Cy * (A1 * C2 - C1 * A2)) / det)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the five-stage selection pipeline and the triple-hull condition."""
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -19,7 +20,13 @@ from generators import (
     random_instance,
     random_polygon_instance,
 )
-from oracles import hull_reference, refinement_constraints, step3_refine_rects_reference
+from oracles import (
+    _integer_row,
+    hull_reference,
+    pair_bound_reference,
+    refinement_constraints,
+    step3_refine_rects_reference,
+)
 from lipsel.geometry import (
     DEFAULT_TOL,
     EmptySet,
@@ -33,16 +40,31 @@ from lipsel.geometry import (
     rect,
     uniform_norm,
 )
-from lipsel.lp2d import Infeasible, Unbounded, _by_angle, _exact, lp2d_optimize
+from lipsel.lp2d import (
+    Infeasible,
+    Unbounded,
+    _bracket,
+    _by_angle,
+    _cross,
+    _Empty,
+    _envelope,
+    _exact,
+    _exact_normal,
+    lp2d_optimize,
+)
 from lipsel.metric import PreMetric, PseudometricSpace, validate_premetric, validate_pseudometric
 import lipsel.selection
 from lipsel.selection import (
+    HULL_DIRECTIONS,
     HalfPlaneInstance,
     NoGo,
     PolygonInstance,
     SelectionReport,
     Success,
+    _ends,
+    _exact_rows,
     _hull_from_rows,
+    _point_rows,
     check_wnew,
     lipschitz_seminorm,
     run_projection_algorithm,
@@ -534,6 +556,8 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
 
     monkeypatch.setattr(lipsel.selection, "_point_rows", spy)
     monkeypatch.setattr(lipsel.selection, "step5_project", spy5)
+    # the spies count calls in this process, so no solve splits
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", INF)
     rng = random.Random(f"boxed/{case}")
     if case == "planted":
         runs = [(planted_instance(rng, 200), lam) for lam in (1.0, 2.0)]
@@ -713,9 +737,12 @@ def _sweep_rows(rng, kind, k):
 
 
 def _hull(rows):
-    """`_hull_from_rows` on the rows in angular order (`lp2d._by_angle` on
-    their exact forms), as `hull_reference` writes it."""
-    return _hull_from_rows([row for *_, row in _by_angle([_exact(*row[:3], row) for row in rows])])
+    """`_hull_from_rows` as stage 2 calls it, on rows that `hull_reference`
+    takes: in angular order (`lp2d._by_angle`), each tagged with its index
+    in `rows`, and the exact normal of each row (`lp2d._exact_normal`) at
+    that index."""
+    normals = [(*_exact_normal(a, b), i) for i, (a, b, *_) in enumerate(rows)]
+    return _hull_from_rows([(*rows[i][:3], i) for *_, i in _by_angle(normals)], normals)
 
 
 def _stream_draw(name, index):
@@ -762,6 +789,100 @@ def test_hulls_from_rows_equal_the_fraction_reference():
     rows = _stream_draw("b", 3406)
     want = hull_reference(rows)
     assert repr(_hull(rows)) == repr(want) and want[1] == 7205759403792781.0 and INF not in map(abs, want)
+
+
+def _envelopes(rng, kind, k):
+    """The exact envelopes of a `_sweep_rows` set and of 1 to 3 of its
+    rows, in angular order, leaving out the empty ones."""
+    rows = _by_angle([_exact(*row) for row in _sweep_rows(rng, kind, k)])
+    some = sorted(rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 3))))
+    out = []
+    for part in (rows, [rows[i] for i in some]):
+        try:
+            out.append(_envelope(part))
+        except _Empty:
+            pass
+    return out
+
+
+def _zero_width(p, q):
+    """Whether the exact rows p and q bound a strip of width 0."""
+    return (
+        _cross(p, q) == 0
+        and p[0] * q[0] + p[1] * q[1] < 0
+        and p[2] * (abs(q[0]) + abs(q[1])) + q[2] * (abs(p[0]) + abs(p[1])) == 0
+    )
+
+
+def test_one_scan_ends_equal_the_bracketed_bounds():
+    """`_ends` finds the rows that bracket each axis direction in one pass,
+    and each end equals the weak-duality bound on `lp2d._bracket`'s rows
+    (`pair_bound_reference`) bit for bit, on the envelopes of random row
+    sets and of 1 to 3 of their rows: rows parallel to an axis, open
+    directions, one or two kept rows and strips of zero width, at scales 1
+    and 2^±40."""
+    rng = random.Random("one-scan-ends")
+    kinds = ("around", "mixed", "open", "strip", "parallel", "concurrent", "pinched")
+    keys = ("one row", "two rows", "open", "axis row", "zero width")
+    seen = {(key, k): 0 for key in keys for k in (0, 40, -40)}
+    for draw in range(2100):
+        kind, k = kinds[draw % len(kinds)], (0, 40, -40)[draw // len(kinds) % 3]
+        for kept in _envelopes(rng, kind, k):
+            want = [pair_bound_reference(_bracket(kept, cx, cy), cx, cy) + 0.0 for cx, cy in HULL_DIRECTIONS]
+            got = _ends(kept)
+            assert repr(got) == repr((-want[0], want[1], -want[2], want[3])), (draw, kept)
+            seen["one row", k] += len(kept) == 1
+            seen["two rows", k] += len(kept) == 2
+            seen["open", k] += INF in map(abs, got)
+            seen["axis row", k] += any(not (a and b) for a, b, *_ in kept)
+            seen["zero width", k] += any(_zero_width(p, q) for p, q in itertools.combinations(kept, 2))
+    assert min(seen.values()) >= 20, seen
+
+
+def _side_normal(rng):
+    """A nonzero normal: small integers, dyadic, uniform floats, or tiny or
+    huge ones."""
+    while True:
+        a, b = rng.choice([
+            lambda: (float(rng.randint(-4, 4)), float(rng.randint(-4, 4))),
+            lambda: (rng.randint(-64, 64) / 2.0 ** rng.randint(0, 12), rng.randint(-64, 64) / 8.0),
+            lambda: (rng.uniform(-4, 4), rng.uniform(-4, 4)),
+            lambda: (math.ldexp(rng.uniform(-1, 1), rng.choice([-60, 60])), float(rng.randint(-2, 2))),
+        ])()
+        if a or b:
+            return a, b
+
+
+def test_rows_from_the_side_normals_equal_exact():
+    """Stage 2 converts only a row's offset, from the exact normal its
+    instance computed once per side (`PolygonInstance.normals`), and the
+    rows equal `lp2d._exact` and an lcm reference bit for bit: on integer,
+    dyadic, uniform, tiny and huge normals, on the rows of every point at
+    several l1, with infinite distances, at scales 1 and 2^±40, and on
+    offsets from the subnormals to 2^1000, zeros of both signs."""
+    rng = random.Random("side-normals")
+    offsets = [0.0, -0.0, 5e-324, -3 * 5e-324, 1e-300, -(2.0**1000), 1.5, 0.1, 1 / 3]
+    for draw in range(60):
+        n = rng.randint(1, 10)
+        polygons = [
+            [HalfPlane(Point2(*_side_normal(rng)), rng.uniform(-8, 8)) for _ in range(rng.randint(1, 4))]
+            for _ in range(n)
+        ]
+        space = linf_space(rng, n, inf_blocks=draw % 2 == 1)
+        inst = _scaled(PolygonInstance(space, polygons), (0, 40, -40)[draw % 3])
+        assert [(A, B, q) for A, B, q, _ in inst.normals] == [
+            (*_integer_row(h1, h2, 0.0)[:2], math.lcm(F(h1).denominator, F(h2).denominator))
+            for _, h1, h2, *_ in inst.by_angle
+        ]
+        rows = [row for x in range(n) for l1 in (0.0, 0.5, 3.0) for row in _point_rows(inst, l1, x)]
+        rows += [
+            (h1, h2, rng.choice(offsets + [rng.uniform(-1e6, 1e6)]), j)
+            for j, (_, h1, h2, *_) in enumerate(inst.by_angle)
+        ]
+        got = _exact_rows(rows, inst.normals)
+        want = [(A, B, -L, row[3]) for row in rows for A, B, L in [_integer_row(*row[:3])]]
+        assert got == want == [_exact(*row) for row in rows]
+        assert all(type(v) is int for row in got for v in row[:3])
 
 
 # the normals of `_tie_instance`: one direction at two lengths, antiparallel
@@ -887,7 +1008,7 @@ def _serial_and_split(monkeypatch, forks, inst, lambdas):
     """The outcome of the serial run, which does not fork, and that of the
     split run, which forks once, or not at all when point 0 settles the
     solve, and leaves no child and no pipe behind."""
-    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", inst.n + 1)
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", INF)
     before = len(forks)
     serial = _outcome(inst, lambdas)
     assert len(forks) == before
@@ -1097,7 +1218,7 @@ def test_split_seminorm_equals_the_serial_one(monkeypatch, forks, capfd):
         for x in range(space.n):  # twins take equal values, so 0/0 pairs count 0
             if 0.0 in space.d[x][:x]:
                 f[x] = f[space.d[x].index(0.0)]
-        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", space.n + 1)
+        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", INF)
         want = lipschitz_seminorm(f, space)
         assert 0.0 < want < INF and not forks
         X, Y, cut = [p.x1 for p in f], [p.x2 for p in f], lipsel.selection._row_cut(space.n // 2, space.n)
@@ -1145,3 +1266,28 @@ def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks)
         stop.set()
         worker.join(timeout=10)
     assert not worker.is_alive() and not forks
+
+
+def test_split_threshold_counts_stage1_rows(forks):
+    """A solve splits when its stage-1 work, n times its instance's number
+    of sides, reaches SPLIT_MIN, and `lipschitz_seminorm` when its pair
+    count over 4 does: an instance just above each threshold forks once,
+    and one just below it does not, for half-planes and 4-sided polygons."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        pytest.skip("this process cannot fork onto two CPUs")
+    split_min = lipsel.selection.SPLIT_MIN
+    rng = random.Random("split-threshold")
+    for sides in (1, 4):
+        above = next(n for n in itertools.count(2) if n * n * sides >= split_min)
+        for n in (above, above - 1):
+            inst = planted_instance(rng, n) if sides == 1 else random_polygon_instance(rng, n, sides)
+            del forks[:]
+            assert isinstance(run_projection_algorithm(inst, (2.0, 2.0)), Success)
+            assert len(forks) == (n * len(inst.sides) >= split_min) == (n == above), (sides, n)
+    above = next(n for n in itertools.count(2) if n * (n - 1) // 8 >= split_min)
+    for n in (above, above - 1):
+        space = linf_space(rng, n)
+        f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(n)]
+        del forks[:]
+        lipschitz_seminorm(f, space)
+        assert len(forks) == (n == above), n
