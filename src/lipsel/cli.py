@@ -371,7 +371,8 @@ def _verify_result(inst: LoadedInstance, result_path: str) -> int:
     assert inst.inst is not None
     report = verify_selection(inst.inst, f, bound)
     if not report.ok:
-        print(emit({"verified": False, "reason": report.reason, "index": report.index}))
+        doc = {"verified": False, "reason": report.reason, "index": report.index}
+        print(emit(doc if report.reason == "membership" else {**doc, "pair": report.pair}))
         return 1
     print(emit({"verified": True, "seminorm": report.seminorm, "bound": bound}))
     return 0

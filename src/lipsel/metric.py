@@ -78,9 +78,7 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     return None
 
 
-def validate_pseudometric(
-    d: List[List[float]], tol: float = AXIOM_TOL
-) -> Union[PseudometricSpace, MetricViolation]:
+def validate_pseudometric(d: List[List[float]]) -> Union[PseudometricSpace, MetricViolation]:
     """Check the three axioms; malformed input raises, a failed axiom reports.
 
     Returns the wrapped space on success, otherwise the first violation in
@@ -92,13 +90,13 @@ def validate_pseudometric(
     n = len(d)
     # d is symmetric by now, so (i, j) and (j, i) fail together and the first
     # failure lies above the diagonal; rounding is monotone, so d[i][j] beats
-    # some d[i][k] + d[k][j] + tol exactly when it beats the smallest sum
+    # some d[i][k] + d[k][j] + AXIOM_TOL exactly when it beats the smallest sum
     for i in range(n):
         di = d[i]
         for j in range(i + 1, n):
             dij = di[j]
-            if dij > min(map(add, di, d[j])) + tol:
-                k = next(k for k in range(n) if dij > di[k] + d[k][j] + tol)
+            if dij > min(map(add, di, d[j])) + AXIOM_TOL:
+                k = next(k for k in range(n) if dij > di[k] + d[k][j] + AXIOM_TOL)
                 return MetricViolation("triangle", i, j, k)
     return PseudometricSpace(n, [[float(v) for v in row] for row in d])
 

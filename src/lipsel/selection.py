@@ -16,8 +16,11 @@ selection has seminorm <= min(l1, l2).  The pipeline:
   5. push that center back into the stage-1 intersection by one half-plane
      projection.
 
-Stages 1 and 3 test emptiness with a small bias toward success (strict
-comparison against +tol), so boundary parameter values succeed.
+No test compares a length with a fixed one, so scaling every offset and
+distance by 2^k scales a solve by exactly 2^k: stage 1 decides emptiness
+exactly (`lp2d`), stages 3 and 5 decide in floats with no slack, and every
+other slack (`_point_rows`' box margin, `_snap_ends`, membership in
+`_report`) is REL_TOL relative to the numbers compared.
 
 Stage 2 takes every hull from the exact half-plane envelope of `lp2d`, in
 integers.  Each instance converts its sides' normals to integers and sorts
@@ -74,7 +77,6 @@ from operator import add, gt, le, mul, sub, truediv
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
-    DEFAULT_TOL,
     EMPTY,
     EmptySet,
     ExtInterval,
@@ -85,7 +87,6 @@ from lipsel.geometry import (
     ext_div,
     ext_sub,
     inflation_radius,
-    project_to_halfplane,
     rect_project_origin_center,
     uniform_norm,
 )
@@ -94,8 +95,9 @@ from lipsel.metric import PseudometricSpace
 
 INF = math.inf
 
-# slack used by the final membership/seminorm verification
-VERIFY_TOL = 1e-7
+# the one slack on a length, relative to the numbers compared; the seminorm
+# test's VERIFY_TOL is on a ratio, which does not scale
+REL_TOL, VERIFY_TOL = 2.0**-40, 1e-7
 
 # stage 2 builds x's outer box from the sides of x and its NEAREST nearest
 # points, and skips the box when those hold at least 1/BOX_SHARE of x's rows:
@@ -244,7 +246,7 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
         ]
     lo1, hi1, lo2, hi2 = box
     c1, c2 = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0
-    r = max(hi1 - lo1, hi2 - lo2) / 2.0 + DEFAULT_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
+    r = max(hi1 - lo1, hi2 - lo2) / 2.0 + REL_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
     return [
         (h1, h2, a, j)
         for j, (y, h1, h2, alpha, norm1) in enumerate(inst.by_angle)
@@ -382,11 +384,12 @@ def _radii(l2: float, drow: Sequence[float]) -> List[float]:
     return list(map(mul, repeat(l2), drow))
 
 
-def _snap_ends(lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    """Collapse a float-inverted pair of ends; inversion beyond tol is a bug."""
+def _snap_ends(lo: float, hi: float, r: float) -> Tuple[float, float]:
+    """Collapse ends inverted by at most REL_TOL * max(|lo|, |hi|, r), r the
+    fold's largest finite radius, which bounds its rounding; more is a bug."""
     if lo <= hi:
         return lo, hi
-    if lo - hi <= tol:
+    if lo - hi <= REL_TOL * max(abs(lo), abs(hi), r):
         mid = (lo + hi) / 2.0
         return mid, mid
     raise AssertionError(f"interval ends inverted beyond tolerance: [{lo}, {hi}]")
@@ -404,11 +407,12 @@ def step3_refine_rects(
     finite or +inf, so plain float subtraction is `ext_sub` on them.
 
     No flagged pair escapes, at any scale: say the test flags (x, y) on
-    axis 1 through a - b > r + tol, with a = LO1[x], b = HI1[y] and r the
-    radius.  Rounding is monotone, so the exact inequality holds too, with
-    a, b, r finite.  x's fold holds its own term, of radius l2 * 0 = 0, so
-    lo >= a, and fl(b + r) <= a, so hi <= a: x's fold trips.  With
-    a = LO1[y] and b = HI1[x], fl(a - r) >= b trips it the same way.
+    axis 1 through fl(a - b) > r, with a = LO1[x], b = HI1[y] and r the
+    radius.  Rounding is monotone and r is a float, so a - b > r holds
+    exactly too, with a, b, r finite.  x's fold holds its own term, of
+    radius l2 * 0 = 0, so lo >= a, and fl(b + r) <= a, so hi <= a: x's fold
+    trips.  With a = LO1[y] and b = HI1[x], fl(a - r) >= b trips it the
+    same way.
     """
     n = space.n
     if len(hulls) != n:
@@ -423,8 +427,10 @@ def step3_refine_rects(
             if nogo is not None:
                 return nogo
             scanned = True
-        lo1, hi1 = _snap_ends(lo1, hi1, DEFAULT_TOL)
-        lo2, hi2 = _snap_ends(lo2, hi2, DEFAULT_TOL)
+        if lo1 > hi1 or lo2 > hi2:
+            r = max(filter(math.isfinite, _radii(l2, space.d[x])))
+            lo1, hi1 = _snap_ends(lo1, hi1, r)
+            lo2, hi2 = _snap_ends(lo2, hi2, r)
         refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
     return refined
 
@@ -438,7 +444,7 @@ def _fold(ends: tuple, l2: float, drow: Sequence[float]) -> Tuple[float, float, 
 
 
 def _first_far_pair(LO1, HI1, LO2, HI2, l2: float, space: PseudometricSpace) -> Optional[NoGo]:
-    """NoGo(3, x) for the first x with a y > x more than l2 * rho + tol away."""
+    """NoGo(3, x) for the first x with a y > x whose hull is over l2 * rho away."""
     for x in range(space.n):
         R = _radii(l2, space.d[x][x + 1:])
         gaps = map(
@@ -448,7 +454,7 @@ def _first_far_pair(LO1, HI1, LO2, HI2, l2: float, space: PseudometricSpace) -> 
             map(sub, repeat(LO2[x]), HI2[x + 1:]),
             map(sub, LO2[x + 1:], repeat(HI2[x])),
         )
-        if any(map(gt, gaps, map(add, R, repeat(DEFAULT_TOL)))):
+        if any(map(gt, gaps, R)):
             return NoGo(3, x)
     return None
 
@@ -476,12 +482,16 @@ def step5_project(
     half-planes, and the projection onto the farthest one (first in
     (point, side) order on ties) already lands inside the set.
 
+    It moves g by that distance along -sign(h) of the farthest row, on any
+    positive residual (an axis-parallel row moves g along one axis).
+
     `points`, ascending, restricts the scan to their sides: stage 2 passes
-    the points whose rows cut x's box B.  Any other row holds the square
-    around B's center with a margin that covers the rounding of its
-    residual, taken on the row stage 2 saw, and g is in B up to
-    stage 3's `_snap_ends` DEFAULT_TOL/2, so the row is within DEFAULT_TOL
-    of g and cannot change the result.
+    the points whose rows cut x's box B, of largest end M in magnitude.
+    Any other row holds the square around B's center grown by REL_TOL * M,
+    in a test on this scan's offsets.  g is in B up to half an inversion
+    that `_snap_ends` collapsed, a few ulps of the fold's terms, so its
+    residual on that row is not positive unless a radius that attains x's
+    fold exceeds M some 2^10 times and cancels a neighbour's end.
     """
     drow = inst.space.d[x]
     gx, gy = g
@@ -489,8 +499,7 @@ def step5_project(
     if points is not None:
         at = inst.offsets
         sides = [side for y in points for side in sides[at[y]:at[y + 1]]]
-    best_d = 0.0
-    best = None
+    best_d, best = 0.0, None
     for y, h1, h2, alpha, norm1 in sides:
         rho = drow[y]
         if rho == INF:
@@ -500,11 +509,11 @@ def step5_project(
         if resid > 0.0:
             d = resid / norm1
             if d > best_d:
-                best_d, best = d, (h1, h2, offset)
-    if best_d <= DEFAULT_TOL or best is None:
+                best_d, best = d, (h1, h2)
+    if best is None:
         return g
-    h1, h2, offset = best
-    return project_to_halfplane(g, HalfPlane(Point2(h1, h2), offset))
+    h1, h2 = best
+    return Point2(gx - best_d * ((h1 > 0.0) - (h1 < 0.0)), gy - best_d * ((h2 > 0.0) - (h2 < 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +846,8 @@ def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: in
 
 
 def verify_selection(inst: PolygonInstance, f: Sequence[Point2], bound: float) -> SelectionReport:
-    """Check membership of every value and the seminorm bound, each up to
-    VERIFY_TOL.
+    """Check membership of every value, up to REL_TOL relative to the
+    terms of each side's residual, and the seminorm bound up to VERIFY_TOL.
 
     The first failure (membership in point order, then the lexicographically
     first bad pair) is reported; the seminorm field is always filled in.
@@ -850,22 +859,14 @@ def verify_selection(inst: PolygonInstance, f: Sequence[Point2], bound: float) -
 
 def _report(inst: PolygonInstance, f: Sequence[Point2], bound: float, seminorm: float) -> SelectionReport:
     """`verify_selection` with f's seminorm given."""
-    n = inst.n
     for i, h1, h2, alpha, _ in inst.sides:
-        if h1 * f[i].x1 + h2 * f[i].x2 + alpha > VERIFY_TOL:
-            return SelectionReport(
-                False, seminorm, bound, reason="membership", index=i
-            )
+        t1, t2 = h1 * f[i].x1, h2 * f[i].x2
+        if t1 + t2 + alpha > REL_TOL * (abs(t1) + abs(t2) + abs(alpha)):
+            return SelectionReport(False, seminorm, bound, reason="membership", index=i)
     if seminorm > bound + VERIFY_TOL:
-        cap = (bound + VERIFY_TOL)
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = uniform_norm(f[i] - f[j])
-                if gap > cap * inst.space.d[i][j]:
-                    return SelectionReport(
-                        False, seminorm, bound, reason="seminorm", pair=(i, j)
-                    )
-        return SelectionReport(False, seminorm, bound, reason="seminorm")
+        cap, d, n = bound + VERIFY_TOL, inst.space.d, inst.n
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if uniform_norm(f[i] - f[j]) > cap * d[i][j])
+        return SelectionReport(False, seminorm, bound, reason="seminorm", pair=next(pairs, None))
     return SelectionReport(True, seminorm, bound)
 
 

@@ -37,7 +37,7 @@ from operator import add, gt, sub
 
 import numpy as np
 
-from lipsel.geometry import DEFAULT_TOL, ExtInterval, ExtRect, HalfPlane, inflation_radius
+from lipsel.geometry import ExtInterval, ExtRect, HalfPlane, inflation_radius
 from lipsel.oracle import (
     FM_VAR_CAP,
     FmFeasible,
@@ -47,7 +47,7 @@ from lipsel.oracle import (
     build_sharp_lp,
     fm_feasible,
 )
-from lipsel.selection import NoGo, _radii, _snap_ends
+from lipsel.selection import NoGo, _radii
 
 INF = math.inf
 
@@ -290,6 +290,17 @@ def refinement_constraints(inst, l1, x):
 # stage 3 with the pairwise scan first
 
 
+def _collapse(lo, hi, radii):
+    """lo and hi, or their midpoint twice when rounding inverted them by at
+    most 2^-40 of the largest of |lo|, |hi| and the finite radii; a larger
+    inversion raises."""
+    if lo <= hi:
+        return lo, hi
+    if lo - hi > math.ldexp(max(abs(lo), abs(hi), *(r for r in radii if r != INF)), -40):
+        raise AssertionError(f"ends inverted: [{lo}, {hi}]")
+    return (lo + hi) / 2.0, (lo + hi) / 2.0
+
+
 def step3_refine_rects_reference(hulls, l2, space):
     n = space.n
     if len(hulls) != n:
@@ -307,13 +318,13 @@ def step3_refine_rects_reference(hulls, l2, space):
             map(sub, repeat(LO2[x]), HI2[x + 1:]),
             map(sub, LO2[x + 1:], repeat(HI2[x])),
         )
-        if any(map(gt, gaps, map(add, R, repeat(DEFAULT_TOL)))):
+        if any(map(gt, gaps, R)):
             return NoGo(3, x)
     refined = []
     for x in range(n):
         R = _radii(l2, space.d[x])
-        lo1, hi1 = _snap_ends(max(map(sub, LO1, R)), min(map(add, HI1, R)), DEFAULT_TOL)
-        lo2, hi2 = _snap_ends(max(map(sub, LO2, R)), min(map(add, HI2, R)), DEFAULT_TOL)
+        lo1, hi1 = _collapse(max(map(sub, LO1, R)), min(map(add, HI1, R)), R)
+        lo2, hi2 = _collapse(max(map(sub, LO2, R)), min(map(add, HI2, R)), R)
         refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
     return refined
 

@@ -655,6 +655,18 @@ def test_validate_result_catches_tampering(tmp_path, capsys):
     assert got["verified"] is False and got["reason"] == "membership"
 
 
+def test_validate_result_names_the_pair_that_breaks_the_bound(tmp_path, capsys):
+    path = write(tmp_path, SEP4)
+    _, out, _ = run(capsys, "solve", path, "--lambda", "4")
+    doc = json.loads(out)
+    doc["f"][0][0] = -100.0  # deep inside x <= 0, but 104 from point 1 at distance 1
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", path, "--result", str(result))
+    assert code == 1
+    assert json.loads(out) == {"verified": False, "reason": "seminorm", "index": None, "pair": [0, 1]}
+
+
 def test_validate_result_polygon_membership(tmp_path, capsys):
     path = write(tmp_path, TWO_SQUARES)
     _, out, _ = run(capsys, "solve", path, "--lambda", "4")

@@ -231,4 +231,5 @@ def test_closure_is_idempotent_and_valid(seed, n):
     sp = intrinsic_metric(pre)
     again = intrinsic_metric(PreMetric(sp.n, [row[:] for row in sp.d]))
     assert again.d == sp.d  # dyadic weights: exact arithmetic, exact fixpoint
-    assert isinstance(validate_pseudometric(sp.d, 0.0), PseudometricSpace)
+    assert isinstance(validate_pseudometric(sp.d), PseudometricSpace)
+    assert _first_triangle_violation(sp.d, 0.0) is None  # no slack needed

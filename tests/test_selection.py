@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import os
 import random
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from generators import (
     linf_space,
+    mixed_instance,
+    number_doc,
     planted_instance,
     random_halfplane,
     random_instance,
@@ -28,7 +31,6 @@ from oracles import (
     step3_refine_rects_reference,
 )
 from lipsel.geometry import (
-    DEFAULT_TOL,
     EmptySet,
     ExtInterval,
     ExtRect,
@@ -54,17 +56,18 @@ from lipsel.lp2d import (
 )
 from lipsel.metric import PreMetric, PseudometricSpace, validate_premetric, validate_pseudometric
 import lipsel.selection
+from lipsel.cli import main
 from lipsel.selection import (
     HULL_DIRECTIONS,
     HalfPlaneInstance,
     NoGo,
     PolygonInstance,
-    SelectionReport,
     Success,
     _ends,
     _exact_rows,
     _hull_from_rows,
     _point_rows,
+    _radii,
     check_wnew,
     lipschitz_seminorm,
     run_projection_algorithm,
@@ -566,12 +569,6 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
     elif case == "scaled":
         runs = [(_scaled(planted_instance(rng, 100), 40), lam) for lam in (1.0, 2.0)]
         runs.append((_scaled(random_polygon_instance(rng, 30, 4), 40), 1.0))
-        # at 2^40 the absolute VERIFY_TOL rejects most of these selections
-        # (the scale fault of ROADMAP item 1); this test is about the hulls
-        # and stage 5, which run before the verification
-        monkeypatch.setattr(
-            lipsel.selection, "_report", lambda inst, f, bound, seminorm: SelectionReport(True, math.nan, bound)
-        )
     else:
         runs = []
         for draw in range(4):
@@ -600,14 +597,70 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
+# scale
+
+
+def _validate_result(tmp_path, capsys, inst, f, bound):
+    """The exit code and document of `lipsel validate --result` on inst
+    and the selection f, written as a polygon instance and a result."""
+    path, result = tmp_path / "inst.json", tmp_path / "result.json"
+    polygons = [[{"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in poly] for poly in inst.polygons]
+    matrix = [[number_doc(v) for v in row] for row in inst.space.d]
+    path.write_text(json.dumps({"n": inst.n, "metric": {"matrix": matrix}, "sets": {"polygons": polygons}}))
+    result.write_text(json.dumps({"outcome": "success", "f": [list(p) for p in f], "bound": bound}))
+    capsys.readouterr()
+    code = main(["validate", str(path), "--result", str(result)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_scaling_by_a_power_of_two_scales_the_solve_exactly(tmp_path, capsys):
+    """Scaling every offset and distance by 2^k is exact in floats, and so
+    is the solve: for k in [-40, 40], the same outcome, stage and witness,
+    f exactly 2^k times the unscaled f, and an equal seminorm.  On draws in
+    the mix of acceptance criterion 1 at n = 1..8, with NoGos at stages 1
+    and 3 among them, on planted n = 100 and on 4-sided polygons at
+    n = 30.  Every scaled Success verifies at l1 + 2*l2, and some of them
+    pass `validate --result`."""
+    rng = random.Random("scale")
+    runs = []
+    for _ in range(600):
+        l1 = rng.randint(1, 32) / 8
+        runs.append((mixed_instance(rng, rng.randint(1, 8)), (l1, rng.choice([0.0, 1 / 16, l1 / 4, l1]))))
+    runs += [(planted_instance(rng, 100), (lam, lam)) for lam in (1.0, 2.0) for _ in range(3)]
+    runs += [(random_polygon_instance(rng, 30, 4), (1.0, 1.0)) for _ in range(6)]
+    seen = {"stage1": 0, "stage3": 0, "success": 0, "validated": 0}
+    for draw, (inst, lambdas) in enumerate(runs):
+        k = rng.randint(-40, 40)
+        want = run_projection_algorithm(inst, lambdas)
+        scaled = _scaled(inst, k)
+        got = run_projection_algorithm(scaled, lambdas)
+        if isinstance(want, NoGo):
+            assert got == want, (draw, k)
+            seen[f"stage{want.stage}"] += 1
+            continue
+        assert isinstance(got, Success), (draw, k, got)
+        assert got.f == [Point2(math.ldexp(p.x1, k), math.ldexp(p.x2, k)) for p in want.f], (draw, k)
+        assert got.seminorm == want.seminorm, (draw, k)
+        bound = lambdas[0] + 2.0 * lambdas[1]
+        assert verify_selection(scaled, got.f, bound).ok, (draw, k)
+        seen["success"] += 1
+        if draw % 40 == 0 or inst.n >= 30:
+            code, doc = _validate_result(tmp_path, capsys, scaled, got.f, bound)
+            assert code == 0 and doc["verified"] is True, (draw, k, doc)
+            seen["validated"] += 1
+    assert seen["stage1"] >= 20 and seen["stage3"] >= 10 and seen["success"] >= 300, seen
+    assert seen["validated"] >= 15, seen
+
+
+# ---------------------------------------------------------------------------
 # stage 3: folds first, against the pairwise scan first
 
 
 def _stage3_draw(rng, k):
     """Hulls, l2 and a space at scale 2^k: ends on a coarse grid, pinched
     and infinite ends, spaces with zero and infinite distances, some not
-    transitive, and a few pairs whose gap is moved to exactly the radius
-    plus the tolerance, or one float step either side of it."""
+    transitive, and a few pairs whose gap is moved to exactly the radius,
+    or one float step either side of it."""
     n = rng.randint(2, 8)
     kind = rng.choice(["metric", "blocks", "nontransitive"])
     if kind == "nontransitive":
@@ -632,7 +685,7 @@ def _stage3_draw(rng, k):
         r = INF if d[x][y] == INF else l2 * d[x][y]
         if math.isinf(r) or math.isinf(ends[x][axis + 1]):
             continue
-        lo = ends[x][axis + 1] + (r + DEFAULT_TOL)
+        lo = ends[x][axis + 1] + r
         lo = rng.choice([lo, lo, math.nextafter(lo, INF), math.nextafter(lo, -INF)])
         ends[y][axis] = lo
         ends[y][axis + 1] = max(ends[y][axis + 1], lo)
@@ -674,6 +727,28 @@ def test_stage3_folds_first_equal_the_pairwise_scan_first(monkeypatch):
     # trips that the scan cleared, and runs that never tripped
     assert calls.count(None) >= 100, calls.count(None)
     assert seen["refined"] - calls.count(None) >= 100, seen
+
+
+@pytest.mark.parametrize("k", [0, 40, -40])
+def test_stage3_collapses_an_inversion_where_the_ends_cancel(k):
+    """Points 1 and 2 hold x >= c and x <= -c, with 2c their radius at
+    l2 = 2.2, and point 0 lies between them; its fold's ends, about
+    1.17 - 1.17, come out inverted by one rounding of the radii (2.2e-16).
+    That is more than 2^-40 of the ends (1.7e-4), but not of the radii, so
+    the fold collapses, and the solve succeeds at every scale with f scaled
+    exactly."""
+    a, b, l2 = 0.5330073590904556, 0.5331620807131727, 2.2
+    c = l2 * (a + b) / 2
+    space = validate_pseudometric([[0.0, a, b], [a, 0.0, a + b], [b, a + b, 0.0]])
+    inst = HalfPlaneInstance(space, [halfplane(0.0, 1.0, -1000.0), halfplane(-1.0, 0.0, c), halfplane(1.0, 0.0, c)])
+    want = run_projection_algorithm(inst, (4 * l2, l2))
+    R = _radii(l2, space.d[0])
+    lo = max(h.ix.lo - r for h, r in zip(want.hulls, R))
+    hi = min(h.ix.hi + r for h, r in zip(want.hulls, R))
+    assert lo - hi > math.ldexp(max(abs(lo), abs(hi)), -40) > 0, (lo, hi)
+    got = run_projection_algorithm(_scaled(inst, k), (4 * l2, l2))
+    assert got.f == [Point2(math.ldexp(p.x1, k), math.ldexp(p.x2, k)) for p in want.f]
+    assert got.refined[0].ix.lo == got.refined[0].ix.hi == math.ldexp((lo + hi) / 2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -938,11 +1013,6 @@ def test_instance_angular_order_breaks_ties_exactly(k, monkeypatch):
     x's outer box and its bracketing rows."""
     monkeypatch.setattr(lipsel.selection, "NEAREST", 2)
     monkeypatch.setattr(lipsel.selection, "BOX_SHARE", 1)
-    # the hulls are exact; at 2^40 the absolute VERIFY_TOL rejects many of
-    # these selections (the scale fault of ROADMAP item 1)
-    monkeypatch.setattr(
-        lipsel.selection, "_report", lambda inst, f, bound, seminorm: SelectionReport(True, math.nan, bound)
-    )
     point_rows = lipsel.selection._point_rows
     boxed = []
 
@@ -1022,9 +1092,25 @@ def _serial_and_split(monkeypatch, forks, inst, lambdas):
     return serial, split
 
 
+def _touching_instance(rng, n):
+    """Points whose sets are x <= 0 or x >= c, with both kinds present and
+    c the smallest distance rho between points of the two kinds, all
+    dyadic.  At l1 = l2 = 1 the hull of a point x <= 0 at distance rho from
+    one with x >= c is pinched at x = 0, so its fold trips, and the two
+    hulls are exactly l2 * rho apart, so the pairwise scan clears it."""
+    space = linf_space(rng, n)
+    right = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    c = min(space.d[x][y] for x in range(n) if x not in right for y in right)
+    return HalfPlaneInstance(
+        space, [halfplane(-1.0, 0.0, c) if x in right else halfplane(1.0, 0.0, 0.0) for x in range(n)]
+    )
+
+
 def _split_draw(rng, kind, n):
-    if kind == "planted":
+    if kind in ("planted", "raise"):
         return planted_instance(rng, n)
+    if kind == "touch":
+        return _touching_instance(rng, n)
     if kind == "polygon":
         return random_polygon_instance(rng, n, 4, planted=rng.random() < 0.5)
     if kind == "blocks":
@@ -1038,22 +1124,33 @@ def test_split_solves_equal_serial_solves(monkeypatch, forks):
     """Stages 1-2, stages 3-5 and the seminorm computed in two processes
     give the serial outcome, or raise the serial error: NoGos at stage 1 in
     either half, at stage 3, Successes through a trip the pairwise scan
-    clears, and the RuntimeError of some solves at 2^40."""
+    clears (hulls exactly l2 * rho apart), Successes at 2^±40, and the
+    error of a stage 5 that raises at one chosen point."""
     step3 = lipsel.selection.step3_refine_rects
+    step5 = lipsel.selection.step5_project
     scans = []
+    bad = set()
 
     def spy(*args):
         scans.append(1)
         return step3(*args)
 
+    def failing(inst, l1, x, *args, **kwargs):
+        if x in bad:
+            raise ValueError(f"point {x}")
+        return step5(inst, l1, x, *args, **kwargs)
+
     monkeypatch.setattr(lipsel.selection, "step3_refine_rects", spy)
+    monkeypatch.setattr(lipsel.selection, "step5_project", failing)
     rng = random.Random("split-solves")
     seen = dict.fromkeys(["stage1-lower", "stage1-upper", "stage3", "cleared", "success", "error"], 0)
-    for kind in ("planted", "polygon", "blocks", "twins", "40", "-40"):
+    for kind in ("planted", "polygon", "blocks", "twins", "touch", "raise", "40", "-40"):
         for draw in range(16):
-            inst = _split_draw(rng, kind, 2 + draw % 9 if kind.isalpha() else 10 + draw)
+            n = 2 + draw % 9 if kind.isalpha() else 10 + draw
+            inst = _split_draw(rng, kind, n)
             lam = rng.choice([0.125, 0.5, 1.0, 2.0] if kind.isalpha() else [1.0, 2.0])
-            lambdas = (lam, rng.choice([0.0, lam / 4, lam]))
+            lambdas = (1.0, 1.0) if kind == "touch" else (lam, rng.choice([0.0, lam / 4, lam]))
+            bad = {rng.randrange(n)} if kind == "raise" else set()
             del scans[:]
             serial, split = _serial_and_split(monkeypatch, forks, inst, lambdas)
             assert split == serial, (kind, draw, lambdas)
