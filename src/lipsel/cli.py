@@ -27,9 +27,15 @@ internal error: the traceback goes to stderr and stdout carries
 closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
 called repeatedly in one process: it builds its parser on the first call only.
 
-`validate` re-checks the full triangle inequality (O(n^3)); `solve` trusts it
-and checks only shape, diagonal, and symmetry, keeping the solve path at the
-solver's own quadratic growth.  Only when the solver's own verification of a
+Loading reads each number once: a matrix row or a side of plain JSON numbers
+skips the per-entry parse, and one pass over the upper triangle accepts a
+clean matrix.  Only other input takes the per-entry parse and the checks that
+name its first fault.
+
+`validate` re-checks the full triangle inequality (O(n^3)), with a slack of
+2^-40 times each sum d[i][k] + d[k][j]; `solve` trusts it and checks only
+shape, diagonal, and symmetry, keeping the solve path at the solver's own
+quadratic growth.  Only when the solver's own verification of a
 selection fails does `solve` check the triangle inequality of a "matrix", and
 a violation then exits 3 with the document `validate` prints.
 
@@ -242,30 +248,47 @@ def _raise_first_nan(rows: List[List[float]], what: str) -> None:
                 raise CliError(2, f"{what}[{i}][{j}]: NaN is not allowed")
 
 
-def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> Tuple[HalfPlane, Optional[HalfPlane]]:
+def _plain_side(raw: Any, want_exact: bool) -> Optional[HalfPlane]:
+    """The side a load keeps of a half-plane document whose h pair and
+    alpha are finite plain JSON numbers with a nonzero normal, checked once:
+    floats, or the numbers as read when `want_exact` (a float side is its own
+    exact side).  None for any other, which `_parse_halfplane` takes."""
+    if type(raw) is not dict or raw.keys() != {"h", "alpha"}:
+        return None
+    h = raw["h"]
+    if type(h) is not list or len(h) != 2:
+        return None
+    h1, h2 = h
+    al = raw["alpha"]
+    if not (type(h1) in _PLAIN_NUMBER_TYPES and type(h2) in _PLAIN_NUMBER_TYPES and type(al) in _PLAIN_NUMBER_TYPES):
+        return None
+    try:
+        f1, f2, fa = float(h1), float(h2), float(al)
+    except OverflowError:  # reported by _parse_number
+        return None
+    # a finite sum has finite terms; one that overflows sends the side on
+    if not (math.isfinite(f1 + f2 + fa) and (f1 or f2)):
+        return None
+    return HalfPlane(Point2(h1, h2), al) if want_exact else HalfPlane(Point2(f1, f2), fa)
+
+
+def _parse_halfplane(raw: Any, what: str, want_exact: bool) -> HalfPlane:
+    """The side a load keeps, parsed entry by entry: the path of any side
+    that `_plain_side` does not take, and the one that names a fault."""
     d = _expect_dict(raw, what)
     if set(d.keys()) != {"h", "alpha"}:
         raise CliError(2, f"{what} must have exactly the keys 'h' and 'alpha'")
     h = d["h"]
     if not isinstance(h, list) or len(h) != 2:
         raise CliError(2, f"{what}.h must be a pair")
-    nums = (h[0], h[1], d["alpha"])
-    try:  # plain finite JSON numbers need no per-entry parse
-        fast = set(map(type, nums)) <= _PLAIN_NUMBER_TYPES and list(map(float, nums))
-    except OverflowError:  # reported by _parse_number below
-        fast = False
-    if fast and all(map(math.isfinite, fast)):
-        (h1, h2, al), (e1, e2, ea) = fast, nums
-    else:
-        h1, e1 = _parse_number(h[0], f"{what}.h[0]", False, want_exact)
-        h2, e2 = _parse_number(h[1], f"{what}.h[1]", False, want_exact)
-        al, ea = _parse_number(d["alpha"], f"{what}.alpha", False, want_exact)
+    h1, e1 = _parse_number(h[0], f"{what}.h[0]", False, want_exact)
+    h2, e2 = _parse_number(h[1], f"{what}.h[1]", False, want_exact)
+    al, ea = _parse_number(d["alpha"], f"{what}.alpha", False, want_exact)
     try:
         hp = halfplane(h1, h2, al)
     except ValueError as exc:
         raise CliError(2, f"{what}: {exc}")
-    exact = HalfPlane(Point2(e1, e2), ea) if want_exact else None
-    return hp, exact
+    return HalfPlane(Point2(e1, e2), ea) if want_exact else hp
 
 
 def load_instance(
@@ -326,12 +349,14 @@ def load_instance(
     for i, item in enumerate(arr):
         # a half-plane is read as a one-sided polygon
         if kind == "halfplanes":
-            sides = [_parse_halfplane(item, f"halfplanes[{i}]", want_exact)]
+            polys.append([_plain_side(item, want_exact) or _parse_halfplane(item, f"halfplanes[{i}]", want_exact)])
         elif not isinstance(item, list) or not item:
             raise CliError(2, f"polygons[{i}] must be a nonempty list")
         else:
-            sides = [_parse_halfplane(raw, f"polygons[{i}][{j}]", want_exact) for j, raw in enumerate(item)]
-        polys.append([ehp if want_exact else hp for hp, ehp in sides])
+            polys.append([
+                _plain_side(side, want_exact) or _parse_halfplane(side, f"polygons[{i}][{j}]", want_exact)
+                for j, side in enumerate(item)
+            ])
     inst = None if space is None else PolygonInstance(space, polys)
     return LoadedInstance(n=n, metric_kind=metric_kind, kind=kind, inst=inst, violation=violation)
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 from typing import List, Optional, Union
 
 INF = math.inf
 
-# absolute slack for the triangle inequality; float matrices built from
-# coordinate norms can miss the exact inequality by a few ulps
-AXIOM_TOL = 1e-9
+# the one slack on a length, relative to the numbers compared: float
+# matrices built from coordinate norms can miss the exact triangle
+# inequality by a few ulps, and a relative slack does not depend on the unit
+REL_TOL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,26 @@ class MetricViolation:
 def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     """Raise on a matrix that is not square or holds NaN or a negative;
     else the first nonzero diagonal entry, else the first (i, j), j > i,
-    with d[i][j] != d[j][i], else None.  The loops that name the first
-    fault run only where a C-level pass finds one: a row passes when its
-    `min` is >= 0 and its `sum` is not NaN (`min` may step over a NaN, a
-    sum cannot), so no NaN reaches the comparison of each row right of the
-    diagonal with its column below it, whose identity shortcut could hide
-    one."""
+    with d[i][j] != d[j][i], else None.  One pass over the upper triangle
+    accepts a clean matrix: a zero diagonal, and each row right of it equal
+    to the column below it, with a `min` >= 0 and a sum that is not NaN
+    (`min` may step over a NaN, a sum cannot, and the comparison's identity
+    shortcut passes a NaN object held on both sides).  Only a matrix that
+    fails the pass runs the checks that name its first fault."""
     n = len(d)
     for row in d:
         if len(row) != n:
             raise ValueError("distance matrix must be square")
+    for i, row in enumerate(d):
+        upper = row[i + 1:]
+        if not (
+            row[i] == 0
+            and upper == [below[i] for below in d[i + 1:]]
+            and (not upper or min(upper) >= 0.0 and (total := sum(upper)) == total)
+        ):
+            break
+    else:
+        return None
     for row in d:
         if min(row) >= 0.0 and (total := sum(row)) == total:
             continue
@@ -69,8 +80,7 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     for i in range(n):
         if d[i][i] != 0:
             return MetricViolation("diagonal", i, i, i)
-    if all(d[i][i + 1:] == list(map(itemgetter(i), d[i + 1:])) for i in range(n)):
-        return None
+    # the pass failed on an asymmetry here, or on rows that are not lists
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
@@ -89,14 +99,15 @@ def validate_pseudometric(d: List[List[float]]) -> Union[PseudometricSpace, Metr
         return violation
     n = len(d)
     # d is symmetric by now, so (i, j) and (j, i) fail together and the first
-    # failure lies above the diagonal; rounding is monotone, so d[i][j] beats
-    # some d[i][k] + d[k][j] + AXIOM_TOL exactly when it beats the smallest sum
+    # failure lies above the diagonal; s + REL_TOL * s rounds monotonely in
+    # the sum s = d[i][k] + d[k][j], so d[i][j] beats it for some k exactly
+    # when it beats it for the smallest sum
     for i in range(n):
         di = d[i]
         for j in range(i + 1, n):
             dij = di[j]
-            if dij > min(map(add, di, d[j])) + AXIOM_TOL:
-                k = next(k for k in range(n) if dij > di[k] + d[k][j] + AXIOM_TOL)
+            if dij > (least := min(map(add, di, d[j]))) + REL_TOL * least:
+                k = next(k for k in range(n) if dij > (s := di[k] + d[k][j]) + REL_TOL * s)
                 return MetricViolation("triangle", i, j, k)
     return PseudometricSpace(n, [[float(v) for v in row] for row in d])
 

@@ -91,13 +91,13 @@ from lipsel.geometry import (
     uniform_norm,
 )
 from lipsel.lp2d import PairRow, Row, _Empty, _bracket, _by_angle, _envelope, _exact_normal, _offset
-from lipsel.metric import PseudometricSpace
+from lipsel.metric import REL_TOL, PseudometricSpace
 
 INF = math.inf
 
-# the one slack on a length, relative to the numbers compared; the seminorm
-# test's VERIFY_TOL is on a ratio, which does not scale
-REL_TOL, VERIFY_TOL = 2.0**-40, 1e-7
+# REL_TOL is the one slack on a length; the seminorm test's VERIFY_TOL is on
+# a ratio, which does not scale
+VERIFY_TOL = 1e-7
 
 # stage 2 builds x's outer box from the sides of x and its NEAREST nearest
 # points, and skips the box when those hold at least 1/BOX_SHARE of x's rows:

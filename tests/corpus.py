@@ -54,8 +54,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from generators import (  # noqa: E402
     instance_doc,
-    number_doc,
     planted_instance,
+    polygon_doc,
     random_instance,
     random_polygon_instance,
 )
@@ -75,12 +75,6 @@ ESTIMATES = (
     ["--lo", "1/3", "--hi", "5", "--iters", "6"],
     ["--hi", "1/1024"],
 )
-
-
-def polygon_doc(inst) -> dict:
-    polygons = [[{"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in poly] for poly in inst.polygons]
-    matrix = [[number_doc(v) for v in row] for row in inst.space.d]
-    return {"n": inst.n, "metric": {"matrix": matrix}, "sets": {"polygons": polygons}}
 
 
 def instances():

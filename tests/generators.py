@@ -187,6 +187,13 @@ def instance_doc(inst) -> dict:
     return {"n": inst.space.n, "metric": {"matrix": matrix}, "sets": sets}
 
 
+def polygon_doc(inst) -> dict:
+    """JSON-ready document for a polygon instance."""
+    polygons = [[{"h": [hp.h.x1, hp.h.x2], "alpha": hp.alpha} for hp in poly] for poly in inst.polygons]
+    matrix = [[number_doc(v) for v in row] for row in inst.space.d]
+    return {"n": inst.n, "metric": {"matrix": matrix}, "sets": {"polygons": polygons}}
+
+
 def premetric_doc(inst_sets: dict, pre: PreMetric) -> dict:
     matrix = [[number_doc(v) for v in row] for row in pre.w]
     return {"n": pre.n, "metric": {"pre_metric": matrix}, "sets": inst_sets}

@@ -418,31 +418,37 @@ def test_matrix_entries_that_are_not_numbers_exit_2(tmp_path, capsys, bad, messa
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def _load_outcome(path, full_triangle):
+def _load_outcome(path, full_triangle, want_exact):
     """What `load_instance` gives for a file: its error, or its violation,
-    distances and sides, floats by repr so that -0.0 and 0.0 differ."""
+    distances and sides, numbers by repr so that -0.0 and 0.0, 3 and 3.0
+    differ."""
     try:
-        got = load_instance(path, full_triangle=full_triangle)
+        got = load_instance(path, want_exact=want_exact, full_triangle=full_triangle)
     except lipsel.cli.CliError as exc:
         return ("error", exc.code, str(exc))
     if got.violation is not None:
         return ("violation", got.violation)
-    assert all(type(v) is float for row in got.inst.space.d for v in row)
+    if not want_exact:
+        assert all(type(v) is float for row in got.inst.space.d for v in row)
+        assert all(type(v) is float for poly in got.inst.polygons for hp in poly for v in (*hp.h, hp.alpha))
     return repr(got.inst.space.d), repr(got.inst.polygons)
 
 
 def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch):
-    """Matrix rows and half-planes of plain JSON numbers skip the per-entry
-    parse; on random documents that gives the floats and the error text of
+    """Matrix rows and sides of plain JSON numbers skip the per-entry
+    parse; on random half-plane and polygon documents, loaded with float
+    and with exact numbers, that gives the instance and the error text of
     the per-entry parse, which every entry takes when the set of plain
     number types is empty.  Entries include bools, ints beyond float
     range, NaN in float-only and in mixed rows and before a later token that
-    does not parse, negatives, infinities and string numbers."""
+    does not parse, negatives, infinities, string numbers and zero
+    normals."""
     pool = [0.0, -0.0, 1.5, 0.1, 3, 0, 2.0**60, 10**400, -1.0, -2, True, math.nan, math.inf, -math.inf,
             "1/3", "0.5", "inf", "nan", "abc"]
     rng = random.Random("plain-numbers")
-    seen = {"error": 0, "violation": 0, "loaded": 0, "nan": 0, "nan_first": 0}
-    for draw in range(1500):
+    seen = {"error": 0, "violation": 0, "loaded": 0, "nan": 0, "nan_first": 0, "zero_normal": 0,
+            "polygons": 0, "exact": 0}
+    for draw in range(2000):
         n = rng.randint(1, 4)
         bad = rng.random() < 0.6
         d = [[0.0] * n for _ in range(n)]
@@ -451,26 +457,34 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
                 d[i][j] = d[j][i] = rng.choice([1.5, 2.0, 0.25, 7, 1])
         for _ in range(rng.randint(1, 3) if bad else 0):
             d[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
-        planes = []
+        polygons = rng.random() < 0.5
+        sides = []
         for _ in range(n):
-            h = [rng.choice([1.0, -2.0, 0.5, 3, 0]), rng.choice([1.0, 0.0, -1, 2])]
-            alpha = rng.choice([0.0, -1.5, 4, -0.0])
-            plane = {"h": h, "alpha": alpha}
-            if bad and rng.random() < 0.2:
-                slot = rng.choice([0, 1, "alpha"])
-                (plane if slot == "alpha" else h)[slot] = rng.choice(pool)
-            planes.append(plane)
+            poly = []
+            for _ in range(rng.randint(1, 3) if polygons else 1):
+                h = [rng.choice([1.0, -2.0, 0.5, 3, 0]), rng.choice([1.0, 0.0, -1, 2])]
+                side = {"h": h, "alpha": rng.choice([0.0, -1.5, 4, -0.0, 0.1])}
+                if bad and rng.random() < 0.2:
+                    slot = rng.choice([0, 1, "alpha"])
+                    (side if slot == "alpha" else h)[slot] = rng.choice(pool)
+                poly.append(side)
+            sides.append(poly)
+        sets = {"polygons": sides} if polygons else {"halfplanes": [poly[0] for poly in sides]}
         kind = rng.choice(["matrix", "pre_metric"])
         path = str(tmp_path / f"doc{draw % 4}.json")
         with open(path, "w") as fh:
-            json.dump({"n": n, "metric": {kind: d}, "sets": {"halfplanes": planes}}, fh)
-        full = rng.random() < 0.5
-        fast = _load_outcome(path, full)
+            json.dump({"n": n, "metric": {kind: d}, "sets": sets}, fh)
+        full, exact = rng.random() < 0.5, rng.random() < 0.5
+        fast = _load_outcome(path, full, exact)
         with monkeypatch.context() as m:
             m.setattr(lipsel.cli, "_PLAIN_NUMBER_TYPES", set())
-            slow = _load_outcome(path, full)
-        assert fast == slow, (d, planes, kind, full)
+            slow = _load_outcome(path, full, exact)
+        assert fast == slow, (d, sets, kind, full, exact)
         seen[fast[0] if fast[0] in ("error", "violation") else "loaded"] += 1
+        if fast[0] not in ("error", "violation"):
+            seen["polygons"] += polygons
+            seen["exact"] += exact
+        seen["zero_normal"] += fast[0] == "error" and "normal must be nonzero" in fast[2]
         if fast[0] == "error" and fast[2].startswith("metric") and "NaN" in fast[2]:
             seen["nan"] += 1
             flat = [v for row in d for v in row]

@@ -38,24 +38,27 @@ def test_triangle_violation_reported():
     assert got == MetricViolation("triangle", 0, 1, 2)
 
 
-def _first_triangle_violation(d, tol=1e-9):
+def _first_triangle_violation(d, rel=2.0**-40):
     """The scan `validate_pseudometric` makes, written as the plain triple
-    loop over (i, j, k)."""
+    loop over (i, j, k): d[i][j] may exceed the sum s = d[i][k] + d[k][j]
+    by rel * s."""
     n = len(d)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if d[i][j] > d[i][k] + d[k][j] + tol:
+                s = d[i][k] + d[k][j]
+                if d[i][j] > s + rel * s:
                     return MetricViolation("triangle", i, j, k)
     return None
 
 
 def test_triangle_scan_reports_the_first_violation_of_the_triple_loop():
     """Random symmetric matrices with ties, infinities and sums that miss by
-    about the tolerance: the reported violation, or its absence, is the one
-    the triple loop finds first."""
+    about the slack, at unit scale and scaled by 2^40 and 2^-40: the
+    reported violation, or its absence, is the one the triple loop finds
+    first, and it does not depend on the scale."""
     rng = random.Random("triangle-scan")
-    values = [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, 1.5, 2.0, 3.0, INF]
+    values = [0.0, 0.5, 1.0, 1.0 + 2.0**-40, 1.0 + 3 * 2.0**-40, 1.5, 2.0, 3.0, INF]
     seen = {"violation": 0, "none": 0}
     for _ in range(400):
         n = rng.randint(2, 7)
@@ -64,10 +67,21 @@ def test_triangle_scan_reports_the_first_violation_of_the_triple_loop():
             for j in range(i + 1, n):
                 d[i][j] = d[j][i] = rng.choice(values)
         want = _first_triangle_violation(d)
-        got = validate_pseudometric(d)
-        assert got == want if want is not None else isinstance(got, PseudometricSpace), d
+        for scale in (1.0, 2.0**40, 2.0**-40):
+            scaled = [[v * scale for v in row] for row in d]
+            got = validate_pseudometric(scaled)
+            assert got == want if want is not None else isinstance(got, PseudometricSpace), (d, scale)
         seen["violation" if want is not None else "none"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_triangle_verdict_does_not_depend_on_the_unit(k):
+    """An excess of half the sum is a violation at any scale; an absolute
+    slack let it pass once the matrix was small enough."""
+    s = 2.0**k
+    got = validate_pseudometric([[0.0, s, 3 * s], [s, 0.0, s], [3 * s, s, 0.0]])
+    assert got == MetricViolation("triangle", 0, 2, 1)
 
 
 def test_diagonal_violation_reported():
@@ -82,9 +96,14 @@ def test_symmetry_violation_reported():
 
 
 def test_triangle_tolerance_absorbs_ulp_noise():
-    eps = 1e-12
-    d = [[0.0, 1.0 + eps, 0.5], [1.0 + eps, 0.0, 0.5], [0.5, 0.5, 0.0]]
-    assert isinstance(validate_pseudometric(d), PseudometricSpace)
+    """An excess of 2^-44 of the sum (256 ulps) passes at any scale; 2^-39
+    does not."""
+    for k in (-40, 0, 40):
+        s = 2.0**k
+        for eps, ok in ((2.0**-44, True), (2.0**-39, False)):
+            far = (1.0 + eps) * s
+            d = [[0.0, far, 0.5 * s], [far, 0.0, 0.5 * s], [0.5 * s, 0.5 * s, 0.0]]
+            assert isinstance(validate_pseudometric(d), PseudometricSpace) is ok, (k, eps)
 
 
 def test_inf_distances_are_legal():
@@ -139,21 +158,32 @@ def _axioms_by_loops(d):
 def test_shape_diagonal_and_symmetry_checks_equal_the_plain_loops():
     """Random matrices with asymmetries, NaN, negatives, infinities, ints
     and signed zeros: both validators raise the error, or report the
-    violation, that the plain loops find first."""
+    violation, that the plain loops find first.  The last 400 draws have
+    20 to 40 points, no fault but one in their last three rows, and half of
+    those faults are put at (i, j) and (j, i) as one object, where the
+    upper triangle equals the lower and only `min` or `sum` sees it."""
     rng = random.Random("axiom-loops")
     values = [0.0, -0.0, 0, 1, 3, 0.5, 2.0, INF, -INF, -1.0, -2, math.nan]
     weights = [20, 2, 6, 6, 4, 8, 8, 4, 1, 1, 1, 1]
-    seen = {}
-    for _ in range(3000):
-        n = rng.randint(1, 6)
+    clean = values[:8]
+    seen, late = {}, {}
+    for draw in range(3400):
+        big = draw >= 3000
+        n = rng.randint(20, 40) if big else rng.randint(1, 6)
         d = [[0.0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                d[i][j] = d[j][i] = 0.0 if i == j else rng.choices(values, weights)[0]
-        for _ in range(rng.choice([0, 0, 1, 2])):
-            d[rng.randrange(n)][rng.randrange(n)] = rng.choices(values, weights)[0]
+                d[i][j] = d[j][i] = 0.0 if i == j else rng.choice(clean) if big else rng.choices(values, weights)[0]
+        if big:
+            i, j = rng.randrange(n - 3, n), rng.randrange(n)
+            d[i][j] = rng.choice(values[8:] + [1, 2.0, 7.5])
+            if rng.random() < 0.5:
+                d[j][i] = d[i][j]
+        else:
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                d[rng.randrange(n)][rng.randrange(n)] = rng.choices(values, weights)[0]
         if rng.random() < 0.02:
-            d[rng.randrange(n)].append(1.0)
+            d[rng.randrange(n - 3 if big else 0, n)].append(1.0)
         want = _axioms_by_loops(d)
         for validate in (validate_premetric, validate_pseudometric):
             try:
@@ -167,7 +197,10 @@ def test_shape_diagonal_and_symmetry_checks_equal_the_plain_loops():
                 assert got == want, (d, got, want)
         key = want if isinstance(want, (str, type(None))) else want.axiom
         seen[key] = seen.get(key, 0) + 1
+        if big:
+            late[key] = late.get(key, 0) + 1
     assert len(seen) == 6 and min(seen.values()) >= 50, seen
+    assert len(late) == 6 and min(late.values()) >= 5, late
 
 
 def test_premetric_skips_triangle():
