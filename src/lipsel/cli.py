@@ -27,10 +27,10 @@ internal error: the traceback goes to stderr and stdout carries
 closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
 called repeatedly in one process: it builds its parser on the first call only.
 
-Loading reads each number once: a matrix row or a side of plain JSON numbers
-skips the per-entry parse, and one pass over the upper triangle accepts a
-clean matrix.  Only other input takes the per-entry parse and the checks that
-name its first fault.
+Loading reads each number once: a matrix row's plain JSON numbers and a side
+of them skip the per-entry parse, and one pass over the upper triangle
+accepts a clean matrix.  Only other input takes the per-entry parse and the
+checks that name its first fault.
 
 `validate` re-checks the full triangle inequality (O(n^3)), with a slack of
 2^-40 times each sum d[i][k] + d[k][j]; `solve` trusts it and checks only
@@ -56,6 +56,8 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not
 from typing import Any, List, Optional, Tuple
 
 from lipsel.geometry import ExtRect, HalfPlane, Point2, halfplane
@@ -201,37 +203,40 @@ _PLAIN_NUMBER_TYPES = {int, float}
 def _parse_matrix(
     raw: Any, n: int, what: str, want_exact: bool
 ) -> Tuple[List[List[float]], List[List[Any]]]:
-    """Float rows, and exact ones when `want_exact`.  A row of plain JSON
-    numbers skips the per-entry parse and is its own exact row;
-    `_raise_first_nan` names a NaN in it before any later error, as that
-    parse would, once the validators' or a later row's check fails."""
+    """Float rows, and exact ones when `want_exact`.  Plain JSON numbers
+    skip the per-entry parse, and a row of them is its own exact row;
+    `_raise_first_nan` names a NaN among them before any later error, as
+    that parse would, once the validators' or a later entry's check fails."""
     if not isinstance(raw, list) or len(raw) != n:
         raise CliError(2, f"{what} must be an {n}x{n} array")
     floats: List[List[float]] = []
     exacts: List[List[Any]] = []
+    plain = float if float in _PLAIN_NUMBER_TYPES else None  # an empty set turns the skips off
     try:
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise CliError(2, f"{what} row {i} must have {n} entries")
-            # `float in` lets an empty set of plain types turn this path off too
-            if float in _PLAIN_NUMBER_TYPES and list(map(type, row)).count(float) == n:
+            types = list(map(type, row))
+            if types.count(plain) == n:
                 floats.append(row)
                 exacts.append(row)
                 continue
-            if set(map(type, row)) <= _PLAIN_NUMBER_TYPES:
+            if set(types) <= _PLAIN_NUMBER_TYPES:
                 try:
                     floats.append(list(map(float, row)))
                     exacts.append(row)
                     continue
                 except OverflowError:  # reported by _parse_number below
                     pass
-            frow = []
-            erow: List[Any] = []
-            for j, tok in enumerate(row):
-                val, fr = _parse_number(tok, f"{what}[{i}][{j}]", True, want_exact)
-                frow.append(val)
+            frow, erow = list(row), list(row) if want_exact else []
+            for j in compress(range(n), map(is_not, types, repeat(plain))):
+                try:
+                    frow[j], fr = _parse_number(row[j], f"{what}[{i}][{j}]", True, want_exact)
+                except CliError:
+                    floats.append(frow[:j])  # its floats before j come first
+                    raise
                 if want_exact:
-                    erow.append(val if fr is None else fr)
+                    erow[j] = frow[j] if fr is None else fr
             floats.append(frow)
             exacts.append(erow)
     except CliError:

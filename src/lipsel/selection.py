@@ -51,7 +51,7 @@ numbers with the other after each phase.
 In stages 1-2 this process takes the points upward and the child downward
 until they meet; stage 3's folds split the points at the middle, stages
 4-5 follow stage 2's split, and the seminorm's rows split by their count
-of pairs, as in `lipschitz_seminorm`, which splits from about n = 300.
+of pairs, as in `lipschitz_seminorm`, which splits from about n = 330.
 When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
 processes; each error is raised in point order, and the results, NoGos and
 errors equal those of the serial run.  A fork that fails, or a child that
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import nsmallest
 from itertools import accumulate, chain, compress, repeat
-from operator import add, gt, le, mul, sub, truediv
+from operator import le, mul
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
@@ -84,7 +84,6 @@ from lipsel.geometry import (
     HalfPlane,
     MaybeRect,
     Point2,
-    ext_div,
     ext_sub,
     inflation_radius,
     rect_project_origin_center,
@@ -437,25 +436,44 @@ def step3_refine_rects(
 
 def _fold(ends: tuple, l2: float, drow: Sequence[float]) -> Tuple[float, float, float, float]:
     """The shrunk ends (lo1, hi1, lo2, hi2) of the point with distance row
-    `drow`: per-axis max/min folds over the neighbours' inflated ends."""
+    `drow`: per-axis max/min folds over the neighbours' inflated ends, in one
+    pass from point 0's terms that takes a term only when strictly larger
+    (smaller), so it keeps the first extreme, as `max` and `min` do."""
     LO1, HI1, LO2, HI2 = ends
-    R = _radii(l2, drow)
-    return max(map(sub, LO1, R)), min(map(add, HI1, R)), max(map(sub, LO2, R)), min(map(add, HI2, R))
+    if l2 == 0.0:  # `_radii`'s rule; 1.0 * r is r
+        l2, drow = 1.0, _radii(0.0, drow)
+    terms = zip(LO1, HI1, LO2, HI2, drow)
+    a, b, c, e, rho = next(terms)
+    lo1, hi1, lo2, hi2 = a - l2 * rho, b + l2 * rho, c - l2 * rho, e + l2 * rho
+    for a, b, c, e, rho in terms:
+        r = l2 * rho
+        if a - r > lo1:
+            lo1 = a - r
+        if b + r < hi1:
+            hi1 = b + r
+        if c - r > lo2:
+            lo2 = c - r
+        if e + r < hi2:
+            hi2 = e + r
+    return lo1, hi1, lo2, hi2
 
 
 def _first_far_pair(LO1, HI1, LO2, HI2, l2: float, space: PseudometricSpace) -> Optional[NoGo]:
-    """NoGo(3, x) for the first x with a y > x whose hull is over l2 * rho away."""
+    """NoGo(3, x) for the first x with a y > x whose hull is over l2 * rho
+    away, in one pass over x's later points that stops there.  A pair's gap
+    is the first largest of its four per-axis gaps, as `max` keeps it."""
     for x in range(space.n):
-        R = _radii(l2, space.d[x][x + 1:])
-        gaps = map(
-            max,
-            map(sub, repeat(LO1[x]), HI1[x + 1:]),
-            map(sub, LO1[x + 1:], repeat(HI1[x])),
-            map(sub, repeat(LO2[x]), HI2[x + 1:]),
-            map(sub, LO2[x + 1:], repeat(HI2[x])),
-        )
-        if any(map(gt, gaps, R)):
-            return NoGo(3, x)
+        lo1, hi1, lo2, hi2, R = LO1[x], HI1[x], LO2[x], HI2[x], _radii(l2, space.d[x][x + 1:])
+        for a, b, c, e, r in zip(LO1[x + 1:], HI1[x + 1:], LO2[x + 1:], HI2[x + 1:], R):
+            gap = lo1 - b
+            if a - hi1 > gap:
+                gap = a - hi1
+            if lo2 - e > gap:
+                gap = lo2 - e
+            if c - hi2 > gap:
+                gap = c - hi2
+            if gap > r:
+                return NoGo(3, x)
     return None
 
 
@@ -807,9 +825,9 @@ def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
         raise ValueError("one value per point is required")
     X = [p.x1 for p in f]
     Y = [p.x2 for p in f]
-    # its n * (n - 1) / 2 pairs in stage-1 rows: at n = 200-400 a pair took
-    # 0.27-0.42 us, about 1/4 of a serial solve's row (1.1-2.2 us; 2-vCPU x86)
-    return _in_two(partial(_seminorm, X, Y, space), n, n * (n - 1) // 8)
+    # its n * (n - 1) / 2 pairs in stage-1 rows, 2/11 of a row each: split
+    # seminorms broke even near n = 330 (`tests/split_times.py`, 2-vCPU x86)
+    return _in_two(partial(_seminorm, X, Y, space), n, n * (n - 1) // 11)
 
 
 def _seminorm(
@@ -829,19 +847,21 @@ def _row_cut(k: int, n: int) -> int:
 
 
 def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int) -> float:
-    """The largest ratio over the pairs (i, j > i) with lo <= i < hi, or 0."""
-    out = 0.0
+    """The largest ratio over the pairs (i, j > i) with lo <= i < hi, or 0,
+    in one pass per row: max(|dx|, |dy|) / rho, which is max(|dx| / rho,
+    |dy| / rho) as rounded division is monotone, with 0/0 = 0 and x/0 = inf
+    (`ext_div`); only a strictly larger one replaces it, as in `max`."""
+    out, d = 0.0, space.d
     for i in range(lo, min(hi, space.n - 1)):
-        # max(|dx|, |dy|) / rho is max(|dx| / rho, |dy| / rho): both
-        # divisions are correctly rounded, so monotone
-        rest = space.d[i][i + 1:]
-        div = ext_div if 0.0 in rest else truediv
-        ratio = max(
-            max(map(div, map(abs, map(sub, repeat(X[i]), X[i + 1:])), rest)),
-            max(map(div, map(abs, map(sub, repeat(Y[i]), Y[i + 1:])), rest)),
-        )
-        if ratio > out:
-            out = ratio
+        xi, yi = X[i], Y[i]
+        for xj, yj, rho in zip(X[i + 1:], Y[i + 1:], d[i][i + 1:]):
+            dx, dy = abs(xi - xj), abs(yi - yj)
+            if dy > dx:
+                dx = dy
+            if not rho:
+                dx, rho = (INF if dx else 0.0), 1.0
+            if dx / rho > out:
+                out = dx / rho
     return out
 
 

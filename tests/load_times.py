@@ -4,11 +4,14 @@ print a table.
     PYTHONPATH=src python tests/load_times.py
     PYTHONPATH=src python tests/load_times.py --rounds 15
 
-It writes three sets of instance files, as the benchmark writes its inputs
+It writes four sets of instance files, as the benchmark writes its inputs
 (floats, infinite distances as "inf"), to a temporary directory:
 
 - planted: `planted_instance(random.Random(5000 + i), 800)`, i = 0, 1,
   loaded as `solve` loads them (floats, no triangle check);
+- inf-blocks: `random_instance(random.Random(8000 + i), 800,
+  inf_blocks=True)`, i = 0, 1, whose rows mix floats with "inf", loaded as
+  `solve` loads them;
 - polygon: `random_polygon_instance(random.Random(6000 + i), 100, 4)`,
   i = 0..3, loaded as `solve` loads them;
 - draws: `mixed_instance(random.Random(7000 + i), 1 + i % 5)`, i = 0..99,
@@ -43,6 +46,7 @@ from generators import (  # noqa: E402
     mixed_instance,
     planted_instance,
     polygon_doc,
+    random_instance,
     random_polygon_instance,
 )
 from lipsel.cli import load_instance  # noqa: E402
@@ -52,6 +56,8 @@ ORACLE = (True, True)  # of `sharp` and `estimate`
 
 SHAPES = {
     "planted": (lambda: [instance_doc(planted_instance(random.Random(5000 + i), 800)) for i in range(2)], [SOLVE]),
+    "inf-blocks": (lambda: [instance_doc(random_instance(random.Random(8000 + i), 800, inf_blocks=True))
+                            for i in range(2)], [SOLVE]),
     "polygon": (lambda: [polygon_doc(random_polygon_instance(random.Random(6000 + i), 100, 4)) for i in range(4)],
                 [SOLVE]),
     "draws": (lambda: [instance_doc(mixed_instance(random.Random(7000 + i), 1 + i % 5)) for i in range(100)],

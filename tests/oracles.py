@@ -17,8 +17,13 @@ systems can be handed to the oracle; `fm_feasible_reference` is the
 `Fraction` Fourier-Motzkin elimination that `lipsel.oracle` ran before it
 moved to integer rows, kept as the reference its verdicts and witnesses
 must equal exactly; `step3_refine_rects_reference` is stage 3 as it
-was before it ran its folds first, with the pairwise scan always first,
-kept as the reference its NoGos and rectangles must equal exactly;
+was before it ran its folds first, with the pairwise scan
+(`first_far_pair_reference`) always first, kept as the reference its NoGos
+and rectangles must equal exactly; `fold_reference`, that scan and
+`row_ratios_reference` are stage 3's fold of one point, its pairwise scan
+and the seminorm's rows as chained `map` passes under `max` and `min`, as
+`lipsel.selection` ran them before it ran one loop per point, kept as the
+references their results must equal bit for bit;
 `estimate_reference` is the plain bisection that
 `lipsel.oracle.estimate_min_seminorm` ran before it settled points from
 witness seminorms, one elimination per point, kept as the reference its
@@ -33,11 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, gt, sub
+from operator import add, gt, sub, truediv
 
 import numpy as np
 
-from lipsel.geometry import ExtInterval, ExtRect, HalfPlane, inflation_radius
+from lipsel.geometry import ExtInterval, ExtRect, HalfPlane, ext_div, inflation_radius
 from lipsel.oracle import (
     FM_VAR_CAP,
     FmFeasible,
@@ -309,7 +314,23 @@ def step3_refine_rects_reference(hulls, l2, space):
     HI1 = [t.ix.hi for t in hulls]
     LO2 = [t.iy.lo for t in hulls]
     HI2 = [t.iy.hi for t in hulls]
+    nogo = first_far_pair_reference(LO1, HI1, LO2, HI2, l2, space)
+    if nogo is not None:
+        return nogo
+    refined = []
     for x in range(n):
+        R = _radii(l2, space.d[x])
+        lo1, hi1, lo2, hi2 = fold_reference((LO1, HI1, LO2, HI2), l2, space.d[x])
+        lo1, hi1 = _collapse(lo1, hi1, R)
+        lo2, hi2 = _collapse(lo2, hi2, R)
+        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
+    return refined
+
+
+def first_far_pair_reference(LO1, HI1, LO2, HI2, l2, space):
+    """NoGo(3, x) for the first x with a y > x whose hull is over l2 * rho
+    away, a pair's gap the `max` of its four per-axis gaps, or None."""
+    for x in range(space.n):
         R = _radii(l2, space.d[x][x + 1:])
         gaps = map(
             max,
@@ -320,13 +341,32 @@ def step3_refine_rects_reference(hulls, l2, space):
         )
         if any(map(gt, gaps, R)):
             return NoGo(3, x)
-    refined = []
-    for x in range(n):
-        R = _radii(l2, space.d[x])
-        lo1, hi1 = _collapse(max(map(sub, LO1, R)), min(map(add, HI1, R)), R)
-        lo2, hi2 = _collapse(max(map(sub, LO2, R)), min(map(add, HI2, R)), R)
-        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
-    return refined
+    return None
+
+
+def fold_reference(ends, l2, drow):
+    """The ends (lo1, hi1, lo2, hi2) of one point's stage-3 fold: `max` and
+    `min` over each axis's ends moved out by the radii of its row."""
+    LO1, HI1, LO2, HI2 = ends
+    R = _radii(l2, drow)
+    return max(map(sub, LO1, R)), min(map(add, HI1, R)), max(map(sub, LO2, R)), min(map(add, HI2, R))
+
+
+def row_ratios_reference(X, Y, space, lo, hi):
+    """The largest ratio |f(i) - f(j)| / d(i, j) over the pairs (i, j > i)
+    with lo <= i < hi, or 0: per row, the `max` of the per-axis ratios,
+    with 0/0 = 0 and x/0 = inf (`ext_div`) in a row that holds a zero."""
+    out = 0.0
+    for i in range(lo, min(hi, space.n - 1)):
+        rest = space.d[i][i + 1:]
+        div = ext_div if 0.0 in rest else truediv
+        ratio = max(
+            max(map(div, map(abs, map(sub, repeat(X[i]), X[i + 1:])), rest)),
+            max(map(div, map(abs, map(sub, repeat(Y[i]), Y[i + 1:])), rest)),
+        )
+        if ratio > out:
+            out = ratio
+    return out
 
 
 # ---------------------------------------------------------------------------

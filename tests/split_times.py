@@ -14,10 +14,11 @@ run of each.  For each size and mode it prints the solve's stage-1 work
 (n times the instance's number of sides: the rows stage 1 scans, the unit
 of `SPLIT_MIN`), the forks per solve, the median of this process's minor
 page faults per solve (`ru_minflt`, so the copy-on-write faults of the
-process that forks, not the child's), and the median and quartiles of the
-wall time per solve.  The split column holds only where this process may fork onto two
-CPUs.  The standard library and the test generators are all it needs;
-pytest does not collect it.
+process that forks, not the child's), the median and quartiles of the
+wall time per solve, and the median wall time of `lipschitz_seminorm` on
+the solve's selection, in the same mode.  The split column holds only
+where this process may fork onto two CPUs.  The standard library and the
+test generators are all it needs; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from lipsel import selection  # noqa: E402
 
 def time_size(n: int, sides: int, rounds: int):
     """The stage-1 work, and {mode: (forks per solve, minor faults per
-    solve, wall seconds)} at n."""
+    solve, wall seconds, seminorm wall seconds)} at n."""
     if sides == 1:
         inst, lambdas = planted_instance(random.Random(5000 + n), n), (2.0, 2.0)
     else:
@@ -52,7 +53,7 @@ def time_size(n: int, sides: int, rounds: int):
 
     os.fork = counting
     modes = {"serial": math.inf, "split": 1}
-    out = {mode: ([], [], []) for mode in modes}
+    out = {mode: ([], [], [], []) for mode in modes}
     try:
         for r in range(rounds + 1):
             for mode, split_min in modes.items():
@@ -60,11 +61,15 @@ def time_size(n: int, sides: int, rounds: int):
                 del forks[:]
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
-                selection.run_projection_algorithm(inst, lambdas)
+                f = selection.run_projection_algorithm(inst, lambdas).f
                 wall = time.perf_counter() - start
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                solve_forks = len(forks)
+                start = time.perf_counter()
+                selection.lipschitz_seminorm(f, inst.space)
+                seminorm = time.perf_counter() - start
                 if r:  # the first round warms caches and is not counted
-                    for got, v in zip(out[mode], (len(forks), faults, wall)):
+                    for got, v in zip(out[mode], (solve_forks, faults, wall, seminorm)):
                         got.append(v)
     finally:
         os.fork = fork
@@ -77,14 +82,14 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--sides", type=int, default=1, help="sides per point (default 1: half-planes)")
     args = parser.parse_args()
-    print("n  work  mode  forks  minflt  wall_median_s  wall_q1_s  wall_q3_s")
+    print("n  work  mode  forks  minflt  wall_median_s  wall_q1_s  wall_q3_s  seminorm_median_s")
     for n in args.sizes:
         work, modes = time_size(n, args.sides, args.rounds)
-        for mode, (forks, faults, walls) in modes.items():
+        for mode, (forks, faults, walls, seminorms) in modes.items():
             q1, _, q3 = statistics.quantiles(walls, n=4) if len(walls) > 1 else walls * 3
             print(
                 f"{n}  {work}  {mode}  {statistics.mean(forks):g}  {statistics.median(faults):.0f}"
-                f"  {statistics.median(walls):.4f}  {q1:.4f}  {q3:.4f}",
+                f"  {statistics.median(walls):.4f}  {q1:.4f}  {q3:.4f}  {statistics.median(seminorms):.5f}",
                 flush=True,
             )
 

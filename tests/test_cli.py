@@ -442,12 +442,14 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
     number types is empty.  Entries include bools, ints beyond float
     range, NaN in float-only and in mixed rows and before a later token that
     does not parse, negatives, infinities, string numbers and zero
-    normals."""
+    normals; some rows mix floats with symmetric "inf", "1/3" and "0.5"
+    entries, of which a mixed row parses only the strings, and some hold a
+    NaN before a bad token in the same row."""
     pool = [0.0, -0.0, 1.5, 0.1, 3, 0, 2.0**60, 10**400, -1.0, -2, True, math.nan, math.inf, -math.inf,
             "1/3", "0.5", "inf", "nan", "abc"]
     rng = random.Random("plain-numbers")
     seen = {"error": 0, "violation": 0, "loaded": 0, "nan": 0, "nan_first": 0, "zero_normal": 0,
-            "polygons": 0, "exact": 0}
+            "polygons": 0, "exact": 0, "mixed_loaded": 0, "nan_in_mixed_row": 0}
     for draw in range(2000):
         n = rng.randint(1, 4)
         bad = rng.random() < 0.6
@@ -455,8 +457,13 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
         for i in range(n):
             for j in range(i + 1, n):
                 d[i][j] = d[j][i] = rng.choice([1.5, 2.0, 0.25, 7, 1])
+                if rng.random() < 0.2:
+                    d[i][j] = d[j][i] = rng.choice(["inf", "1/3", "0.5"])
         for _ in range(rng.randint(1, 3) if bad else 0):
             d[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
+        if bad and n >= 2 and rng.random() < 0.2:  # a NaN, then a bad token, in one row
+            row, (j1, j2) = d[rng.randrange(n)], sorted(rng.sample(range(n), 2))
+            row[j1], row[j2] = math.nan, rng.choice(["abc", "nan", True, 10**400])
         polygons = rng.random() < 0.5
         sides = []
         for _ in range(n):
@@ -481,15 +488,18 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
             slow = _load_outcome(path, full, exact)
         assert fast == slow, (d, sets, kind, full, exact)
         seen[fast[0] if fast[0] in ("error", "violation") else "loaded"] += 1
+        mixed = [any(type(v) is float for v in row) and any(type(v) is str for v in row) for row in d]
         if fast[0] not in ("error", "violation"):
             seen["polygons"] += polygons
             seen["exact"] += exact
+            seen["mixed_loaded"] += any(mixed)
         seen["zero_normal"] += fast[0] == "error" and "normal must be nonzero" in fast[2]
         if fast[0] == "error" and fast[2].startswith("metric") and "NaN" in fast[2]:
             seen["nan"] += 1
             flat = [v for row in d for v in row]
             first = next(k for k, v in enumerate(flat) if isinstance(v, float) and math.isnan(v))
             seen["nan_first"] += any(isinstance(v, (str, bool)) or v == 10**400 for v in flat[first + 1:])
+            seen["nan_in_mixed_row"] += mixed[first // n]
     assert min(seen.values()) >= 15, seen
 
 

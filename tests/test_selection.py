@@ -25,9 +25,12 @@ from generators import (
 )
 from oracles import (
     _integer_row,
+    first_far_pair_reference,
+    fold_reference,
     hull_reference,
     pair_bound_reference,
     refinement_constraints,
+    row_ratios_reference,
     step3_refine_rects_reference,
 )
 from lipsel.geometry import (
@@ -65,9 +68,12 @@ from lipsel.selection import (
     Success,
     _ends,
     _exact_rows,
+    _first_far_pair,
+    _fold,
     _hull_from_rows,
     _point_rows,
     _radii,
+    _row_ratios,
     check_wnew,
     lipschitz_seminorm,
     run_projection_algorithm,
@@ -751,6 +757,66 @@ def test_stage3_collapses_an_inversion_where_the_ends_cancel(k):
     assert got.refined[0].ix.lo == got.refined[0].ix.hi == math.ldexp((lo + hi) / 2, k)
 
 
+def _fused_draw(rng, k):
+    """Hull ends, l2, a space and values at scale 2^k for the one-pass
+    loops: ends on a coarse grid with -0.0 and 0.0, and infinities of either
+    sign at either end, so that some fold terms are inf - inf = NaN;
+    distances 0.0, -0.0, inf and grid values, not always transitive; values
+    on a grid, so that pairs at distance zero give 0/0 and x/0."""
+    n = rng.randint(1, 9)
+    s = math.ldexp(1.0, k)
+
+    def end():
+        if rng.random() < 0.12:
+            return rng.choice([INF, -INF])
+        return s * rng.choice([-0.0, 0.0, 0.5, -1.0, 1.5, -3.0])
+
+    ends = tuple([end() for _ in range(n)] for _ in range(4))
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = rng.choice([0.0, 0.0, -0.0])
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.choice([0.0, -0.0, INF, s * 0.25, s * 1.0, s * 1.5, s * 3.0])
+    values = [[s * rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0]) for _ in range(n)] for _ in range(2)]
+    return ends, rng.choice([0.0, 0.5, 1.0, 1.3, 2.0]), PseudometricSpace(n, d), values
+
+
+def test_one_pass_stage3_and_seminorm_equal_the_map_passes():
+    """`_fold`, `_first_far_pair` and `_row_ratios` equal their `max`/`min`
+    over `map` references bit for bit (repr, so -0.0 against 0.0 and NaN
+    count) at scales 1 and 2^±40: a fold whose first term is NaN keeps it,
+    a tie of -0.0 and 0.0 keeps the first, l2 = 0 keeps inf radii, and a
+    pair at distance zero gives 0/0 = 0 and x/0 = inf."""
+    rng = random.Random("one-pass")
+    seen = {"nan_first": 0, "zero_tie": 0, "l2_zero_inf": 0, "nogo": 0, "zero_over_zero": 0, "over_zero": 0}
+    for k in (0, 40, -40):
+        for _ in range(1500):
+            ends, l2, space, (X, Y) = _fused_draw(rng, k)
+            n = space.n
+            for x in range(n):
+                want = fold_reference(ends, l2, space.d[x])
+                assert repr(_fold(ends, l2, space.d[x])) == repr(want), (ends, l2, space.d[x])
+                R = _radii(l2, space.d[x])
+                lows, highs = [a - r for a, r in zip(ends[0], R)], [b + r for b, r in zip(ends[1], R)]
+                seen["nan_first"] += math.isnan(lows[0]) or math.isnan(highs[0])
+                signs = {math.copysign(1.0, t) for t in lows if t == 0.0}
+                seen["zero_tie"] += max(lows) == 0.0 and signs == {1.0, -1.0}
+                seen["l2_zero_inf"] += l2 == 0.0 and INF in space.d[x]
+            want = first_far_pair_reference(*ends, l2, space)
+            assert _first_far_pair(*ends, l2, space) == want, (ends, l2, space.d)
+            seen["nogo"] += want is not None
+            lo = rng.randint(0, n)
+            hi = rng.randint(lo, n)
+            want = row_ratios_reference(X, Y, space, lo, hi)
+            assert repr(_row_ratios(X, Y, space, lo, hi)) == repr(want), (X, Y, space.d, lo, hi)
+            for i in range(lo, min(hi, n - 1)):
+                for j in range(i + 1, n):
+                    if space.d[i][j] == 0.0:
+                        key = "over_zero" if (X[i], Y[i]) != (X[j], Y[j]) else "zero_over_zero"
+                        seen[key] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 # ---------------------------------------------------------------------------
 # stage-2 hulls against the exact Fraction reference
 
@@ -1367,9 +1433,10 @@ def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks)
 
 def test_split_threshold_counts_stage1_rows(forks):
     """A solve splits when its stage-1 work, n times its instance's number
-    of sides, reaches SPLIT_MIN, and `lipschitz_seminorm` when its pair
-    count over 4 does: an instance just above each threshold forks once,
-    and one just below it does not, for half-planes and 4-sided polygons."""
+    of sides, reaches SPLIT_MIN, and `lipschitz_seminorm` when its pairs,
+    at 2/11 of a row each, do: an instance just above each threshold forks
+    once, and one just below it does not, for half-planes and 4-sided
+    polygons."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
         pytest.skip("this process cannot fork onto two CPUs")
     split_min = lipsel.selection.SPLIT_MIN
@@ -1381,7 +1448,7 @@ def test_split_threshold_counts_stage1_rows(forks):
             del forks[:]
             assert isinstance(run_projection_algorithm(inst, (2.0, 2.0)), Success)
             assert len(forks) == (n * len(inst.sides) >= split_min) == (n == above), (sides, n)
-    above = next(n for n in itertools.count(2) if n * (n - 1) // 8 >= split_min)
+    above = next(n for n in itertools.count(2) if n * (n - 1) // 11 >= split_min)
     for n in (above, above - 1):
         space = linf_space(rng, n)
         f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(n)]
