@@ -27,10 +27,12 @@ internal error: the traceback goes to stderr and stdout carries
 closes stdout early gets 141 (128 + SIGPIPE) and nothing more.  `main` may be
 called repeatedly in one process: it builds its parser on the first call only.
 
-Loading reads each number once: a matrix row's plain JSON numbers and a side
-of them skip the per-entry parse, and one pass over the upper triangle
+Loading reads each number once: a matrix row's plain JSON numbers and "inf"
+tokens, and a side of plain numbers, skip the per-entry parse, and one pass
 accepts a clean matrix.  Only other input takes the per-entry parse and the
-checks that name its first fault.
+checks that name its first fault.  Commands, loads and solves pause the
+cyclic garbage collector (`metric.gc_paused`), which would walk the matrix
+at each collection; loads and solves make no cycles for it to free.
 
 `validate` re-checks the full triangle inequality (O(n^3)), with a slack of
 2^-40 times each sum d[i][k] + d[k][j]; `solve` trusts it and checks only
@@ -65,6 +67,7 @@ from lipsel.metric import (
     MetricViolation,
     PreMetric,
     PseudometricSpace,
+    gc_paused,
     intrinsic_metric,
     validate_premetric,
     validate_pseudometric,
@@ -204,9 +207,9 @@ def _parse_matrix(
     raw: Any, n: int, what: str, want_exact: bool
 ) -> Tuple[List[List[float]], List[List[Any]]]:
     """Float rows, and exact ones when `want_exact`.  Plain JSON numbers
-    skip the per-entry parse, and a row of them is its own exact row;
-    `_raise_first_nan` names a NaN among them before any later error, as
-    that parse would, once the validators' or a later entry's check fails."""
+    and "inf" skip the per-entry parse, and a row of numbers is its own
+    exact row; `_raise_first_nan` names a NaN among them first, as that
+    parse would, when a validator or a later entry raises."""
     if not isinstance(raw, list) or len(raw) != n:
         raise CliError(2, f"{what} must be an {n}x{n} array")
     floats: List[List[float]] = []
@@ -230,8 +233,9 @@ def _parse_matrix(
                     pass
             frow, erow = list(row), list(row) if want_exact else []
             for j in compress(range(n), map(is_not, types, repeat(plain))):
-                try:
-                    frow[j], fr = _parse_number(row[j], f"{what}[{i}][{j}]", True, want_exact)
+                try:  # "inf", as instance files write an infinite distance, needs no parse
+                    frow[j], fr = (math.inf, None) if plain and row[j] == "inf" else (
+                        _parse_number(row[j], f"{what}[{i}][{j}]", True, want_exact))
                 except CliError:
                     floats.append(frow[:j])  # its floats before j come first
                     raise
@@ -301,69 +305,70 @@ def load_instance(
 ) -> LoadedInstance:
     """Parse and check an instance file.  An `n` above `point_cap` exits 2
     as soon as it is read, before any entry is parsed or checked."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise CliError(2, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(2, f"{path} is not valid JSON: {exc}")
-    doc = _expect_dict(raw, "instance document")
-    if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
-        raise CliError(2, "field 'n' must be an integer")
-    n = doc["n"]
-    if n < 1:
-        raise CliError(2, "'n' must be >= 1")
-    if point_cap is not None and n > point_cap:
-        raise CliError(2, f"oracle commands are capped at {point_cap} points")
+    with gc_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise CliError(2, f"cannot read {path}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise CliError(2, f"{path} is not valid JSON: {exc}")
+        doc = _expect_dict(raw, "instance document")
+        if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+            raise CliError(2, "field 'n' must be an integer")
+        n = doc["n"]
+        if n < 1:
+            raise CliError(2, "'n' must be >= 1")
+        if point_cap is not None and n > point_cap:
+            raise CliError(2, f"oracle commands are capped at {point_cap} points")
 
-    metric = _expect_dict(doc.get("metric"), "'metric'")
-    metric_kind = _exactly_one(metric, ("matrix", "pre_metric"), "'metric'")
-    what = f"metric.{metric_kind}"
-    floats, exacts = _parse_matrix(metric[metric_kind], n, what, want_exact)
+        metric = _expect_dict(doc.get("metric"), "'metric'")
+        metric_kind = _exactly_one(metric, ("matrix", "pre_metric"), "'metric'")
+        what = f"metric.{metric_kind}"
+        floats, exacts = _parse_matrix(metric[metric_kind], n, what, want_exact)
 
-    violation: Optional[MetricViolation] = None
-    space: Optional[PseudometricSpace] = None
-    try:
-        if metric_kind == "matrix":
-            got = validate_pseudometric(floats) if full_triangle else validate_premetric(floats)
-            if isinstance(got, MetricViolation):
-                violation = got
+        violation: Optional[MetricViolation] = None
+        space: Optional[PseudometricSpace] = None
+        try:
+            if metric_kind == "matrix":
+                got = validate_pseudometric(floats) if full_triangle else validate_premetric(floats)
+                if isinstance(got, MetricViolation):
+                    violation = got
+                else:
+                    space = PseudometricSpace(n, exacts if want_exact else floats)
             else:
-                space = PseudometricSpace(n, exacts if want_exact else floats)
-        else:
-            pre = validate_premetric(floats)
-            if isinstance(pre, MetricViolation):
-                violation = pre
-            elif want_exact:  # the closure's sums must stay exact
-                rationals = [[v if v == math.inf else Fraction(v) for v in row] for row in exacts]
-                space = intrinsic_metric(PreMetric(n, rationals))
-            else:
-                space = intrinsic_metric(pre)
-    except ValueError as exc:  # the validators' NaN / negative guards
-        _raise_first_nan(floats, what)
-        raise CliError(2, str(exc))
+                pre = validate_premetric(floats)
+                if isinstance(pre, MetricViolation):
+                    violation = pre
+                elif want_exact:  # the closure's sums must stay exact
+                    rationals = [[v if v == math.inf else Fraction(v) for v in row] for row in exacts]
+                    space = intrinsic_metric(PreMetric(n, rationals))
+                else:
+                    space = intrinsic_metric(pre)
+        except ValueError as exc:  # the validators' NaN / negative guards
+            _raise_first_nan(floats, what)
+            raise CliError(2, str(exc))
 
-    sets = _expect_dict(doc.get("sets"), "'sets'")
-    kind = _exactly_one(sets, ("halfplanes", "polygons"), "'sets'")
-    arr = sets[kind]
-    if not isinstance(arr, list) or len(arr) != n:
-        noun = "half-planes" if kind == "halfplanes" else "polygons"
-        raise CliError(2, f"sets.{kind} must list {n} {noun}")
-    polys = []
-    for i, item in enumerate(arr):
-        # a half-plane is read as a one-sided polygon
-        if kind == "halfplanes":
-            polys.append([_plain_side(item, want_exact) or _parse_halfplane(item, f"halfplanes[{i}]", want_exact)])
-        elif not isinstance(item, list) or not item:
-            raise CliError(2, f"polygons[{i}] must be a nonempty list")
-        else:
-            polys.append([
-                _plain_side(side, want_exact) or _parse_halfplane(side, f"polygons[{i}][{j}]", want_exact)
-                for j, side in enumerate(item)
-            ])
-    inst = None if space is None else PolygonInstance(space, polys)
-    return LoadedInstance(n=n, metric_kind=metric_kind, kind=kind, inst=inst, violation=violation)
+        sets = _expect_dict(doc.get("sets"), "'sets'")
+        kind = _exactly_one(sets, ("halfplanes", "polygons"), "'sets'")
+        arr = sets[kind]
+        if not isinstance(arr, list) or len(arr) != n:
+            noun = "half-planes" if kind == "halfplanes" else "polygons"
+            raise CliError(2, f"sets.{kind} must list {n} {noun}")
+        polys = []
+        for i, item in enumerate(arr):
+            # a half-plane is read as a one-sided polygon
+            if kind == "halfplanes":
+                polys.append([_plain_side(item, want_exact) or _parse_halfplane(item, f"halfplanes[{i}]", want_exact)])
+            elif not isinstance(item, list) or not item:
+                raise CliError(2, f"polygons[{i}] must be a nonempty list")
+            else:
+                polys.append([
+                    _plain_side(side, want_exact) or _parse_halfplane(side, f"polygons[{i}][{j}]", want_exact)
+                    for j, side in enumerate(item)
+                ])
+        inst = None if space is None else PolygonInstance(space, polys)
+        return LoadedInstance(n=n, metric_kind=metric_kind, kind=kind, inst=inst, violation=violation)
 
 
 def _raise_on_violation(inst: LoadedInstance) -> None:
@@ -579,22 +584,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:  # the reader closed stdout: neither an answer nor a fault
-        # the document's unwritten rest would fail again at exit's flush
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except Exception as exc:  # a fault of the program must not read as exit 1, "no-go"
-        traceback.print_exc(file=sys.stderr)
-        print(emit({"outcome": "error", "reason": f"{type(exc).__name__}: {exc}"}))
-        return 5
+    with gc_paused():
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except BrokenPipeError:  # the reader closed stdout: neither an answer nor a fault
+            # the document's unwritten rest would fail again at exit's flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
+        except Exception as exc:  # a fault of the program must not read as exit 1, "no-go"
+            traceback.print_exc(file=sys.stderr)
+            print(emit({"outcome": "error", "reason": f"{type(exc).__name__}: {exc}"}))
+            return 5
 
 
 if __name__ == "__main__":

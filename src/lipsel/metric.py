@@ -7,6 +7,7 @@ treats as "must receive the same value".
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from operator import add
@@ -18,6 +19,19 @@ INF = math.inf
 # matrices built from coordinate norms can miss the exact triangle
 # inequality by a few ulps, and a relative slack does not depend on the unit
 REL_TOL = 2.0**-40
+TILE = 64  # the side of the blocks that `_check_matrix` compares
+
+
+class gc_paused:
+    """A `with` block that pauses the cyclic garbage collector, then restores its state (see `cli`)."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -49,12 +63,12 @@ class MetricViolation:
 def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
     """Raise on a matrix that is not square or holds NaN or a negative;
     else the first nonzero diagonal entry, else the first (i, j), j > i,
-    with d[i][j] != d[j][i], else None.  One pass over the upper triangle
-    accepts a clean matrix: a zero diagonal, and each row right of it equal
-    to the column below it, with a `min` >= 0 and a sum that is not NaN
-    (`min` may step over a NaN, a sum cannot, and the comparison's identity
-    shortcut passes a NaN object held on both sides).  Only a matrix that
-    fails the pass runs the checks that name its first fault."""
+    with d[i][j] != d[j][i], else None.  One pass accepts a clean matrix: a
+    zero diagonal, each row right of it with a `min` >= 0 and a sum that is
+    not NaN (`min` may step over a NaN, a sum cannot, and a comparison's
+    identity shortcut passes a NaN object held on both sides), and each row
+    equal to the column below it, or above TILE points each TILE-block (I,
+    J >= I) to the transpose of (J, I).  Only a failed pass looks further."""
     n = len(d)
     for row in d:
         if len(row) != n:
@@ -63,12 +77,16 @@ def _check_matrix(d: List[List[float]]) -> Optional[MetricViolation]:
         upper = row[i + 1:]
         if not (
             row[i] == 0
-            and upper == [below[i] for below in d[i + 1:]]
+            and (n > TILE or upper == [below[i] for below in d[i + 1:]])
             and (not upper or min(upper) >= 0.0 and (total := sum(upper)) == total)
         ):
             break
     else:
-        return None
+        if n <= TILE or all(
+            list(zip(*[r[J:J + TILE] for r in d[I:I + TILE]])) == [tuple(r[I:I + TILE]) for r in d[J:J + TILE]]
+            for I in range(0, n, TILE) for J in range(I, n, TILE)
+        ):
+            return None
     for row in d:
         if min(row) >= 0.0 and (total := sum(row)) == total:
             continue

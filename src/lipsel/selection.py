@@ -90,7 +90,7 @@ from lipsel.geometry import (
     uniform_norm,
 )
 from lipsel.lp2d import PairRow, Row, _Empty, _bracket, _by_angle, _envelope, _exact_normal, _offset
-from lipsel.metric import REL_TOL, PseudometricSpace
+from lipsel.metric import REL_TOL, PseudometricSpace, gc_paused
 
 INF = math.inf
 
@@ -558,24 +558,25 @@ def run_projection_algorithm(
     there returns at once; the rest (`_solve`) may run in two processes
     (`_in_two`), with the same results.
     """
-    l1, l2 = _check_lambdas(lambdas)
-    inst.sides, inst.offsets, inst.normals, inst.rank, inst.by_angle  # made once, before any fork
-    groups: Dict[Tuple[int, ...], _Neighbours] = {}
-    head = _stage12(inst, l1, groups, 0) if inst.n else None
-    if isinstance(head, NoGo):
-        return head
-    # the lower half's next point and the upper half's last one (`_solve`)
-    work = inst.n * len(inst.sides)
-    meet = memoryview(mmap.mmap(-1, 16)).cast("q") if work >= SPLIT_MIN else [0, 0]
-    meet[0], meet[1] = min(1, inst.n), inst.n
-    got = _in_two(partial(_solve, inst, l1, l2, groups, head, meet), inst.n, work)
-    if isinstance(got, NoGo):
-        return got
-    f, g, hulls, refined, seminorm = got
-    report = _report(inst, f, l1 + 2.0 * l2, seminorm)
-    if not report.ok:
-        raise RuntimeError(f"internal verification failed: {report}")
-    return Success(f, g, hulls, refined, report.seminorm)
+    with gc_paused():
+        l1, l2 = _check_lambdas(lambdas)
+        inst.sides, inst.offsets, inst.normals, inst.rank, inst.by_angle  # made once, before any fork
+        groups: Dict[Tuple[int, ...], _Neighbours] = {}
+        head = _stage12(inst, l1, groups, 0) if inst.n else None
+        if isinstance(head, NoGo):
+            return head
+        # the lower half's next point and the upper half's last one (`_solve`)
+        work = inst.n * len(inst.sides)
+        meet = memoryview(mmap.mmap(-1, 16)).cast("q") if work >= SPLIT_MIN else [0, 0]
+        meet[0], meet[1] = min(1, inst.n), inst.n
+        got = _in_two(partial(_solve, inst, l1, l2, groups, head, meet), inst.n, work)
+        if isinstance(got, NoGo):
+            return got
+        f, g, hulls, refined, seminorm = got
+        report = _report(inst, f, l1 + 2.0 * l2, seminorm)
+        if not report.ok:
+            raise RuntimeError(f"internal verification failed: {report}")
+        return Success(f, g, hulls, refined, report.seminorm)
 
 
 def _stage12(

@@ -20,10 +20,12 @@ It writes four sets of instance files, as the benchmark writes its inputs
 
 For each set it prints the number of loads, the CPU time per load
 (`time.process_time`, the best of the given number of rounds) of reading
-and decoding a file with `json.load` alone and of `load_instance`, and the
-share of matrix rows and of sides whose numbers are all plain JSON numbers
-(`int` or `float`; finite, with a nonzero normal, for a side): the ones
-that can skip the per-entry parse.  Run it with `PYTHONPATH=<checkout>/src`
+and decoding a file with `json.load` alone and of `load_instance`, the
+cyclic garbage collector's collections and milliseconds (wall time, from
+`gc.callbacks`) per `load_instance` call, averaged over all rounds, and
+the share of matrix rows and of sides whose numbers are all plain JSON
+numbers (`int` or `float`; finite, with a nonzero normal, for a side): the
+ones that can skip the per-entry parse.  Run it with `PYTHONPATH=<checkout>/src`
 on two checkouts to compare them.  The standard library and the test
 generators are all it needs; pytest does not collect it.
 """
@@ -31,6 +33,7 @@ generators are all it needs; pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -94,11 +97,33 @@ def best_time(fn, rounds: int) -> float:
     return best
 
 
+class GcClock:
+    """Counts the cyclic garbage collector's collections and their wall
+    time while it is installed in `gc.callbacks`."""
+
+    def __init__(self) -> None:
+        self.collections, self.seconds, self.started = 0, 0.0, 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.started = time.perf_counter()
+        else:
+            self.collections += 1
+            self.seconds += time.perf_counter() - self.started
+
+    def __enter__(self) -> "GcClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
-    print("shape  loads  json_ms  load_ms  plain_rows  plain_sides")
+    print("shape  loads  json_ms  load_ms  gc_per_load  gc_ms_per_load  plain_rows  plain_sides")
     with tempfile.TemporaryDirectory(prefix="lipsel-loads-") as tmp:
         for name, (make, flags) in SHAPES.items():
             docs = make()
@@ -119,9 +144,13 @@ def main() -> None:
                     load_instance(path, want_exact=exact, full_triangle=full)
 
             json_ms = 1000 * best_time(decode, args.rounds) / len(loads)
-            load_ms = 1000 * best_time(load, args.rounds) / len(loads)
+            with GcClock() as clock:
+                load_ms = 1000 * best_time(load, args.rounds) / len(loads)
+            calls = args.rounds * len(loads)
+            gc_n, gc_ms = clock.collections / calls, 1000 * clock.seconds / calls
             rows, sides = plain_shares(docs)
-            print(f"{name}  {len(loads)}  {json_ms:.3f}  {load_ms:.3f}  {rows:.0%}  {sides:.0%}", flush=True)
+            times = f"{json_ms:.3f}  {load_ms:.3f}  {gc_n:.2f}  {gc_ms:.3f}"
+            print(f"{name}  {len(loads)}  {times}  {rows:.0%}  {sides:.0%}", flush=True)
 
 
 if __name__ == "__main__":

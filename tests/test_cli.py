@@ -8,6 +8,7 @@ runs `python -m lipsel` the same way.
 runs only where it is on PATH."""
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -21,7 +22,15 @@ from pathlib import Path
 import pytest
 
 import lipsel
-from generators import instance_doc, planted_instance
+from generators import (
+    instance_doc,
+    mixed_instance,
+    planted_instance,
+    polygon_doc,
+    premetric_doc,
+    random_polygon_instance,
+    random_premetric,
+)
 from lipsel.cli import load_instance, main
 from lipsel.oracle import estimate_min_seminorm
 
@@ -443,13 +452,14 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
     range, NaN in float-only and in mixed rows and before a later token that
     does not parse, negatives, infinities, string numbers and zero
     normals; some rows mix floats with symmetric "inf", "1/3" and "0.5"
-    entries, of which a mixed row parses only the strings, and some hold a
-    NaN before a bad token in the same row."""
+    entries, of which a mixed row parses only the strings other than
+    "inf", some hold a NaN before a bad token in the same row, and some put
+    "inf" next to a NaN, a bad token, or another spelling of infinity."""
     pool = [0.0, -0.0, 1.5, 0.1, 3, 0, 2.0**60, 10**400, -1.0, -2, True, math.nan, math.inf, -math.inf,
             "1/3", "0.5", "inf", "nan", "abc"]
     rng = random.Random("plain-numbers")
     seen = {"error": 0, "violation": 0, "loaded": 0, "nan": 0, "nan_first": 0, "zero_normal": 0,
-            "polygons": 0, "exact": 0, "mixed_loaded": 0, "nan_in_mixed_row": 0}
+            "polygons": 0, "exact": 0, "mixed_loaded": 0, "nan_in_mixed_row": 0, "inf_next_to_fault": 0}
     for draw in range(2000):
         n = rng.randint(1, 4)
         bad = rng.random() < 0.6
@@ -464,6 +474,11 @@ def test_plain_number_fast_paths_equal_the_per_entry_parse(tmp_path, monkeypatch
         if bad and n >= 2 and rng.random() < 0.2:  # a NaN, then a bad token, in one row
             row, (j1, j2) = d[rng.randrange(n)], sorted(rng.sample(range(n), 2))
             row[j1], row[j2] = math.nan, rng.choice(["abc", "nan", True, 10**400])
+        if bad and n >= 2 and rng.random() < 0.3:  # "inf" just before or after a NaN or another token
+            row, j = d[rng.randrange(n)], rng.randrange(n - 1)
+            pair = ["inf", rng.choice([math.nan, "abc", "nan", True, 10**400, " inf", "+inf", "-inf", "Inf"])]
+            row[j], row[j + 1] = pair if rng.random() < 0.5 else pair[::-1]
+            seen["inf_next_to_fault"] += 1
         polygons = rng.random() < 0.5
         sides = []
         for _ in range(n):
@@ -745,6 +760,127 @@ def test_any_internal_error_exits_5(tmp_path, capsys, monkeypatch):
     assert code == 5
     assert out == '{"outcome": "error", "reason": "ZeroDivisionError: planted fault"}\n'
     assert "ZeroDivisionError: planted fault" in err
+
+
+# ---------------------------------------------------------------------------
+# the paused garbage collector
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic garbage collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+def test_entry_points_pause_the_collector_and_leave_it_as_found(tmp_path, capsys, monkeypatch, collector, enabled):
+    """`main`, `load_instance` and `run_projection_algorithm` run their
+    loads and solves with the cyclic garbage collector off, and leave it on
+    or off as the caller had it, on every way out: a Success, a NoGo, exit
+    2 from a fault in the input, the flags or argparse's usage check, exit
+    3, exit 5, and each function's own raise."""
+    path = write(tmp_path, SEP4)
+    asym = json.loads(json.dumps(SEP4))
+    asym["metric"]["matrix"][0][1] = 2
+    asym_path = write(tmp_path, asym, "asym.json")
+    during = []
+    for module, name in [(lipsel.cli, "validate_premetric"), (lipsel.selection, "_report")]:
+        def spy(*args, real=getattr(module, name)):
+            during.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    (gc.enable if enabled else gc.disable)()
+    for argv, code in [
+        (["solve", path, "--lambda", "4"], 0),
+        (["solve", path, "--lambda", "2"], 1),
+        (["solve", path, "--lambda1", "4", "--lambda2", "0"], 1),
+        (["solve", str(tmp_path / "missing.json"), "--lambda", "4"], 2),
+        (["solve", path], 2),
+        (["solve"], 2),
+        (["solve", asym_path, "--lambda", "4"], 3),
+        (["validate", asym_path], 3),
+    ]:
+        assert run(capsys, *argv)[0] == code, argv
+        assert gc.isenabled() is enabled, argv
+
+    def broken(*args):
+        during.append(gc.isenabled())
+        raise ZeroDivisionError("planted fault")
+
+    monkeypatch.setattr(lipsel.selection, "_report", broken)
+    assert run(capsys, "solve", path, "--lambda", "4")[0] == 5
+    assert gc.isenabled() is enabled
+    with pytest.raises(ZeroDivisionError):
+        lipsel.selection.run_projection_algorithm(load_instance(path).inst, (4.0, 4.0))
+    assert gc.isenabled() is enabled
+    monkeypatch.undo()
+    with pytest.raises(lipsel.cli.CliError):
+        load_instance(str(tmp_path / "missing.json"))
+    assert gc.isenabled() is enabled
+    inst = load_instance(path).inst
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValueError):
+        lipsel.selection.run_projection_algorithm(inst, (math.nan, 1.0))
+    assert gc.isenabled() is enabled
+    assert isinstance(lipsel.selection.run_projection_algorithm(inst, (2.0, 2.0)), lipsel.selection.NoGo)
+    assert isinstance(lipsel.selection.run_projection_algorithm(inst, (4.0, 4.0)), lipsel.selection.Success)
+    assert gc.isenabled() is enabled
+    assert len(during) >= 8 and not any(during), during
+
+
+def test_loads_and_solves_leave_no_cyclic_garbage(tmp_path, capsys, monkeypatch, collector):
+    """The premise of the pause: a load and a solve make no reference
+    cycles, so the collector, run before and after them, finds nothing to
+    free.  Serial and split solves of a planted instance (a Success, a NoGo
+    at stage 1 and one at stage 3), a polygon solve, a `pre_metric` load
+    and solve, and `sharp`'s exact load; then whole `solve`, `sharp` and
+    `estimate` commands, once `main` has built its parser (which makes
+    cycles)."""
+    rng = random.Random("no-cycles")
+    planted = write(tmp_path, instance_doc(planted_instance(rng, 200)), "planted.json")
+    polygons = write(tmp_path, polygon_doc(random_polygon_instance(rng, 100, 4, planted=True)), "polygons.json")
+    small = instance_doc(mixed_instance(rng, 5))
+    pre = write(tmp_path, premetric_doc(small["sets"], random_premetric(rng, 5)), "pre.json")
+    exact = write(tmp_path, small, "small.json")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    solve = lipsel.selection.run_projection_algorithm
+    gc.disable()
+    outcomes = []
+    for split_min in (math.inf, lipsel.selection.SPLIT_MIN):
+        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", split_min)
+        for path, lambdas in [
+            (planted, (2.0, 2.0)),
+            (planted, (0.125, 0.125)),
+            (planted, (2.0, 0.001)),
+            (polygons, (1.0, 1.0)),
+            (pre, (2.0, 2.0)),
+            (exact, None),
+        ]:
+            gc.collect()
+            if lambdas is None:
+                got = load_instance(path, want_exact=True, point_cap=lipsel.cli.SHARP_POINT_CAP)
+                outcomes.append(type(got.inst).__name__)
+            else:
+                got = solve(load_instance(path).inst, lambdas)
+                outcomes.append(getattr(got, "stage", type(got).__name__))
+            del got
+            assert gc.collect() == 0, (path, lambdas)
+    assert outcomes[:6] == outcomes[6:] and outcomes[:4] == ["Success", 1, 3, "Success"], outcomes
+    assert forks or len(os.sched_getaffinity(0)) < 2
+    run(capsys, "validate", exact)
+    for argv in [
+        ["solve", planted, "--lambda", "2"],
+        ["sharp", exact, "--lambda", "1"],
+        ["estimate", exact, "--hi", "64"],
+    ]:
+        gc.collect()
+        assert run(capsys, *argv)[0] in (0, 1, 4), argv
+        assert gc.collect() == 0, argv
 
 
 # ---------------------------------------------------------------------------

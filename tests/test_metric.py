@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_premetric
 from lipsel.metric import (
+    TILE,
     MetricViolation,
     PreMetric,
     PseudometricSpace,
@@ -161,7 +162,12 @@ def test_shape_diagonal_and_symmetry_checks_equal_the_plain_loops():
     violation, that the plain loops find first.  The last 400 draws have
     20 to 40 points, no fault but one in their last three rows, and half of
     those faults are put at (i, j) and (j, i) as one object, where the
-    upper triangle equals the lower and only `min` or `sum` sees it."""
+    upper triangle equals the lower and only `min` or `sum` sees it.  Then
+    at n = 1, 63, 64, 65, 129 and 200, around one and two blocks of the
+    block-wise symmetry check, one fault at a time at each corner of each
+    block, the partial last block's included: an asymmetry, and a random
+    fault on one side or on both, such as one NaN object at (i, j) and
+    (j, i)."""
     rng = random.Random("axiom-loops")
     values = [0.0, -0.0, 0, 1, 3, 0.5, 2.0, INF, -INF, -1.0, -2, math.nan]
     weights = [20, 2, 6, 6, 4, 8, 8, 4, 1, 1, 1, 1]
@@ -201,6 +207,37 @@ def test_shape_diagonal_and_symmetry_checks_equal_the_plain_loops():
             late[key] = late.get(key, 0) + 1
     assert len(seen) == 6 and min(seen.values()) >= 50, seen
     assert len(late) == 6 and min(late.values()) >= 5, late
+    tiled = {}
+    for n in (1, 63, 64, 65, 129, 200):
+        base = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                base[i][j] = base[j][i] = rng.choice([1, 3, 0.5, 2.0, INF])
+        edges = sorted({k for b in (*range(0, n, TILE), n) for k in (b - 1, b) if 0 <= k < n})
+        for i, j, fault in [(0, 0, None)] + [(i, j, f) for i in edges for j in edges for f in (7.5, "any")]:
+            d = [row[:] for row in base]
+            if fault == 7.5:
+                d[i][j] = fault
+            elif fault:
+                d[i][j] = rng.choice([-INF, -1.0, -2, math.nan, 1, 2.0, 7.5])
+                if rng.random() < 0.5:
+                    d[j][i] = d[i][j]
+            want = _axioms_by_loops(d)
+            for validate in (validate_premetric, validate_pseudometric):
+                try:
+                    got = validate(d)
+                except ValueError as exc:
+                    got = str(exc)
+                if want is None:
+                    assert isinstance(got, (PreMetric, PseudometricSpace, MetricViolation)), (n, i, j, got)
+                    assert not isinstance(got, MetricViolation) or got.axiom == "triangle", (n, i, j, got)
+                else:
+                    assert got == want, (n, i, j, got, want)
+            key = want if isinstance(want, (str, type(None))) else want.axiom
+            tiled[n, key] = tiled.get((n, key), 0) + 1
+    assert all(tiled.get((n, "symmetry"), 0) >= 2 for n in (63, 64, 65, 129, 200)), tiled
+    kinds = {k for _, k in tiled}
+    assert len(kinds) == 5 and all(sum(v for (_, k), v in tiled.items() if k == key) >= 10 for key in kinds), tiled
 
 
 def test_premetric_skips_triangle():
