@@ -20,7 +20,7 @@ No test compares a length with a fixed one, so scaling every offset and
 distance by 2^k scales a solve by exactly 2^k: stage 1 decides emptiness
 exactly (`lp2d`), stages 3 and 5 decide in floats with no slack, and every
 other slack (`_point_rows`' box margin, `_snap_ends`, membership in
-`_report`) is REL_TOL relative to the numbers compared.
+`_report`) is relative to the numbers compared (REL_TOL; 2^-48 of l1*rho).
 
 Stage 2 takes every hull from the exact half-plane envelope of `lp2d`, in
 integers.  Each instance converts its sides' normals to integers and sorts
@@ -34,7 +34,8 @@ nearest points, plus, for a direction those leave unbounded, the rows that
 bound it for every point with the same finite neighbours.  B contains the
 stage-1 set, and a row whose half-plane holds B strictly cannot cut that
 set, so the hull is taken only on the rows that cut B, and stage 5 scans
-only the sides of the points that own those rows.
+only the sides of the points that own those rows.  The row pass tests the
+sides scaled to |h1| + |h2| = 1 against the square around B (`_point_rows`).
 
 Stage 3 folds each hull against its neighbours first and runs the pairwise
 test for NoGo only when some fold comes out empty or pinched: every pair the
@@ -52,6 +53,7 @@ In stages 1-2 this process takes the points upward and the child downward
 until they meet; stage 3's folds split the points at the middle, stages
 4-5 follow stage 2's split, and the seminorm's rows split by their count
 of pairs, as in `lipschitz_seminorm`, which splits from about n = 330.
+A seminorm row skips the pairs that cannot raise its maximum (`_row_ratios`).
 When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
 processes; each error is raised in point order, and the results, NoGos and
 errors equal those of the serial run.  A fork that fails, or a child that
@@ -72,8 +74,8 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import nsmallest
-from itertools import accumulate, chain, compress, repeat
-from operator import le, mul
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from lipsel.geometry import (
@@ -175,6 +177,11 @@ class PolygonInstance:
         """`sides` in that order: side k of `sides` is `by_angle[rank[k]]`."""
         return [self.sides[k] for *_, k in self.normals]
 
+    @cached_property
+    def unit_sides(self) -> List[Tuple[int, float, float, float, int]]:
+        """(point, h1, h2, alpha) over |h1| + |h2|, and position, of each side of `by_angle`."""
+        return [(y, h1 / n1, h2 / n1, alpha / n1, j) for j, (y, h1, h2, alpha, n1) in enumerate(self.by_angle)]
+
     @property
     def planes(self) -> List[HalfPlane]:
         """The half-plane of each point of a one-sided instance."""
@@ -231,11 +238,17 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
     (`PolygonInstance.by_angle`).  A row's tag is its side's position there.
 
     Given the ends of a bounded `box` that contains the set, only the rows
-    that can cut it are kept: a row goes when its half-plane holds the
-    square around the box's center that holds the box, with a margin
-    relative to the box's coordinates that covers the rounding of the test
-    and of the box's ends.  The test reads the row's own offset, so a side
-    at infinite distance (offset -inf, or nan when l1 = 0) fails it."""
+    that can cut it are kept.  With c its center, K the largest of its ends
+    and center in magnitude and w its half-width plus REL_TOL*K, a row
+    stays when fl(alpha/N + (h/N)·c + w) >= fl(l1*(1 - 2^-48)*rho) on its
+    side's ℓ1-unit form (`unit_sides`, N = |h1| + |h2|).  So does every row
+    that does not hold strictly the square Q around c that holds the exact
+    box, whose ends the given ones round: its exact left side v is at least
+    l1*rho plus nearly REL_TOL*K, the rounding at most 6*2^-53*(v + 2*(K +
+    w)), and the right side at most l1*rho*(1 - 29*2^-53).  A row that goes
+    holds Q grown by nearly REL_TOL*K, with its offset as `_side_rows` and
+    stage 5 compute it.  A side at infinite distance fails (inf, or nan when
+    l1 = 0, on the right).  Scaling by 2^k scales both sides exactly."""
     drow = inst.space.d[x]
     if box is None:
         return [
@@ -244,13 +257,10 @@ def _point_rows(inst: PolygonInstance, l1: float, x: int, box: Optional[Ends] = 
             if (rho := drow[y]) != INF
         ]
     lo1, hi1, lo2, hi2 = box
-    c1, c2 = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0
-    r = max(hi1 - lo1, hi2 - lo2) / 2.0 + REL_TOL * max(map(abs, (lo1, hi1, lo2, hi2)))
-    return [
-        (h1, h2, a, j)
-        for j, (y, h1, h2, alpha, norm1) in enumerate(inst.by_angle)
-        if (a := alpha - l1 * drow[y] * norm1) + h1 * c1 + h2 * c2 >= -r * norm1
-    ]
+    c1, c2, low = (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0, l1 * (1.0 - 2.0**-48)
+    r = max(hi1 - lo1, hi2 - lo2) / 2.0 + REL_TOL * max(map(abs, (lo1, hi1, lo2, hi2, c1, c2)))
+    keep = [j for y, u1, u2, ah, j in inst.unit_sides if ah + u1 * c1 + u2 * c2 + r >= low * drow[y]]
+    return _side_rows(inst, l1, drow, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +363,8 @@ def _stage12_hull(
     if inst.n > NEAREST + 1:
         near = nsmallest(NEAREST + 1, drow)[-1]
         at, rank = inst.offsets, inst.rank
-        positions = sorted(chain.from_iterable(
-            rank[at[y]:at[y + 1]]
-            for y in compress(range(inst.n), map(le, drow, repeat(near)))
-            if drow[y] != INF
-        ))
+        close = [y for y, rho in enumerate(drow) if rho <= near]
+        positions = sorted(chain.from_iterable(rank[at[y]:at[y + 1]] for y in close if drow[y] != INF))
         if BOX_SHARE * len(positions) < len(group.normals):
             box = _hull_from_rows(_side_rows(inst, l1, drow, positions), inst.normals)
             open_ends = [k for k in range(4) if box and math.isinf(box[k])]
@@ -505,8 +512,8 @@ def step5_project(
 
     `points`, ascending, restricts the scan to their sides: stage 2 passes
     the points whose rows cut x's box B, of largest end M in magnitude.
-    Any other row holds the square around B's center grown by REL_TOL * M,
-    in a test on this scan's offsets.  g is in B up to half an inversion
+    Any other row holds, with this scan's offsets, the square around B's
+    center grown by nearly REL_TOL * M (`_point_rows`).  g is in B up to half an inversion
     that `_snap_ends` collapsed, a few ulps of the fold's terms, so its
     residual on that row is not positive unless a radius that attains x's
     fold exceeds M some 2^10 times and cancels a neighbour's end.
@@ -561,6 +568,8 @@ def run_projection_algorithm(
     with gc_paused():
         l1, l2 = _check_lambdas(lambdas)
         inst.sides, inst.offsets, inst.normals, inst.rank, inst.by_angle  # made once, before any fork
+        if inst.n > NEAREST + 1:  # where `_stage12_hull` may take a box
+            inst.unit_sides
         groups: Dict[Tuple[int, ...], _Neighbours] = {}
         head = _stage12(inst, l1, groups, 0) if inst.n else None
         if isinstance(head, NoGo):
@@ -851,11 +860,21 @@ def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: in
     """The largest ratio over the pairs (i, j > i) with lo <= i < hi, or 0,
     in one pass per row: max(|dx|, |dy|) / rho, which is max(|dx| / rho,
     |dy| / rho) as rounded division is monotone, with 0/0 = 0 and x/0 = inf
-    (`ext_div`); only a strictly larger one replaces it, as in `max`."""
+    (`ext_div`); only a strictly larger one replaces it, as in `max`.  Once
+    out > 0 it skips a pair of row i at rho > fl(s / out), s the
+    largest coordinate gap from f(i) to the values' bounding box: rho then
+    exceeds s / out, which is rounded to nearest, so fl(max(|dx|, |dy|) /
+    rho) <= fl(s / rho) <= out as rounding is monotone, and out stays."""
     out, d = 0.0, space.d
+    bounded = X and math.isfinite(sum(X) + sum(Y))  # a NaN can hide from `min` and `max`
+    x0, x1, y0, y1 = (min(X), max(X), min(Y), max(Y)) if bounded else (-INF, INF, -INF, INF)
     for i in range(lo, min(hi, space.n - 1)):
         xi, yi = X[i], Y[i]
+        s = max(xi - x0, x1 - xi, yi - y0, y1 - yi)
+        t = s / out if out else INF
         for xj, yj, rho in zip(X[i + 1:], Y[i + 1:], d[i][i + 1:]):
+            if rho > t:
+                continue
             dx, dy = abs(xi - xj), abs(yi - yj)
             if dy > dx:
                 dx = dy
@@ -863,6 +882,7 @@ def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: in
                 dx, rho = (INF if dx else 0.0), 1.0
             if dx / rho > out:
                 out = dx / rho
+                t = s / out
     return out
 
 

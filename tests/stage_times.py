@@ -18,8 +18,11 @@ CPU time (`time.process_time`) spent inside them: stage 1's row pass
 (`_fold`), stage 5 (`step5_project`) and the seminorm's rows
 (`_row_ratios`).  For each shape it prints its outcomes, then the CPU time
 of its solves and of each of the five, in ms over all its instances, each
-the best of the given number of rounds after one untimed round.  The
-solve's time includes the wrappers' own cost, a few microseconds per call.
+the best of the given number of rounds after one untimed round, and last
+`kept`: the mean number of rows that `_point_rows` returned per call with
+a box (stage 2's outer box), the selectivity of its keep test, over all
+rounds.  The solve's time includes the wrappers' own cost, a few
+microseconds per call.
 Run it with `PYTHONPATH=<checkout>/src` on two checkouts to compare them.
 The standard library and the test generators are all it needs; pytest
 does not collect it.
@@ -71,23 +74,30 @@ def main() -> None:
     spent = dict.fromkeys(STAGES, 0.0)
     originals = {stage: getattr(selection, name) for stage, name in STAGES.items()}
 
+    boxed = [0, 0]  # calls of `_point_rows` with a box, and the rows they returned
+
     def timed(stage, fn):
         def wrapper(*a, **kw):
             start = time.process_time()
             try:
-                return fn(*a, **kw)
+                got = fn(*a, **kw)
             finally:
                 spent[stage] += time.process_time() - start
+            if stage == "rows" and (a[3] if len(a) > 3 else kw.get("box")) is not None:
+                boxed[0] += 1
+                boxed[1] += len(got)
+            return got
         return wrapper
 
     split_min = selection.SPLIT_MIN
     selection.SPLIT_MIN = math.inf
     for stage, name in STAGES.items():
         setattr(selection, name, timed(stage, originals[stage]))
-    print("shape  outcomes  solve_ms  " + "  ".join(f"{stage}_ms" for stage in STAGES))
+    print("shape  outcomes  solve_ms  " + "  ".join(f"{stage}_ms" for stage in STAGES) + "  kept")
     try:
         for name, (instances, lambdas) in shapes().items():
             best = dict.fromkeys(["solve", *STAGES], math.inf)
+            boxed[:] = [0, 0]
             for r in range(args.rounds + 1):
                 for stage in STAGES:
                     spent[stage] = 0.0
@@ -96,7 +106,8 @@ def main() -> None:
                     for key, v in (("solve", solve), *spent.items()):
                         best[key] = min(best[key], v)
             shown = ",".join(f"{k}:{v}" for k, v in sorted(outcomes.items()))
-            print(f"{name}  {shown}  " + "  ".join(f"{1000 * v:.1f}" for v in best.values()), flush=True)
+            kept = f"{boxed[1] / boxed[0]:.1f}" if boxed[0] else "-"
+            print(f"{name}  {shown}  " + "  ".join(f"{1000 * v:.1f}" for v in best.values()) + f"  {kept}", flush=True)
     finally:
         selection.SPLIT_MIN = split_min
         for stage, name in STAGES.items():

@@ -602,6 +602,99 @@ def test_hulls_from_the_rows_that_cut_the_box_equal_public_lp(case, monkeypatch)
     assert sum(restricted) >= len(restricted) // 2, (sum(restricted), len(restricted))
 
 
+def _square_slack(h1, h2, a, box):
+    """The exact largest value of h1*z1 + h2*z2 + a over the square around
+    the box (its center, half its larger side): negative exactly when the
+    row's half-plane holds the square strictly."""
+    lo1, hi1, lo2, hi2 = map(F, box)
+    w = max(hi1 - lo1, hi2 - lo2) / 2
+    h1, h2 = F(h1), F(h2)
+    return h1 * (lo1 + hi1) / 2 + h2 * (lo2 + hi2) / 2 + (abs(h1) + abs(h2)) * w + F(a)
+
+
+def _tangent_instance(rng, k, l1, box):
+    """An instance whose sides, inflated by l1 times their distance to point
+    0, pass exactly through the corner of the square around `box` where h·z
+    is largest; distances and offsets at scale 2^k, a quarter of the points
+    at infinite distance."""
+    s = math.ldexp(1.0, k)
+    lo1, hi1, lo2, hi2 = box
+    c1, c2, w = (lo1 + hi1) / 2, (lo2 + hi2) / 2, max(hi1 - lo1, hi2 - lo2) / 2
+    n = rng.randint(2, 12)
+    d = [[0.0] * n for _ in range(n)]
+    polygons = []
+    for y in range(n):
+        if y:
+            d[0][y] = d[y][0] = INF if rng.random() < 0.25 else s * rng.randint(1, 16) / 4
+        poly = []
+        for _ in range(rng.randint(1, 4)):
+            h1, h2 = random_halfplane(rng).h
+            corner1, corner2 = c1 + math.copysign(w, h1), c2 + math.copysign(w, h2)
+            rho = 0.0 if d[0][y] == INF else d[0][y]
+            alpha = l1 * rho * (abs(h1) + abs(h2)) - (h1 * corner1 + h2 * corner2)
+            assert F(alpha) == F(l1) * F(rho) * (abs(F(h1)) + abs(F(h2))) - F(h1) * F(corner1) - F(h2) * F(corner2)
+            poly.append(HalfPlane(Point2(h1, h2), alpha))
+        polygons.append(poly)
+    return PolygonInstance(PseudometricSpace(n, d), polygons)
+
+
+def test_box_keep_test_keeps_every_row_that_can_cut_the_box():
+    """Given a bounded box, `_point_rows` keeps every row whose half-plane
+    does not hold the square around the box strictly, in exact rationals:
+    with the offset as built, alpha - l1*rho*norm1 rounded, and with that
+    inflation taken exactly.  It drops every side at infinite distance, and
+    builds each kept row as the box-less pass does.  Draws: planted
+    instances, polygons of 1-4 sides, infinite distances, l1 = 0 and up to
+    2^20 (where the inflation dwarfs the box), at scales 2^0 and 2^±40;
+    random boxes, and rows built exactly tangent to a corner of the
+    square."""
+    rng = random.Random("box-keep")
+    seen = {"checked": 0, "dropped": 0, "tangent": 0, "tangent_dwarfed": 0, "infinite": 0}
+    for k in (0, 40, -40):
+        s = math.ldexp(1.0, k)
+        for draw in range(40):
+            kind = draw % 4
+            l1 = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 2.0**20] + [2.0**20] * 4 * (kind == 3))
+            if kind == 3:
+                lo1, lo2 = (s * rng.randint(-64, 64) / 8 * rng.choice([1, 2**10]) for _ in range(2))
+                box = (lo1, lo1 + s * rng.randint(0, 32) / 8, lo2, lo2 + s * rng.randint(0, 32) / 8)
+                inst = _tangent_instance(rng, k, l1, box)
+                xs = [0]
+            else:
+                if kind == 0:
+                    inst = planted_instance(rng, 30)
+                elif kind == 1:
+                    inst = random_polygon_instance(rng, 20, rng.randint(1, 4), planted=rng.random() < 0.5)
+                else:
+                    inst = random_instance(rng, 20, inf_blocks=True)
+                inst = _scaled(inst, k)
+                xs = rng.sample(range(inst.n), 3)
+            for x in xs:
+                if kind != 3:
+                    lo1, lo2 = (s * rng.uniform(-8, 8) for _ in range(2))
+                    box = (lo1, lo1 + s * rng.choice([0.0, rng.uniform(0, 4)]), lo2, lo2 + s * rng.uniform(0, 4))
+                drow = inst.space.d[x]
+                rows = _point_rows(inst, l1, x, box)
+                kept = [j for *_, j in rows]
+                assert kept == sorted(kept)
+                assert rows == [row for row in _point_rows(inst, l1, x) if row[3] in kept]
+                for j, (y, h1, h2, alpha, norm1) in enumerate(inst.by_angle):
+                    rho = drow[y]
+                    if rho == INF:
+                        assert j not in kept
+                        seen["infinite"] += 1
+                        continue
+                    exact = F(alpha) - F(l1) * F(rho) * F(norm1)
+                    slack = max(_square_slack(h1, h2, exact, box), _square_slack(h1, h2, alpha - l1 * rho * norm1, box))
+                    assert j in kept or slack < 0, (k, l1, box, inst.by_angle[j], rho)
+                    seen["checked"] += 1
+                    seen["dropped"] += j not in kept
+                    if kind == 3 and _square_slack(h1, h2, exact, box) == 0:
+                        seen["tangent"] += 1
+                        seen["tangent_dwarfed"] += l1 * rho > 2**10 * max(map(abs, box))
+    assert min(seen.values()) >= 50, seen
+
+
 # ---------------------------------------------------------------------------
 # scale
 
@@ -815,6 +908,84 @@ def test_one_pass_stage3_and_seminorm_equal_the_map_passes():
                         key = "over_zero" if (X[i], Y[i]) != (X[j], Y[j]) else "zero_over_zero"
                         seen[key] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def _threshold_row(rng):
+    """Values and a space of 3 points whose row 0 first sets out = a / 1,
+    then holds the pair that attains the spread s of point 0's gaps, at
+    distance rho = fl(s / out) < s / out, whose ratio fl(s / rho) exceeds
+    out: a threshold that skipped rho >= fl(s / out) would miss it."""
+    while True:
+        a, s = rng.uniform(0.5, 1.0), rng.uniform(1.0, 8.0)
+        rho = s / a
+        if F(rho) < F(s) / F(a) and s / rho > a:
+            d = [[0.0, 1.0, rho], [1.0, 0.0, rho], [rho, rho, 0.0]]
+            return [0.0, a, s], [0.0, 0.0, 0.0], PseudometricSpace(3, d)
+
+
+def _seminorm_draw(rng, shape):
+    """Values X, Y and a space of one of the seminorm's shapes (see the
+    test), and the row range."""
+    if shape == "threshold":
+        X, Y, space = _threshold_row(rng)
+    elif shape == "underflow":
+        # row 0 sets out = 2^1014 through a pair at distance 2^-1074; point
+        # 1 sits at the center, so s / out = 2^-1075 rounds to 0, and its
+        # pair at distance 0 gives inf
+        t = math.ldexp(1.0, -60)
+        d = [[0.0, 1.0, 5e-324], [1.0, 0.0, 0.0], [5e-324, 0.0, 0.0]]
+        X, Y, space = [-t, 0.0, t], [0.0, 0.0, 0.0], PseudometricSpace(3, d)
+    else:
+        n = rng.randint(2, 40)
+        space = linf_space(rng, n, dup_chance=0.1, inf_blocks=shape in ("infinite", "inf-value"))
+        X, Y = ([rng.uniform(-8, 8) for _ in range(n)] for _ in range(2))
+        if shape == "equal":
+            X, Y = [X[0]] * n, [Y[0]] * n
+        elif shape == "zero-early":
+            # a pair at distance 0 with distinct values early in row 0
+            j = rng.randint(1, min(3, n - 1))
+            space.d[0][j] = space.d[j][0] = 0.0
+            X[j] = X[0] + 1.0
+        elif shape == "nan-first":
+            # min(Y) and max(Y) are NaN, and hide Y's spread from the gaps
+            Y[0] = math.nan
+        elif shape == "inf-value":
+            # first in its block, so the rows before it take no ratio from it
+            X[next((j for j in range(n) if space.d[0][j] == INF), 0)] = rng.choice([INF, -INF])
+    lo = 0 if shape in ("threshold", "underflow") else rng.randint(0, space.n)
+    return X, Y, space, lo, rng.randint(lo, space.n) if lo else space.n
+
+
+def test_seminorm_skips_only_pairs_that_cannot_raise_it():
+    """`_row_ratios` skips a pair of row i at distance rho > s / out, s the
+    largest coordinate gap from f(i) to the values' bounding box and out
+    the largest ratio so far, and still equals the reference bit for bit:
+    on random values, all values equal (s = 0), a pair at distance 0 with
+    distinct values early in a row, infinite distances, a NaN first in Y,
+    an infinite value, a pair at rho = fl(s / out) that raises the maximum, and an s / out
+    that underflows to 0.  On the first four shapes, the rows whose first
+    pair a skip reaches are counted by the rule applied to the reference's
+    running maximum."""
+    rng = random.Random("seminorm-skip")
+    shapes = ("random", "equal", "zero-early", "infinite", "nan-first", "inf-value", "threshold", "underflow")
+    skipped = dict.fromkeys(shapes[:4], 0)
+    for shape in shapes:
+        for _ in range(300):
+            X, Y, space, lo, hi = _seminorm_draw(rng, shape)
+            want = row_ratios_reference(X, Y, space, lo, hi)
+            assert repr(_row_ratios(X, Y, space, lo, hi)) == repr(want), (shape, X, Y, space.d, lo, hi)
+            if shape == "threshold":
+                assert want == X[2] / space.d[0][2] > X[1]
+            elif shape == "underflow":
+                assert want == INF
+            if shape not in skipped:
+                continue
+            out = 0.0
+            for i in range(lo, min(hi, space.n - 1)):
+                s = max(X[i] - min(X), max(X) - X[i], Y[i] - min(Y), max(Y) - Y[i])
+                skipped[shape] += bool(out) and any(rho > s / out for rho in space.d[i][i + 1:])
+                out = max(out, row_ratios_reference(X, Y, space, i, i + 1))
+    assert min(skipped["random"], skipped["infinite"], skipped["zero-early"]) >= 1000 and not skipped["equal"], skipped
 
 
 # ---------------------------------------------------------------------------
