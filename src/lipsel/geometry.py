@@ -60,15 +60,6 @@ def ext_sub(a: float, b: float) -> float:
     return a - b
 
 
-def ext_div(a: float, b: float) -> float:
-    """a / b with 0/0 = 0 and a/0 = +inf for a > 0 (mirrored for a < 0)."""
-    if b == 0.0:
-        if a == 0.0:
-            return 0.0
-        return INF if a > 0.0 else -INF
-    return a / b
-
-
 def inflation_radius(lam: float, rho: float) -> float:
     """Radius of the square blown around a constraint at distance ``rho``.
 

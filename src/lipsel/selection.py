@@ -39,28 +39,26 @@ sides scaled to |h1| + |h2| = 1 against the square around B (`_point_rows`).
 
 Stage 3 folds each hull against its neighbours first and runs the pairwise
 test for NoGo only when some fold comes out empty or pinched: every pair the
-test flags leaves the fold of its smaller point so (`step3_refine_rects`).
+test flags leaves the fold of its smaller point so (`_refine`).
 
-A point's stage-1 set and stage-2 hull, its stage-3 fold once every hull
-exists, its stage-5 projection, and a row of the seminorm's pairs depend on
-no other point's result in the same phase.  So once point 0's stage-1 set
-is known not to be empty, a solve whose stage 1 scans at least SPLIT_MIN
-rows (n times the number of sides) runs in two processes (`_in_two`): this
-one and one child made by `os.fork`, each running the one solve body
-(`_solve`) on its half of the points and exchanging only flat lists of
-numbers with the other after each phase.
-In stages 1-2 this process takes the points upward and the child downward
-until they meet; stage 3's folds split the points at the middle, stages
-4-5 follow stage 2's split, and the seminorm's rows split by their count
-of pairs, as in `lipschitz_seminorm`, which splits from about n = 330.
-A seminorm row skips the pairs that cannot raise its maximum (`_row_ratios`).
-When a fold trips, the pairwise NoGo test and `_snap_ends` run in both
-processes; each error is raised in point order, and the results, NoGos and
-errors equal those of the serial run.  A fork that fails, or a child that
-fails or dies, ends the split, and the solve runs again, serially, in this
-process.  It forks only when `os.fork` and `os.sched_getaffinity` exist,
-the process has one thread, and its CPU affinity holds at least two CPUs;
-the child never outlives the call.
+A point's stage-1 set and stage-2 hull depend on no other point, its
+stage-3 fold on the hulls alone, its stage-4 center on its fold alone, its
+stage-5 projection on its center and its own stage-1 rows, and a row of the
+seminorm's pairs on the values alone.  So once point 0's stage-1 set is
+known not to be empty, a solve whose stage 1 scans at least SPLIT_MIN rows
+(n times the number of sides) runs in two processes (`_in_two`): this one
+and one child made by `os.fork`, each running the one solve body (`_solve`)
+on its half of the points in three phases, and exchanging only flat lists
+of numbers with the other after each.  In stages 1-2 this process takes the
+points upward and the child downward until they meet; stages 3-5 split the
+points at the middle, and the seminorm's rows split by their count of
+pairs.  A seminorm row skips the pairs that cannot raise its maximum
+(`_row_ratios`).  A fork that fails, or any error in either process, ends
+the split, and the solve runs again, serially, in this process, so the
+serial run settles every failure; a NoGo the split finds is the serial
+run's.  It forks only when `os.fork` and `os.sched_getaffinity` exist, the
+process has one thread, and its CPU affinity holds at least two CPUs; the
+child never outlives the call.
 """
 
 from __future__ import annotations
@@ -405,12 +403,24 @@ def step3_refine_rects(
     hulls: Sequence[ExtRect], l2: float, space: PseudometricSpace
 ) -> Union[List[ExtRect], NoGo]:
     """Shrink every hull so that neighbouring rectangles stay within l2 times
-    the distance of each other, or NoGo when some pair is too far apart.
+    the distance of each other, or NoGo when some pair is too far apart
+    (`_refine` over every point)."""
+    if len(hulls) != space.n:
+        raise ValueError("one hull per point is required")
+    ends = ([t.ix.lo for t in hulls], [t.ix.hi for t in hulls], [t.iy.lo for t in hulls], [t.iy.hi for t in hulls])
+    folds = _refine(ends, l2, space, range(space.n))
+    return folds if isinstance(folds, NoGo) else _rects(folds)
 
-    Per-axis max/min folds over x's distance row give x's shrunk ends.  The
-    pairwise test (`_first_far_pair`) runs once, only when some fold trips:
-    lo >= hi on an axis.  Lower ends are finite or -inf and upper ends
-    finite or +inf, so plain float subtraction is `ext_sub` on them.
+
+def _refine(ends: tuple, l2: float, space: PseudometricSpace, points: Iterable[int]) -> Union[List[Ends], NoGo]:
+    """The shrunk ends of the given points, in order, or NoGo.
+
+    Per-axis max/min folds over x's distance row give x's shrunk ends
+    (`_fold`).  The pairwise test (`_first_far_pair`), over all points, runs
+    once, only when some fold trips: lo >= hi on an axis; once it has
+    cleared a trip, inverted ends collapse (`_snap_ends`).  Lower ends are
+    finite or -inf and upper ends finite or +inf, so plain float
+    subtraction is `ext_sub` on them.
 
     No flagged pair escapes, at any scale: say the test flags (x, y) on
     axis 1 through fl(a - b) > r, with a = LO1[x], b = HI1[y] and r the
@@ -418,15 +428,12 @@ def step3_refine_rects(
     exactly too, with a, b, r finite.  x's fold holds its own term, of
     radius l2 * 0 = 0, so lo >= a, and fl(b + r) <= a, so hi <= a: x's fold
     trips.  With a = LO1[y] and b = HI1[x], fl(a - r) >= b trips it the
-    same way.
+    same way.  The test scans all pairs, so its answer does not depend on
+    which points are folded or which of them trips first.
     """
-    n = space.n
-    if len(hulls) != n:
-        raise ValueError("one hull per point is required")
-    ends = ([t.ix.lo for t in hulls], [t.ix.hi for t in hulls], [t.iy.lo for t in hulls], [t.iy.hi for t in hulls])
     scanned = False
-    refined: List[ExtRect] = []
-    for x in range(n):
+    folds: List[Ends] = []
+    for x in points:
         lo1, hi1, lo2, hi2 = _fold(ends, l2, space.d[x])
         if not scanned and (lo1 >= hi1 or lo2 >= hi2):
             nogo = _first_far_pair(*ends, l2, space)
@@ -437,8 +444,8 @@ def step3_refine_rects(
             r = max(filter(math.isfinite, _radii(l2, space.d[x])))
             lo1, hi1 = _snap_ends(lo1, hi1, r)
             lo2, hi2 = _snap_ends(lo2, hi2, r)
-        refined.append(ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)))
-    return refined
+        folds.append((lo1, hi1, lo2, hi2))
+    return folds
 
 
 def _fold(ends: tuple, l2: float, drow: Sequence[float]) -> Tuple[float, float, float, float]:
@@ -632,18 +639,15 @@ def _solve(
          processes see it, so neither waits long for the other.  A point
          that both take gets equal results in both.  The lower half returns
          its first NoGo at once, as no other can come first; the upper half
-         goes on down past a NoGo and hands on the lowest it meets.  An
-         error ends the upper half at its point, so the lower half goes on
-         up to that point and meets any NoGo or error below it first.  Each
-         half owns the points on its side of the lower half's last point,
-         and keeps their kept points;
-      2. the folds of the points lo..hi-1, or None when one trips.  If one
-         trips anywhere, every half runs `step3_refine_rects`, so its NoGo
-         and errors come in point order, and before any stage-5 error;
-      3. stages 4-5 at the points the half owns: the centers and values;
-      4. the largest ratio over the half's rows of the seminorm."""
-    n, space, d = inst.n, inst.space, inst.space.d
-    if hi - lo == n:  # alone: a lost split may have moved `meet`
+         goes on down past a NoGo and hands on the lowest it meets.  A half
+         hands on its first point, its ends and its kept points;
+      2. stages 3-5 at the points lo..hi-1: their folds (`_refine`), or the
+         NoGo at the half's first trip, which the lower half returns at
+         once, then their centers and values;
+      3. the largest ratio over the half's rows of the seminorm, which
+         split by their count of pairs (`_row_cut`)."""
+    n, space = inst.n, inst.space
+    if hi - lo == n:  # alone: a split that failed may have moved `meet`
         meet[0], meet[1] = min(1, n), n
     if lo == 0:
         flat, kept = ([*head[0]], [head[1]]) if head else ([], [])
@@ -655,7 +659,7 @@ def _solve(
             flat += part[0]
             kept.append(part[1])
             meet[0] = x + 1
-        parts = exchange(flat)
+        parts = exchange((0, flat, kept))
     else:
         done: list = []
         nogo = None
@@ -668,45 +672,34 @@ def _solve(
                 nogo = part
             else:
                 done.append(part)
-        if nogo is not None:
-            parts = exchange(nogo)
-        else:
-            done.reverse()
-            kept = [points for _, points in done]
-            parts = exchange((x, [v for ends, _ in done for v in ends]))
+        done.reverse()
+        parts = exchange(nogo or (x, [v for ends, _ in done for v in ends], [points for _, points in done]))
     if isinstance(parts[-1], NoGo):  # the lower half returns its NoGo instead
         return parts[-1]
-    cut = len(parts[0]) // 5
-    if len(parts) > 1:
-        start, upper = parts[1]
-        parts = (parts[0], upper[(cut - start) * 5:])
-        if lo:
-            kept = kept[cut - start:]
-    own = range(0, cut) if lo == 0 else range(cut, n)
-    twin, *ends = _columns(parts, 5)
+    flat, kept = [], []
+    for start, values, points in parts:  # from the first point not yet merged
+        flat += values[(len(kept) - start) * 5:]
+        kept += points[len(kept) - start:]
+    twin, *ends = _columns([flat], 5)
     _fill_twins(twin, ends)
-    hulls = _rects(zip(*ends))
 
-    folds: Optional[list] = []
-    for x in range(lo, hi):
-        fold = _fold(ends, l2, d[x])
-        if fold[0] >= fold[1] or fold[2] >= fold[3]:
-            folds = None
-            break
-        folds += fold
-    parts = exchange(folds)
-    refined = step3_refine_rects(hulls, l2, space) if None in parts else _rects(zip(*_columns(parts, 4)))
+    refined = _refine(ends, l2, space, range(lo, hi))
     if isinstance(refined, NoGo):
-        return refined
-
-    flat = []
-    for x, gx in zip(own, step4_centers(refined[own.start:own.stop])):
-        p = gx if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x - own.start])
-        flat += (*gx, *p)
-    GX, GY, X, Y = _columns(exchange(flat), 4)
+        if lo == 0:  # its points come first, so its first trip is the serial run's
+            return refined
+        part = refined
+    else:
+        part = []
+        for x, fold, gx in zip(range(lo, hi), refined, step4_centers(_rects(refined))):
+            p = gx if twin[x] >= 0 else step5_project(inst, l1, x, gx, points=kept[x])
+            part += (*fold, *gx, *p)
+    parts = exchange(part)
+    if isinstance(parts[-1], NoGo):
+        return parts[-1]
+    *folds, GX, GY, X, Y = _columns(parts, 8)
     _fill_twins(twin, (X, Y))
-    seminorm = _seminorm(X, Y, space, lo, hi, exchange)
-    return list(map(Point2, X, Y)), list(map(Point2, GX, GY)), hulls, refined, seminorm
+    seminorm = max(exchange(_row_ratios(X, Y, space, _row_cut(lo, n), _row_cut(hi, n))))
+    return list(map(Point2, X, Y)), list(map(Point2, GX, GY)), _rects(zip(*ends)), _rects(zip(*folds)), seminorm
 
 
 def _columns(parts: Sequence[list], k: int) -> List[list]:
@@ -728,10 +721,6 @@ def _rects(ends: Iterable[Ends]) -> List[ExtRect]:
     return [ExtRect(ExtInterval(lo1, hi1), ExtInterval(lo2, hi2)) for lo1, hi1, lo2, hi2 in ends]
 
 
-class _Lost(Exception):
-    """The child of an `_in_two` split failed, died or closed its pipe."""
-
-
 def _alone(part: Any) -> Tuple[Any]:
     """The `exchange` of a body that runs alone: its part is all parts."""
     return (part,)
@@ -746,13 +735,15 @@ def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: 
     exchange(part) hands the half's part of a phase to the other half,
     pickled over a pipe, and returns the parts of both halves in point
     order.  The bodies are written so that both halves end a phase in the
-    state of the one body 0..n-1, so the lower half's return value, or its
-    exception, is the call's; it may return before the child's part
-    arrives.  The child writes nothing to stdout or stderr and leaves
-    through `os._exit`.  A fork that fails, or a child that fails, dies or
-    closes its pipe (`_Lost`), ends the split, and body(0, n, _alone) runs
-    here once.  The child is killed and reaped before that, and before this
-    returns or raises."""
+    state of the one body 0..n-1, so a value the lower half returns is the
+    call's; it may return before the child's part arrives.  The child
+    writes nothing to stdout or stderr and leaves through `os._exit`.  A
+    fork that fails, or any exception in this half, ends the split, and
+    body(0, n, _alone) runs here once: the serial run settles every
+    failure, and which of a NoGo and an error comes first.  A child that
+    fails, dies or closes its pipe raises here at the next exchange.  The
+    child is killed and reaped before that, and before this returns or
+    raises."""
     if not (
         n >= 2
         and work >= SPLIT_MIN
@@ -789,17 +780,14 @@ def _in_two(body: Callable[[int, int, Callable[[Any], Sequence[Any]]], Any], n: 
     up, down = open(up_r, "rb"), open(down_w, "wb")
 
     def lower(part: Any) -> Tuple[Any, Any]:
-        try:
-            got = pickle.load(up)
-            pickle.dump(part, down, pickle.HIGHEST_PROTOCOL)
-            down.flush()
-        except (EOFError, OSError, pickle.UnpicklingError):
-            raise _Lost from None
+        got = pickle.load(up)
+        pickle.dump(part, down, pickle.HIGHEST_PROTOCOL)
+        down.flush()
         return part, got
 
     try:
         return body(0, n // 2, lower)
-    except _Lost:
+    except Exception:
         pass
     finally:
         up.close()
@@ -830,24 +818,9 @@ def _earlier_twin(d: Sequence[Sequence[float]], x: int) -> int:
 def lipschitz_seminorm(f: Sequence[Point2], space: PseudometricSpace) -> float:
     """Largest displacement-to-distance ratio over pairs (0/0 counts as 0,
     positive/0 as +inf)."""
-    n = space.n
-    if len(f) != n:
+    if len(f) != space.n:
         raise ValueError("one value per point is required")
-    X = [p.x1 for p in f]
-    Y = [p.x2 for p in f]
-    # its n * (n - 1) / 2 pairs in stage-1 rows, 2/11 of a row each: split
-    # seminorms broke even near n = 330 (`tests/split_times.py`, 2-vCPU x86)
-    return _in_two(partial(_seminorm, X, Y, space), n, n * (n - 1) // 11)
-
-
-def _seminorm(
-    X: List[float], Y: List[float], space: PseudometricSpace, lo: int, hi: int,
-    exchange: Callable[[Any], Sequence[Any]],
-) -> float:
-    """The seminorm as the body of an `_in_two` call: the largest ratio
-    over the rows `_row_cut(lo)` to `_row_cut(hi)`, then over all halves."""
-    n = space.n
-    return max(exchange(_row_ratios(X, Y, space, _row_cut(lo, n), _row_cut(hi, n))))
+    return _row_ratios([p.x1 for p in f], [p.x2 for p in f], space, 0, space.n)
 
 
 def _row_cut(k: int, n: int) -> int:
@@ -860,7 +833,7 @@ def _row_ratios(X: List[float], Y: List[float], space: PseudometricSpace, lo: in
     """The largest ratio over the pairs (i, j > i) with lo <= i < hi, or 0,
     in one pass per row: max(|dx|, |dy|) / rho, which is max(|dx| / rho,
     |dy| / rho) as rounded division is monotone, with 0/0 = 0 and x/0 = inf
-    (`ext_div`); only a strictly larger one replaces it, as in `max`.  Once
+    for x > 0; only a strictly larger one replaces it, as in `max`.  Once
     out > 0 it skips a pair of row i at rho > fl(s / out), s the
     largest coordinate gap from f(i) to the values' bounding box: rho then
     exceeds s / out, which is rounded to nearest, so fl(max(|dx|, |dy|) /

@@ -27,10 +27,12 @@ references their results must equal bit for bit;
 `estimate_reference` is the plain bisection that
 `lipsel.oracle.estimate_min_seminorm` ran before it settled points from
 witness seminorms, one elimination per point, kept as the reference its
-brackets and errors must equal exactly; and `pair_bound_reference` is the
+brackets and errors must equal exactly; `pair_bound_reference` is the
 bound `lipsel.lp2d` took a hull end from, on the rows that bracket its
 direction, before stage 2 found all four ends in one pass, kept as the
-reference those ends must equal exactly.
+reference those ends must equal exactly; and `ext_div` is the seminorm's
+rule for a pair at distance 0 (0/0 = 0, a/0 = ±inf) as one division, which
+the seminorm reference applies.
 """
 
 import itertools
@@ -42,7 +44,7 @@ from operator import add, gt, sub, truediv
 
 import numpy as np
 
-from lipsel.geometry import ExtInterval, ExtRect, HalfPlane, ext_div, inflation_radius
+from lipsel.geometry import ExtInterval, ExtRect, HalfPlane, inflation_radius
 from lipsel.oracle import (
     FM_VAR_CAP,
     FmFeasible,
@@ -350,6 +352,15 @@ def fold_reference(ends, l2, drow):
     LO1, HI1, LO2, HI2 = ends
     R = _radii(l2, drow)
     return max(map(sub, LO1, R)), min(map(add, HI1, R)), max(map(sub, LO2, R)), min(map(add, HI2, R))
+
+
+def ext_div(a, b):
+    """a / b with 0/0 = 0 and a/0 = +inf for a > 0 (mirrored for a < 0)."""
+    if b == 0.0:
+        if a == 0.0:
+            return 0.0
+        return INF if a > 0.0 else -INF
+    return a / b
 
 
 def row_ratios_reference(X, Y, space, lo, hi):

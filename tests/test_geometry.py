@@ -13,7 +13,6 @@ from lipsel.geometry import (
     ExtInterval,
     Point2,
     dist_to_halfplane,
-    ext_div,
     ext_sub,
     halfplane,
     inflation_radius,
@@ -29,6 +28,7 @@ from lipsel.geometry import (
 )
 
 from oracles import (
+    ext_div,
     grid_halfplane_dist,
     grid_halfplane_project,
     grid_interval_hausdorff,

@@ -1362,22 +1362,24 @@ def test_split_solves_equal_serial_solves(monkeypatch, forks):
     give the serial outcome, or raise the serial error: NoGos at stage 1 in
     either half, at stage 3, Successes through a trip the pairwise scan
     clears (hulls exactly l2 * rho apart), Successes at 2^±40, and the
-    error of a stage 5 that raises at one chosen point."""
-    step3 = lipsel.selection.step3_refine_rects
+    error of a stage 5 that raises at one chosen point.  A Success counts as
+    cleared when this process ran the pairwise scan: the serial run does
+    whenever some fold trips."""
+    scan = lipsel.selection._first_far_pair
     step5 = lipsel.selection.step5_project
     scans = []
     bad = set()
 
     def spy(*args):
         scans.append(1)
-        return step3(*args)
+        return scan(*args)
 
     def failing(inst, l1, x, *args, **kwargs):
         if x in bad:
             raise ValueError(f"point {x}")
         return step5(inst, l1, x, *args, **kwargs)
 
-    monkeypatch.setattr(lipsel.selection, "step3_refine_rects", spy)
+    monkeypatch.setattr(lipsel.selection, "_first_far_pair", spy)
     monkeypatch.setattr(lipsel.selection, "step5_project", failing)
     rng = random.Random("split-solves")
     seen = dict.fromkeys(["stage1-lower", "stage1-upper", "stage3", "cleared", "success", "error"], 0)
@@ -1396,7 +1398,7 @@ def test_split_solves_equal_serial_solves(monkeypatch, forks):
             elif isinstance(split, NoGo):
                 seen["stage3"] += 1
             elif isinstance(split, Success):
-                seen["cleared" if len(scans) == 2 else "success"] += 1
+                seen["cleared" if scans else "success"] += 1
             else:
                 seen["error"] += 1
     assert min(seen.values()) >= 2, seen
@@ -1408,7 +1410,7 @@ def test_split_solves_raise_the_serial_error(monkeypatch, forks, capfd, where):
     empty sets at others, gives the serial outcome: the first error or NoGo
     in point order, whichever process meets it, in whatever order.  A child
     that raises writes nothing and leaves, and the parent raises the same
-    error computing that half itself."""
+    error solving the whole instance again itself."""
     phase = getattr(lipsel.selection, where)
     inst = planted_instance(random.Random("split-raise"), 200)
     cases = [({199}, set()), ({150, 3}, set()), ({120, 180}, set())]
@@ -1429,24 +1431,61 @@ def test_split_solves_raise_the_serial_error(monkeypatch, forks, capfd, where):
         assert capfd.readouterr() == ("", "")
 
 
-def test_split_stage3_nogo_wins_over_a_stage5_error(monkeypatch, forks):
-    """Serially, stage 5 never runs after a stage-3 NoGo.  Split, the lower
-    half's folds hold here while the upper half trips; no half starts stage
-    5 before it knows of every trip, so both run the pairwise test, which
-    finds the NoGo, and the failing stage 5 never runs."""
+def test_split_stage3_nogo_wins_over_a_stage5_error(monkeypatch, forks, capfd):
+    """Serially, stage 5 never runs after a stage-3 NoGo.  Split, this
+    process's half folds with no trip while the child's half holds the
+    NoGo, so this half starts stage 5 and raises, at its first point or
+    after a few; the serial run it then makes gives the NoGo.  Nothing is
+    written and no child is left (`_serial_and_split`)."""
+    step5 = lipsel.selection.step5_project
     calls = []
 
-    def failing(*args, **kwargs):
-        calls.append(1)
-        raise ValueError("stage 5")
+    def failing(inst, l1, x, *args, **kwargs):
+        calls.append(lipsel.selection.SPLIT_MIN)
+        if x == bad:
+            raise ValueError(f"point {x}")
+        return step5(inst, l1, x, *args, **kwargs)
 
-    # two blocks at infinite distance: points 2 and 3 are 10 apart in x at
-    # distance 1, which l1 = 20 lets through stage 1 and l2 = 1/4 does not
-    space = validate_pseudometric([[0, 1, INF, INF], [1, 0, INF, INF], [INF, INF, 0, 1], [INF, INF, 1, 0]])
-    inst = HalfPlaneInstance(space, [halfplane(1.0, 0.0, 0.0)] * 3 + [halfplane(-1.0, 0.0, 10.0)])
     monkeypatch.setattr(lipsel.selection, "step5_project", failing)
-    serial, split = _serial_and_split(monkeypatch, forks, inst, (20.0, 0.25))
-    assert split == serial == NoGo(3, 2) and not calls
+    # two blocks of `half` points at infinite distance, distance 1 within
+    # each: the last point is 10 apart in x from the rest of its block,
+    # which l1 = 20 lets through stage 1 and l2 = 1/4 does not
+    for half, bad in ((2, 0), (20, 7)):
+        n = 2 * half
+        d = [[0.0 if x == y else 1.0 if x // half == y // half else INF for y in range(n)] for x in range(n)]
+        planes = [halfplane(1.0, 0.0, 0.0)] * (n - 1) + [halfplane(-1.0, 0.0, 10.0)]
+        del calls[:]
+        serial, split = _serial_and_split(monkeypatch, forks, HalfPlaneInstance(validate_pseudometric(d), planes),
+                                          (20.0, 0.25))
+        assert split == serial == NoGo(3, half)
+        assert calls == [1] * (bad + 1)  # none serially; this half's, up to the error
+        assert capfd.readouterr() == ("", "")
+
+
+def test_split_solve_exchanges_three_times(monkeypatch, forks):
+    """A split Success hands on its halves' parts three times: after stages
+    1-2, after stages 3-5 and after the seminorm."""
+    solve = lipsel.selection._solve
+    parent = os.getpid()
+    exchanges = []
+
+    def counting(*args):
+        *rest, exchange = args
+
+        def counted(part):
+            if os.getpid() == parent:
+                exchanges.append(1)
+            return exchange(part)
+
+        return solve(*rest, counted)
+
+    monkeypatch.setattr(lipsel.selection, "_solve", counting)
+    for inst, lam in ((planted_instance(random.Random("split-3"), 200), 2.0),
+                      (random_polygon_instance(random.Random("split-3"), 60, 4), 1.0)):
+        del exchanges[:], forks[:]
+        serial, split = _serial_and_split(monkeypatch, forks, inst, (lam, lam))
+        assert isinstance(split, Success) and split == serial
+        assert len(forks) == 1 and len(exchanges) == 6  # 3 serially, 3 split
 
 
 def test_split_solve_decides_point_0_before_forking(monkeypatch, forks):
@@ -1495,10 +1534,9 @@ def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
     """The worker dies at its first stage-2 hull, or after stages 1-2 at
     its first fold, or in the seminorm at its rows (it exits at once, as a
     killed child would), or this process's own half raises at point 3's
-    fold.  The outcome is the serial one: after a dead worker the solve is
-    solved again in this process, and an error in this process's half is
-    raised after the worker is reaped.  Neither process writes to stdout or
-    stderr."""
+    fold.  The outcome is the serial one: after a dead worker, or an error
+    in this process's half, the worker is reaped and the solve is solved
+    again in this process.  Neither process writes to stdout or stderr."""
     inst = planted_instance(random.Random("split-fault"), 200)
     where = FAULTS[fault]
     phase = getattr(lipsel.selection, where)
@@ -1531,45 +1569,19 @@ def test_split_solve_survives_a_fault(monkeypatch, forks, capfd, fault):
         assert capfd.readouterr() == ("", "")
 
 
-def test_split_seminorm_equals_the_serial_one(monkeypatch, forks, capfd):
-    """`lipschitz_seminorm` on 200 points with zero-distance twins and
-    blocks at infinite distance gives the serial value split, with one
-    fork, and also when the child dies in its rows: then it is computed
-    again in this process, nothing is written and no child is left."""
+def test_seminorm_runs_in_one_process(monkeypatch, forks):
+    """`lipschitz_seminorm` on 400 points with zero-distance twins and
+    blocks at infinite distance never forks, even at the smallest
+    SPLIT_MIN, and its value is that of `_row_ratios` over all rows."""
     rng = random.Random("split-seminorm")
-    row_ratios = lipsel.selection._row_ratios
-    parent = os.getpid()
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return row_ratios(*args)
-
-    upper = 0
-    for _ in range(4):
-        space = linf_space(rng, 200, dup_chance=0.3, inf_blocks=True)
-        f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(space.n)]
-        for x in range(space.n):  # twins take equal values, so 0/0 pairs count 0
-            if 0.0 in space.d[x][:x]:
-                f[x] = f[space.d[x].index(0.0)]
-        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", INF)
-        want = lipschitz_seminorm(f, space)
-        assert 0.0 < want < INF and not forks
-        X, Y, cut = [p.x1 for p in f], [p.x2 for p in f], lipsel.selection._row_cut(space.n // 2, space.n)
-        upper += row_ratios(X, Y, space, cut, space.n) == want
-        monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
-        fds = _open_fds()
-        assert lipschitz_seminorm(f, space) == want and len(forks) == 1
-        del forks[:]
-        with monkeypatch.context() as m:
-            m.setattr(lipsel.selection, "_row_ratios", dying)
-            assert lipschitz_seminorm(f, space) == want and len(forks) == 1
-        del forks[:]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert _open_fds() == fds
-        assert capfd.readouterr() == ("", "")
-    assert upper >= 1  # some largest ratio comes from the child's rows
+    monkeypatch.setattr(lipsel.selection, "SPLIT_MIN", 1)
+    space = linf_space(rng, 400, dup_chance=0.3, inf_blocks=True)
+    f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(space.n)]
+    for x in range(space.n):  # twins take equal values, so 0/0 pairs count 0
+        if 0.0 in space.d[x][:x]:
+            f[x] = f[space.d[x].index(0.0)]
+    want = _row_ratios([p.x1 for p in f], [p.x2 for p in f], space, 0, space.n)
+    assert 0.0 < lipschitz_seminorm(f, space) == want < INF and not forks
 
 
 def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks):
@@ -1604,8 +1616,7 @@ def test_no_split_without_a_fork_two_cpus_or_a_single_thread(monkeypatch, forks)
 
 def test_split_threshold_counts_stage1_rows(forks):
     """A solve splits when its stage-1 work, n times its instance's number
-    of sides, reaches SPLIT_MIN, and `lipschitz_seminorm` when its pairs,
-    at 2/11 of a row each, do: an instance just above each threshold forks
+    of sides, reaches SPLIT_MIN: an instance just above the threshold forks
     once, and one just below it does not, for half-planes and 4-sided
     polygons."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
@@ -1619,10 +1630,3 @@ def test_split_threshold_counts_stage1_rows(forks):
             del forks[:]
             assert isinstance(run_projection_algorithm(inst, (2.0, 2.0)), Success)
             assert len(forks) == (n * len(inst.sides) >= split_min) == (n == above), (sides, n)
-    above = next(n for n in itertools.count(2) if n * (n - 1) // 11 >= split_min)
-    for n in (above, above - 1):
-        space = linf_space(rng, n)
-        f = [Point2(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(n)]
-        del forks[:]
-        lipschitz_seminorm(f, space)
-        assert len(forks) == (n == above), n
